@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,17 +57,18 @@ from .bounds import (
     kink_moment,
 )
 from .convexity import (
+    FIRST,
     NO_VIOLATION,
+    SECOND,
     MembershipReport,
+    MembershipSweep,
     SamplingPlan,
-    check_class_first,
-    check_class_second,
-    check_def1_coordinated,
+    abs_mixed_surface,
 )
 from .errors import ConfigError, OutOfDomainError, ParameterError
-from .geometry import GenParams, Rect
+from .geometry import CLASSICAL_PARAMS, GenParams, Rect
 from .oracle import RationalPoly2, deviation_exact
-from .surfaces import Surface, corpus, mixed_partial_func, poly_surface
+from .surfaces import corpus, poly_surface
 
 ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membership")
 BOUND_CHECKS = (CLASSICAL, DIRECT, HOLDER, POWER_MEAN)
@@ -116,6 +118,13 @@ def _as_list(value, name):
     return value
 
 
+def _number(kind, value, name):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a number, not {value!r}") from exc
+
+
 def build_config(raw: dict, *, seed=None, out=None, jobs=None, default_variants=(PROOF_FORM,)) -> RunConfig:
     """Validate a parsed config mapping and apply CLI/env overrides."""
     if not isinstance(raw, dict):
@@ -158,7 +167,7 @@ def build_config(raw: dict, *, seed=None, out=None, jobs=None, default_variants=
         values = grid_raw.get(key, [1.0])
         if not isinstance(values, list) or not values:
             raise ConfigError(f"no parameters to sweep: param_grid.{key} is empty")
-        grid[key] = [float(v) for v in values]
+        grid[key] = [_number(float, v, f"param_grid.{key}") for v in values]
 
     variants = raw.get("variants", list(default_variants))
     variants = _as_list(variants, "variants")
@@ -172,7 +181,7 @@ def build_config(raw: dict, *, seed=None, out=None, jobs=None, default_variants=
         if c not in ALL_CHECKS:
             raise ConfigError(f"unknown check {c!r}; expected subset of {ALL_CHECKS}")
 
-    run_seed = int(raw.get("seed", 0)) if seed is None else int(seed)
+    run_seed = _number(int, raw.get("seed", 0), "seed") if seed is None else int(seed)
 
     plan_raw = raw.get("plan", {})
     if not isinstance(plan_raw, dict):
@@ -205,8 +214,8 @@ def build_config(raw: dict, *, seed=None, out=None, jobs=None, default_variants=
         plan=plan,
         output_dir=Path(out_dir),
         seed=run_seed,
-        hunt_count=int(hunt_raw.get("count", 20)),
-        hunt_degree=int(hunt_raw.get("degree", 4)),
+        hunt_count=_number(int, hunt_raw.get("count", 20), "hunt.count"),
+        hunt_degree=_number(int, hunt_raw.get("degree", 4), "hunt.degree"),
         jobs=max(1, int(jobs)) if jobs is not None else 1,
     )
     param_combos(cfg.param_grid)  # validates every grid cell
@@ -328,45 +337,20 @@ def _write_csv(path: Path, header, rows):
 # verify
 
 
-def abs_mixed_surface(s: Surface, q: float) -> Surface:
-    """The hypothesis function of the generalized bounds: |d2f|^q as a surface."""
-    d2f = mixed_partial_func(s)
-    if q == 1.0:
-        fn = lambda x, y: np.abs(d2f(x, y))
-    else:
-        fn = lambda x, y: np.abs(d2f(x, y)) ** q
-    return Surface(name=f"|d2f[{s.name}]|^{q:g}", domain=s.domain, f=fn)
+NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-class _HypothesisCache:
-    """Membership verdicts for bound hypotheses, computed once per key."""
+def _hypothesis_params(kind: str, p: GenParams) -> GenParams:
+    """Where a bound's hypothesis |d2f|^q is refuted: the classical bound
+    needs plain co-ordinated convexity of |d2f|, the others first-sense
+    membership of |d2f|^q at p."""
+    return CLASSICAL_PARAMS if kind == CLASSICAL else p
 
-    def __init__(self, rect: Rect, plan: SamplingPlan):
-        self.rect = rect
-        self.plan = plan
-        self._store: dict = {}
 
-    def report(self, s: Surface, kind: str, p: GenParams) -> MembershipReport | None:
-        """None when the evaluation hull leaves the surface's domain."""
-        if kind == CLASSICAL:
-            key = (s.name, "def1")
-        else:
-            key = (s.name, "first", p.q, p.s1, p.s2, p.alpha1, p.alpha2, p.m1, p.m2)
-        if key not in self._store:
-            target = abs_mixed_surface(s, 1.0 if kind == CLASSICAL else p.q)
-            try:
-                if kind == CLASSICAL:
-                    rep = check_def1_coordinated(target, self.rect, self.plan)
-                else:
-                    rep = check_class_first(target, self.rect, p, self.plan)
-            except OutOfDomainError:
-                rep = None
-            self._store[key] = rep
-        return self._store[key]
-
-    def passes(self, s: Surface, kind: str, p: GenParams) -> bool:
-        rep = self.report(s, kind, p)
-        return rep is not None and rep.verdict == NO_VIOLATION
+def _hypothesis_reports(sweep: MembershipSweep, s, params, work) -> dict:
+    """Hypothesis membership reports of s, keyed by the given parameters."""
+    params = list(dict.fromkeys(params))
+    return dict(zip(params, sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True, work=work)))
 
 
 def _applicable_kinds(checks, q: float):
@@ -383,13 +367,14 @@ def _applicable_kinds(checks, q: float):
 _BOUND_FNS = {DIRECT: bound_direct, HOLDER: bound_holder, POWER_MEAN: bound_power_mean}
 
 
-def _verify_surface(name, entry, cfg, combos, hyp_cache):
-    """All rows for one surface; returns (rows-by-file, violations)."""
+def _verify_surface(name, entry, cfg, combos, sweep):
+    """All rows for one surface; returns (rows-by-file, violations, work)."""
     s = entry.surface
     rect = cfg.rect
     bound_rows, membership_rows, chain_rows, identity_rows = [], [], [], []
     violations = []  # (kind, params) for violated proof-form rows
-    classical_p = GenParams()
+    work = Counter()
+    classical_p = CLASSICAL_PARAMS
     needs_dev = any(c in cfg.checks for c in BOUND_CHECKS)
 
     dev = deviation_terms(s, rect) if needs_dev else None
@@ -426,14 +411,6 @@ def _verify_surface(name, entry, cfg, combos, hyp_cache):
         if rep.verdict == BOUND_VIOLATED:
             violations.append((CLASSICAL, classical_p))
 
-    if "membership" in cfg.checks:
-        membership_rows.append(
-            _membership_row(
-                name, "f", "coordinated", classical_p,
-                check_def1_coordinated(s, rect, cfg.plan),
-            )
-        )
-
     for p in combos:
         for kind in _applicable_kinds(cfg.checks, p.q):
             for variant in cfg.variants:
@@ -445,20 +422,19 @@ def _verify_surface(name, entry, cfg, combos, hyp_cache):
                 bound_rows.append(_bound_row(name, rep, p))
                 if rep.verdict == BOUND_VIOLATED and variant == PROOF_FORM:
                     violations.append((kind, p))
-        if "membership" in cfg.checks:
-            for notion, checker in (
-                ("first-sense", check_class_first),
-                ("second-sense", check_class_second),
-            ):
-                try:
-                    rep = checker(s, rect, p, cfg.plan)
-                except OutOfDomainError:
-                    rep = None
-                membership_rows.append(_membership_row(name, "f", notion, p, rep))
 
+    if "membership" in cfg.checks:
+        cells = [(FIRST, classical_p)] + [(sense, p) for p in combos for sense in NOTIONS]
+        reports = sweep.reports(s, cells, work=work)
+        membership_rows.append(_membership_row(name, "f", "coordinated", classical_p, reports[0]))
+        for (sense, p), rep in zip(cells[1:], reports[1:]):
+            membership_rows.append(_membership_row(name, "f", NOTIONS[sense], p, rep))
+
+    hyps = _hypothesis_reports(sweep, s, (_hypothesis_params(k, p) for k, p in violations), work)
     failing = []
     for kind, p in violations:
-        if hyp_cache.passes(s, kind, p):
+        hyp = hyps[_hypothesis_params(kind, p)]
+        if hyp is not None and hyp.verdict == NO_VIOLATION:
             failing.append((name, kind, p))
     return (
         {
@@ -468,6 +444,7 @@ def _verify_surface(name, entry, cfg, combos, hyp_cache):
             "identity": identity_rows,
         },
         failing,
+        work,
     )
 
 
@@ -477,29 +454,31 @@ def run_verify(cfg: RunConfig) -> int:
     combos = param_combos(cfg.param_grid)
     registry = corpus()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    hyp_cache = _HypothesisCache(cfg.rect, cfg.plan)
+    sweep = MembershipSweep(cfg.rect, cfg.plan)
 
     tasks = [(name, registry[name]) for name in cfg.surfaces]
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(
                 pool.map(
-                    lambda t: _verify_surface(t[0], t[1], cfg, combos, hyp_cache),
+                    lambda t: _verify_surface(t[0], t[1], cfg, combos, sweep),
                     tasks,
                 )
             )
     else:
         results = [
-            _verify_surface(name, entry, cfg, combos, hyp_cache)
+            _verify_surface(name, entry, cfg, combos, sweep)
             for name, entry in tasks
         ]
 
     files = {"bounds": [], "membership": [], "chains": [], "identity": []}
     failing = []
-    for rows, bad in results:
+    work = Counter()
+    for rows, bad, surface_work in results:
         for key in files:
             files[key].extend(rows[key])
         failing.extend(bad)
+        work.update(surface_work)
 
     _sort_rows(files["bounds"], BOUNDS_HEADER)
     _sort_rows(files["membership"], MEMBERSHIP_HEADER)
@@ -540,6 +519,7 @@ def run_verify(cfg: RunConfig) -> int:
             for n, k, p in failing
         ],
         "rows": sum(len(v) for v in files.values()),
+        "work": _work_block(work, sweep),
         "wall_time_s": round(time.time() - t0, 3),
         "exit_code": exit_code,
     }
@@ -547,6 +527,15 @@ def run_verify(cfg: RunConfig) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return exit_code
+
+
+def _work_block(work: Counter, sweep: MembershipSweep) -> dict:
+    """Deterministic counts of the refuter work done in a run."""
+    return {
+        "membership_reports": work["membership_reports"],
+        "batched_evaluations": work["batched_evaluations"],
+        "samples_per_report": len(sweep.samples[0]),
+    }
 
 
 def _count_by(rows, col):
@@ -608,12 +597,15 @@ def run_hunt(cfg: RunConfig) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     domain = _hunt_domain(cfg.rect, combos)
-    hyp_cache = _HypothesisCache(cfg.rect, cfg.plan)
+    sweep = MembershipSweep(cfg.rect, cfg.plan)
+    work = Counter()
+    classical_p = CLASSICAL_PARAMS
+    hyp_params = [classical_p] if CLASSICAL in kinds_selected else []
+    hyp_params += [p for p in combos if _applicable_kinds(kinds_selected, p.q)]
 
     rows = []
     findings = []
     failing = []
-    classical_p = GenParams()
     for k in range(cfg.hunt_count):
         poly = _random_nonneg_poly(rng, cfg.hunt_degree)
         name = f"hunt-{k:03d}"
@@ -627,9 +619,10 @@ def run_hunt(cfg: RunConfig) -> int:
             abs_deviation=abs(signed),
             error_budget=0.0,
         )
+        hyps = _hypothesis_reports(sweep, s, hyp_params, work)
 
         def record(kind, p, rep):
-            hyp = hyp_cache.report(s, kind, p)
+            hyp = hyps[_hypothesis_params(kind, p)]
             hyp_verdict = SKIPPED if hyp is None else hyp.verdict
             row = _bound_row(name, rep, p)
             row["hypothesis"] = hyp_verdict
@@ -670,6 +663,7 @@ def run_hunt(cfg: RunConfig) -> int:
         "rows": len(rows),
         "as_written_findings": [f for f in findings if f["variant"] == AS_WRITTEN],
         "proof_form_failures": failing,
+        "work": _work_block(work, sweep),
         "wall_time_s": round(time.time() - t0, 3),
         "exit_code": exit_code,
     }

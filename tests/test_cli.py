@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from hhverify import (
     BoundReport,
     GenParams,
@@ -52,6 +54,21 @@ def test_empty_param_grid_is_config_error(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     assert cli.main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("verify", {"param_grid": {"q": ["x"]}}),
+        ("verify", {"seed": "seven"}),
+        ("hunt", {"hunt": {"count": "many"}}),
+        ("hunt", {"hunt": {"degree": [3]}}),
+    ],
+)
+def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, overrides):
+    cfgfile = write_config(tmp_path, output_dir=str(tmp_path / "o"), **overrides)
+    assert cli.main([command, "--config", str(cfgfile)]) == 2
+    assert "must be a number" in capsys.readouterr().err
 
 
 def test_bad_variant_rejected(tmp_path):
@@ -206,6 +223,29 @@ def test_jobs_flag_keeps_output_identical(tmp_path):
     )
     for name in ("bounds.csv", "membership.csv", "chains.csv", "identity.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    # the threads share one sweep; a lost update would show in the work counts
+    work = [json.loads((out / "summary.json").read_text())["work"] for out in (out1, out2)]
+    assert work[0] == work[1]
+
+
+def test_summary_work_counts(tmp_path):
+    """The work block counts refuter work: deterministic, no timings."""
+    cfgfile = write_config(tmp_path, hunt={"count": 2, "degree": 3})
+    samples = (5 * 5 + 4) * (2 * 5 - 1) ** 2 + 500
+    runs = []
+    for run in ("a", "b"):
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / run)]) == 0
+        assert cli.main(["hunt", "--config", str(cfgfile), "--out", str(tmp_path / run)]) == 0
+        summaries = ("summary.json", "hunt_summary.json")
+        runs.append([json.loads((tmp_path / run / name).read_text())["work"] for name in summaries])
+    assert runs[0] == runs[1]
+    verify_work, hunt_work = runs[0]
+    # verify: f in the first and second sense on each of two surfaces (its
+    # cells do not depend on q, and def1 is the first sense at q = 1), one
+    # (m1, m2) group each; no proof-form violation, so no hypothesis report
+    assert verify_work == {"membership_reports": 4, "batched_evaluations": 10, "samples_per_report": samples}
+    # hunt: |d2f|^q at q = 1 (classical and direct share it) and q = 2, two surfaces
+    assert hunt_work == {"membership_reports": 4, "batched_evaluations": 10, "samples_per_report": samples}
 
 
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):

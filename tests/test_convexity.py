@@ -1,3 +1,6 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from hhverify import (
@@ -19,6 +22,14 @@ from hhverify import (
     margin_coordinated,
     poly_surface,
     RationalPoly2,
+)
+from hhverify.convexity import (
+    FIRST,
+    SECOND,
+    MembershipReport,
+    MembershipSweep,
+    _samples,
+    abs_mixed_surface,
 )
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
@@ -158,3 +169,162 @@ def test_zero_power_convention():
     )
     # all weight lands on g(x, y): RHS = 1 = LHS
     assert val == 0.0
+
+
+# ------------------------------------------------------------ the sweep core
+
+SWEEP_GRID = [
+    GenParams(s1=s, s2=s, alpha1=a, alpha2=1.0, m1=m1, m2=m2, q=q)
+    for s in (0.5, 1.0)
+    for a in (0.5, 1.0)
+    for m1 in (0.5, 1.0)
+    for m2 in (0.5, 1.0)
+    for q in (1.0, 2.0, 4.0)
+]
+# Domain too narrow for the m = 0.5 hulls (b / m1 = d / m2 = 2): those cells are out.
+NARROW = Rect(-1.0, 1.5, -1.0, 1.5)
+SWEEP_SURFACES = {
+    "x2y2": get_surface("x2y2"),
+    "expfd": Surface("expfd", Rect(-8, 8, -8, 8), f=lambda x, y: np.exp(x + y)),  # d2f by stencil
+    "narrow": Surface("narrow", NARROW, f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y),
+}
+
+
+def out_of_domain(name, p):
+    return name == "narrow" and min(p.m1, p.m2) < 1.0
+
+
+def written_first(f, p, x, y, z, w, lam, mu):
+    """The first-sense margin written out in full, independent of how the
+    package factors it."""
+    wl = np.power(lam, p.theta1)
+    wm = np.power(mu, p.theta2)
+    rhs = (
+        wl * wm * f(x, y)
+        + p.m2 * wl * (1.0 - wm) * f(x, w / p.m2)
+        + p.m1 * wm * (1.0 - wl) * f(z / p.m1, y)
+        + p.m1 * p.m2 * (1.0 - wl) * (1.0 - wm) * f(z / p.m1, w / p.m2)
+    )
+    return rhs - f(lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w)
+
+
+def written_second(f, p, x, y, z, w, lam, mu):
+    wl = np.power(lam, p.theta1)
+    wm = np.power(mu, p.theta2)
+    cl = np.power(1.0 - np.power(lam, p.alpha1), p.s1)
+    cm = np.power(1.0 - np.power(mu, p.alpha2), p.s2)
+    rhs = (
+        wl * wm * f(x, y)
+        + p.m2 * wl * cm * f(x, w / p.m2)
+        + p.m1 * wm * cl * f(z / p.m1, y)
+        + p.m1 * p.m2 * cl * cm * f(z / p.m1, w / p.m2)
+    )
+    return rhs - f(lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w)
+
+
+def reference_report(f, margin_fn, p, plan):
+    """The refuter written out for one cell: every margin from margin_fn,
+    the witness as the least tuple among the ties."""
+    cols = _samples(RECT01, plan)
+    margins = margin_fn(f, p, *cols)
+    worst = float(margins.min())
+    ties = np.flatnonzero(margins == worst)
+    witness = min(tuple(float(c[i]) for c in cols) for i in ties)
+    worst_margin = float(margin_fn(f, p, *witness))
+    verdict = VIOLATED if worst_margin < -plan.tolerance else NO_VIOLATION
+    return MembershipReport(verdict, worst_margin, witness, int(margins.size))
+
+
+def assert_same_report(got, want):
+    assert got.verdict == want.verdict
+    assert repr(got.worst_margin) == repr(want.worst_margin)
+    assert got.witness == want.witness
+    assert got.samples_checked == want.samples_checked
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SURFACES))
+def test_sweep_matches_one_cell_checks_on_f(name):
+    s = SWEEP_SURFACES[name]
+    cells = [(FIRST, GenParams())] + [(sense, p) for p in SWEEP_GRID for sense in (FIRST, SECOND)]
+    reports = MembershipSweep(RECT01, PLAN).reports(s, cells)
+    skipped = 0
+    for (sense, p), rep in zip(cells, reports):
+        check = check_class_first if sense == FIRST else check_class_second
+        if out_of_domain(name, p):
+            assert rep is None
+            with pytest.raises(OutOfDomainError):
+                check(s, RECT01, p, PLAN)
+            skipped += 1
+            continue
+        assert_same_report(rep, check(s, RECT01, p, PLAN))
+    assert_same_report(reports[0], check_def1_coordinated(s, RECT01, PLAN))
+    assert skipped == (3 * (len(cells) - 1) // 4 if name == "narrow" else 0)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SURFACES))
+def test_sweep_matches_one_cell_checks_on_hypotheses(name):
+    s = SWEEP_SURFACES[name]
+    cells = [(FIRST, GenParams())] + [(FIRST, p) for p in SWEEP_GRID]
+    reports = MembershipSweep(RECT01, PLAN).reports(s, cells, hypothesis=True)
+    for (_, p), rep in zip(cells, reports):
+        hyp = abs_mixed_surface(s, p.q)
+        if out_of_domain(name, p):
+            assert rep is None
+            continue
+        assert_same_report(rep, check_class_first(hyp, RECT01, p, PLAN))
+    assert_same_report(reports[0], check_def1_coordinated(abs_mixed_surface(s, 1.0), RECT01, PLAN))
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("x2y2", GenParams(s1=0.5, m1=0.5, m2=0.5)), ("expfd", GenParams(alpha2=0.5, s2=0.5, m2=0.5))],
+)
+def test_sweep_matches_reference_refuter(name, p):
+    s = SWEEP_SURFACES[name]
+    for sense, written, public in (
+        (FIRST, written_first, margin_class_first),
+        (SECOND, written_second, margin_class_second),
+    ):
+        rep = MembershipSweep(RECT01, PLAN).reports(s, [(sense, p)])[0]
+        assert_same_report(rep, reference_report(s.f, written, p, PLAN))
+        cols = _samples(RECT01, PLAN)
+        assert np.array_equal(public(s.f, p, *cols), written(s.f, p, *cols))
+
+
+def test_tie_break_picks_least_witness():
+    # The constant surface at trivial parameters has margin 0 at every sample:
+    # every sample ties, and the witness is the least tuple of all of them.
+    plan = SamplingPlan(grid_per_axis=3, random_trials=50, seed=5)
+    rep = check_def1_coordinated(constant_surface(2.0), RECT01, plan)
+    assert_same_report(rep, reference_report(constant_surface(2.0).f, written_first, GenParams(), plan))
+
+
+def counting(fn, calls):
+    def counted(x, y):
+        if np.ndim(x) or np.ndim(y):
+            calls.append(np.size(x))
+        return fn(x, y)
+
+    return counted
+
+
+def test_sweep_evaluates_once_per_m_pair():
+    pairs = {(p.m1, p.m2) for p in SWEEP_GRID}
+    f_calls, d2f_calls = [], []
+    base = get_surface("x2y2")
+    s = Surface("counted", base.domain, f=counting(base.f, f_calls), d2f=counting(base.d2f, d2f_calls))
+    sweep = MembershipSweep(RECT01, PLAN)
+    work = Counter()
+    cells = [(sense, p) for p in SWEEP_GRID for sense in (FIRST, SECOND)]
+    sweep.reports(s, cells, work=work)
+    assert len(f_calls) == 5 * len(pairs) < len(cells)
+    assert not d2f_calls
+    sweep.reports(s, [(FIRST, p) for p in SWEEP_GRID], hypothesis=True, work=work)
+    assert len(d2f_calls) == 5 * len(pairs) < len(SWEEP_GRID)
+    assert len(f_calls) == 5 * len(pairs)
+    assert set(f_calls + d2f_calls) == {len(sweep.samples[0])}
+    # f does not depend on q (its cells are shared across q); |d2f|^q does
+    assert work == {
+        "batched_evaluations": 2 * 5 * len(pairs),
+        "membership_reports": len(cells) // 3 + len(SWEEP_GRID),
+    }
