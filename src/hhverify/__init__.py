@@ -9,19 +9,9 @@ convexity-class refuters.
 
 from .bounds import (
     AS_WRITTEN,
-    BOUND_KINDS,
-    CLASSICAL,
-    DIRECT,
-    HOLDER,
     HOLDS,
-    INCONCLUSIVE,
-    POWER_MEAN,
     PROOF_FORM,
-    VARIANTS,
     BoundReport,
-    ChainReport,
-    DeviationTerms,
-    IdentityReport,
     bound_classical,
     bound_direct,
     bound_holder,
@@ -29,17 +19,13 @@ from .bounds import (
     deviation_terms,
     hh_chain_1d,
     hh_chain_2d,
-    holder_s_term,
     identity_report,
-    identity_residual,
     identity_rhs,
     kink_moment,
 )
 from .convexity import (
-    DEFAULT_PLAN,
     NO_VIOLATION,
     VIOLATED,
-    MembershipReport,
     SamplingPlan,
     check_class_first,
     check_class_second,
@@ -49,26 +35,20 @@ from .convexity import (
     margin_coordinated,
 )
 from .errors import (
-    ConfigError,
     ConvergenceError,
     NonFiniteError,
     OutOfDomainError,
     ParameterError,
 )
-from .geometry import CLASSICAL_PARAMS, GenParams, Rect, required_hull
+from .geometry import GenParams, Rect, required_hull
 from .oracle import (
     RationalPoly1,
     RationalPoly2,
     deviation_exact,
     identity_residual_exact,
-    poly_integral_1d_exact,
     poly_integral_2d_exact,
-    poly_mixed_partial,
 )
 from .quadrature import (
-    DEFAULT_TOL,
-    PANEL_DEGREE,
-    QuadratureResult,
     Tolerance,
     integrate_1d,
     integrate_2d,
@@ -76,20 +56,14 @@ from .quadrature import (
     panel_2d,
 )
 from .surfaces import (
-    ANALYTIC,
-    FINITE_DIFFERENCE,
-    CorpusEntry,
     Surface,
     constant_surface,
     corpus,
     crosscheck_mixed_partial,
     eval_mixed_partial,
     eval_surface,
-    fd_mixed_partial,
     get_surface,
-    mixed_partial_func,
     poly_surface,
-    require_hull_inside,
     scaled_eval_hull,
 )
 

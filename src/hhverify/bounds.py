@@ -166,11 +166,6 @@ def identity_report(s: Surface, r: Rect, tol: Tolerance | None = None) -> Identi
     )
 
 
-def identity_residual(s: Surface, r: Rect, tol: Tolerance | None = None) -> float:
-    """The identity residual; zero (within budget) for any admissible surface."""
-    return identity_report(s, r, tol).residual
-
-
 def _verdict(slack: float, budget: float, rhs: float) -> str:
     if slack >= -budget:
         return HOLDS

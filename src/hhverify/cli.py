@@ -29,7 +29,6 @@ import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +37,7 @@ import numpy as np
 
 from .bounds import (
     AS_WRITTEN,
+    BOUND_KINDS,
     CLASSICAL,
     DIRECT,
     HOLDER,
@@ -68,33 +68,36 @@ from .convexity import (
 from .errors import ConfigError, OutOfDomainError, ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect
 from .oracle import RationalPoly2, deviation_exact
-from .surfaces import corpus, poly_surface
+from .surfaces import corpus, poly_surface, scaled_eval_hull
 
 ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membership")
-BOUND_CHECKS = (CLASSICAL, DIRECT, HOLDER, POWER_MEAN)
 SKIPPED = "skipped"
 
 OUT_ENV_VAR = "HHVERIFY_OUT"
 
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
 
-BOUNDS_HEADER = [
-    "surface", "theorem", "variant",
-    "s1", "s2", "alpha1", "alpha2", "m1", "m2", "q",
-    "lhs", "rhs", "slack", "error_budget", "verdict",
-]
-MEMBERSHIP_HEADER = [
-    "surface", "target", "notion",
-    "s1", "s2", "alpha1", "alpha2", "m1", "m2", "q",
-    "verdict", "worst_margin",
-    "witness_x", "witness_y", "witness_z", "witness_w", "witness_lam", "witness_mu",
-    "samples_checked",
-]
-CHAINS_HEADER = [
-    "surface", "center", "midline_mean", "double_mean", "edge_mean", "corner_avg",
-    "monotone", "worst_gap", "error_budget",
-]
-IDENTITY_HEADER = ["surface", "residual", "error_budget", "within_budget"]
+# CSV columns of each report file, which is also the order its rows sort in.
+HEADERS = {
+    "bounds": [
+        "surface", "theorem", "variant",
+        "s1", "s2", "alpha1", "alpha2", "m1", "m2", "q",
+        "lhs", "rhs", "slack", "error_budget", "verdict",
+    ],
+    "membership": [
+        "surface", "target", "notion",
+        "s1", "s2", "alpha1", "alpha2", "m1", "m2", "q",
+        "verdict", "worst_margin",
+        "witness_x", "witness_y", "witness_z", "witness_w", "witness_lam", "witness_mu",
+        "samples_checked",
+    ],
+    "chains": [
+        "surface", "center", "midline_mean", "double_mean", "edge_mean", "corner_avg",
+        "monotone", "worst_gap", "error_budget",
+    ],
+    "identity": ["surface", "residual", "error_budget", "within_budget"],
+}
+HEADERS["hunt"] = HEADERS["bounds"] + ["hypothesis"]
 
 
 @dataclass
@@ -109,7 +112,6 @@ class RunConfig:
     seed: int
     hunt_count: int = 20
     hunt_degree: int = 4
-    jobs: int = 1
 
 
 def _as_list(value, name):
@@ -125,7 +127,7 @@ def _number(kind, value, name):
         raise ConfigError(f"{name} must be a number, not {value!r}") from exc
 
 
-def build_config(raw: dict, *, seed=None, out=None, jobs=None, default_variants=(PROOF_FORM,)) -> RunConfig:
+def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM,)) -> RunConfig:
     """Validate a parsed config mapping and apply CLI/env overrides."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -216,7 +218,6 @@ def build_config(raw: dict, *, seed=None, out=None, jobs=None, default_variants=
         seed=run_seed,
         hunt_count=_number(int, hunt_raw.get("count", 20), "hunt.count"),
         hunt_degree=_number(int, hunt_raw.get("degree", 4), "hunt.degree"),
-        jobs=max(1, int(jobs)) if jobs is not None else 1,
     )
     param_combos(cfg.param_grid)  # validates every grid cell
     return cfg
@@ -266,32 +267,20 @@ def _param_cols(p: GenParams) -> dict:
     return {k: _fmt(float(getattr(p, k))) for k in PARAM_KEYS}
 
 
-def _bound_row(surface: str, rep: BoundReport, p: GenParams) -> dict:
-    return {
-        "surface": surface,
-        "theorem": rep.theorem,
-        "variant": rep.variant,
-        **_param_cols(p),
-        "lhs": _fmt(rep.lhs),
-        "rhs": _fmt(rep.rhs),
-        "slack": _fmt(rep.slack),
-        "error_budget": _fmt(rep.error_budget),
-        "verdict": rep.verdict,
-    }
-
-
-def _skipped_bound_row(surface, theorem, variant, p) -> dict:
-    return {
-        "surface": surface,
-        "theorem": theorem,
-        "variant": variant,
-        **_param_cols(p),
-        "lhs": "",
-        "rhs": "",
-        "slack": "",
-        "error_budget": "",
-        "verdict": SKIPPED,
-    }
+def _bound_row(surface, kind, variant, p: GenParams, rep: BoundReport | None) -> dict:
+    """One bounds row; ``rep`` None is a cell skipped for leaving the domain."""
+    row = {"surface": surface, "theorem": kind, "variant": variant, **_param_cols(p)}
+    if rep is None:
+        row.update(lhs="", rhs="", slack="", error_budget="", verdict=SKIPPED)
+    else:
+        row.update(
+            lhs=_fmt(rep.lhs),
+            rhs=_fmt(rep.rhs),
+            slack=_fmt(rep.slack),
+            error_budget=_fmt(rep.error_budget),
+            verdict=rep.verdict,
+        )
+    return row
 
 
 def _membership_row(surface, target, notion, p, rep: MembershipReport | None) -> dict:
@@ -321,23 +310,34 @@ def _membership_row(surface, target, notion, p, rep: MembershipReport | None) ->
     return row
 
 
-def _sort_rows(rows, header):
-    rows.sort(key=lambda row: tuple(row[col] for col in header))
-    return rows
+def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) -> None:
+    """Write each non-empty row list, sorted by its header, as ``<key>.csv``,
+    then the summary as JSON."""
+    for key, rows in files.items():
+        if not rows:
+            continue
+        header = HEADERS[key]
+        rows.sort(key=lambda row: tuple(row[col] for col in header))
+        with open(out_dir / f"{key}.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+    with open(out_dir / summary_name, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+def _work_block(work: Counter, sweep: MembershipSweep) -> dict:
+    """Deterministic counts of the refuter work done in a run."""
+    return {
+        "membership_reports": work["membership_reports"],
+        "batched_evaluations": work["batched_evaluations"],
+        "samples_per_report": len(sweep.samples[0]),
+    }
 
 
 # --------------------------------------------------------------------------
-# verify
-
-
-NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
+# the bound sweep shared by verify and hunt
 
 
 def _hypothesis_params(kind: str, p: GenParams) -> GenParams:
@@ -367,21 +367,36 @@ def _applicable_kinds(checks, q: float):
 _BOUND_FNS = {DIRECT: bound_direct, HOLDER: bound_holder, POWER_MEAN: bound_power_mean}
 
 
-def _verify_surface(name, entry, cfg, combos, sweep):
-    """All rows for one surface; returns (rows-by-file, violations, work)."""
-    s = entry.surface
+def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
+    """Yield (kind, params, variant, report) for every bound row of s: the
+    classical bound first, then each grid cell x applicable kind x variant.
+    The report is None where the m-scaled corners leave the domain."""
+    if CLASSICAL in kinds:
+        yield CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM, bound_classical(s, rect, dev=dev)
+    for p in combos:
+        for kind in _applicable_kinds(kinds, p.q):
+            for variant in variants:
+                try:
+                    rep = _BOUND_FNS[kind](s, rect, p, variant=variant, dev=dev)
+                except OutOfDomainError:
+                    rep = None
+                yield kind, p, variant, rep
+
+
+# --------------------------------------------------------------------------
+# verify
+
+
+NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
+
+
+def _verify_surface(name, s, cfg, combos, sweep, files, work) -> list:
+    """Append the rows of one surface to ``files``; returns its proof-form
+    failures as (surface, kind, params)."""
     rect = cfg.rect
-    bound_rows, membership_rows, chain_rows, identity_rows = [], [], [], []
-    violations = []  # (kind, params) for violated proof-form rows
-    work = Counter()
-    classical_p = CLASSICAL_PARAMS
-    needs_dev = any(c in cfg.checks for c in BOUND_CHECKS)
-
-    dev = deviation_terms(s, rect) if needs_dev else None
-
     if "identity" in cfg.checks:
         rep = identity_report(s, rect)
-        identity_rows.append(
+        files["identity"].append(
             {
                 "surface": name,
                 "residual": _fmt(rep.residual),
@@ -392,7 +407,7 @@ def _verify_surface(name, entry, cfg, combos, sweep):
     if "chain" in cfg.checks:
         chain = hh_chain_2d(s, rect)
         c1, c2, c3, c4, c5 = chain.values
-        chain_rows.append(
+        files["chains"].append(
             {
                 "surface": name,
                 "center": _fmt(c1),
@@ -405,30 +420,21 @@ def _verify_surface(name, entry, cfg, combos, sweep):
                 "error_budget": _fmt(chain.error_budget),
             }
         )
-    if CLASSICAL in cfg.checks:
-        rep = bound_classical(s, rect, dev=dev)
-        bound_rows.append(_bound_row(name, rep, classical_p))
-        if rep.verdict == BOUND_VIOLATED:
-            violations.append((CLASSICAL, classical_p))
 
-    for p in combos:
-        for kind in _applicable_kinds(cfg.checks, p.q):
-            for variant in cfg.variants:
-                try:
-                    rep = _BOUND_FNS[kind](s, rect, p, variant=variant, dev=dev)
-                except OutOfDomainError:
-                    bound_rows.append(_skipped_bound_row(name, kind, variant, p))
-                    continue
-                bound_rows.append(_bound_row(name, rep, p))
-                if rep.verdict == BOUND_VIOLATED and variant == PROOF_FORM:
-                    violations.append((kind, p))
+    violations = []  # (kind, params) for violated proof-form rows
+    if any(c in cfg.checks for c in BOUND_KINDS):
+        dev = deviation_terms(s, rect)
+        for kind, p, variant, rep in _bound_sweep(s, rect, combos, cfg.checks, cfg.variants, dev):
+            files["bounds"].append(_bound_row(name, kind, variant, p, rep))
+            if rep is not None and rep.verdict == BOUND_VIOLATED and variant == PROOF_FORM:
+                violations.append((kind, p))
 
     if "membership" in cfg.checks:
-        cells = [(FIRST, classical_p)] + [(sense, p) for p in combos for sense in NOTIONS]
+        cells = [(FIRST, CLASSICAL_PARAMS)] + [(sense, p) for p in combos for sense in NOTIONS]
         reports = sweep.reports(s, cells, work=work)
-        membership_rows.append(_membership_row(name, "f", "coordinated", classical_p, reports[0]))
+        files["membership"].append(_membership_row(name, "f", "coordinated", CLASSICAL_PARAMS, reports[0]))
         for (sense, p), rep in zip(cells[1:], reports[1:]):
-            membership_rows.append(_membership_row(name, "f", NOTIONS[sense], p, rep))
+            files["membership"].append(_membership_row(name, "f", NOTIONS[sense], p, rep))
 
     hyps = _hypothesis_reports(sweep, s, (_hypothesis_params(k, p) for k, p in violations), work)
     failing = []
@@ -436,16 +442,7 @@ def _verify_surface(name, entry, cfg, combos, sweep):
         hyp = hyps[_hypothesis_params(kind, p)]
         if hyp is not None and hyp.verdict == NO_VIOLATION:
             failing.append((name, kind, p))
-    return (
-        {
-            "bounds": bound_rows,
-            "membership": membership_rows,
-            "chains": chain_rows,
-            "identity": identity_rows,
-        },
-        failing,
-        work,
-    )
+    return failing
 
 
 def run_verify(cfg: RunConfig) -> int:
@@ -456,61 +453,29 @@ def run_verify(cfg: RunConfig) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     sweep = MembershipSweep(cfg.rect, cfg.plan)
 
-    tasks = [(name, registry[name]) for name in cfg.surfaces]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda t: _verify_surface(t[0], t[1], cfg, combos, sweep),
-                    tasks,
-                )
-            )
-    else:
-        results = [
-            _verify_surface(name, entry, cfg, combos, sweep)
-            for name, entry in tasks
-        ]
-
     files = {"bounds": [], "membership": [], "chains": [], "identity": []}
-    failing = []
     work = Counter()
-    for rows, bad, surface_work in results:
-        for key in files:
-            files[key].extend(rows[key])
-        failing.extend(bad)
-        work.update(surface_work)
-
-    _sort_rows(files["bounds"], BOUNDS_HEADER)
-    _sort_rows(files["membership"], MEMBERSHIP_HEADER)
-    _sort_rows(files["chains"], CHAINS_HEADER)
-    _sort_rows(files["identity"], IDENTITY_HEADER)
-
-    if files["bounds"]:
-        _write_csv(cfg.output_dir / "bounds.csv", BOUNDS_HEADER, files["bounds"])
-    if files["membership"]:
-        _write_csv(cfg.output_dir / "membership.csv", MEMBERSHIP_HEADER, files["membership"])
-    if files["chains"]:
-        _write_csv(cfg.output_dir / "chains.csv", CHAINS_HEADER, files["chains"])
-    if files["identity"]:
-        _write_csv(cfg.output_dir / "identity.csv", IDENTITY_HEADER, files["identity"])
+    failing = []
+    for name in cfg.surfaces:
+        failing += _verify_surface(name, registry[name].surface, cfg, combos, sweep, files, work)
 
     slacks = [
         float(row["slack"]) for row in files["bounds"] if row["verdict"] != SKIPPED
     ]
     exit_code = 1 if failing else 0
-    chain_counts = _count_by(files["chains"], "monotone")
-    identity_counts = _count_by(files["identity"], "within_budget")
+    chain_counts = Counter(row["monotone"] for row in files["chains"])
+    identity_counts = Counter(row["within_budget"] for row in files["identity"])
     summary = {
         "counts": {
-            "bounds": _count_by(files["bounds"], "verdict"),
-            "membership": _count_by(files["membership"], "verdict"),
+            "bounds": Counter(row["verdict"] for row in files["bounds"]),
+            "membership": Counter(row["verdict"] for row in files["membership"]),
             "chains": {
-                "monotone": chain_counts.get("true", 0),
-                "non-monotone": chain_counts.get("false", 0),
+                "monotone": chain_counts["true"],
+                "non-monotone": chain_counts["false"],
             },
             "identity": {
-                "within-budget": identity_counts.get("true", 0),
-                "out-of-budget": identity_counts.get("false", 0),
+                "within-budget": identity_counts["true"],
+                "out-of-budget": identity_counts["false"],
             },
         },
         "worst_slack": min(slacks) if slacks else None,
@@ -523,26 +488,8 @@ def run_verify(cfg: RunConfig) -> int:
         "wall_time_s": round(time.time() - t0, 3),
         "exit_code": exit_code,
     }
-    with open(cfg.output_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(cfg.output_dir, files, "summary.json", summary)
     return exit_code
-
-
-def _work_block(work: Counter, sweep: MembershipSweep) -> dict:
-    """Deterministic counts of the refuter work done in a run."""
-    return {
-        "membership_reports": work["membership_reports"],
-        "batched_evaluations": work["batched_evaluations"],
-        "samples_per_report": len(sweep.samples[0]),
-    }
-
-
-def _count_by(rows, col):
-    counts: dict[str, int] = {}
-    for row in rows:
-        counts[row[col]] = counts.get(row[col], 0) + 1
-    return counts
 
 
 # --------------------------------------------------------------------------
@@ -570,8 +517,6 @@ def _random_nonneg_poly(rng, degree: int) -> RationalPoly2:
 
 def _hunt_domain(rect: Rect, combos) -> Rect:
     """A domain wide enough for every scaled evaluation hull in the sweep."""
-    from .surfaces import scaled_eval_hull
-
     hulls = [scaled_eval_hull(rect, p) for p in combos]
     pad = 1.0
     return Rect(
@@ -582,30 +527,23 @@ def _hunt_domain(rect: Rect, combos) -> Rect:
     )
 
 
-HUNT_HEADER = BOUNDS_HEADER + ["hypothesis"]
-
-
 def run_hunt(cfg: RunConfig) -> int:
     """Sweep random polynomial surfaces hunting for as-written bound failures."""
     t0 = time.time()
     if AS_WRITTEN not in cfg.variants:
         raise ConfigError("hunt requires the as-written variant to be enabled")
     combos = param_combos(cfg.param_grid)
-    kinds_selected = [c for c in cfg.checks if c in BOUND_CHECKS]
-    if not kinds_selected:
-        kinds_selected = list(BOUND_CHECKS)
+    kinds = [c for c in cfg.checks if c in BOUND_KINDS] or list(BOUND_KINDS)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     domain = _hunt_domain(cfg.rect, combos)
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     work = Counter()
-    classical_p = CLASSICAL_PARAMS
-    hyp_params = [classical_p] if CLASSICAL in kinds_selected else []
-    hyp_params += [p for p in combos if _applicable_kinds(kinds_selected, p.q)]
+    hyp_params = [CLASSICAL_PARAMS] if CLASSICAL in kinds else []
+    hyp_params += [p for p in combos if _applicable_kinds(kinds, p.q)]
 
     rows = []
     findings = []
-    failing = []
     for k in range(cfg.hunt_count):
         poly = _random_nonneg_poly(rng, cfg.hunt_degree)
         name = f"hunt-{k:03d}"
@@ -620,42 +558,24 @@ def run_hunt(cfg: RunConfig) -> int:
             error_budget=0.0,
         )
         hyps = _hypothesis_reports(sweep, s, hyp_params, work)
-
-        def record(kind, p, rep):
-            hyp = hyps[_hypothesis_params(kind, p)]
-            hyp_verdict = SKIPPED if hyp is None else hyp.verdict
-            row = _bound_row(name, rep, p)
-            row["hypothesis"] = hyp_verdict
+        for kind, p, variant, rep in _bound_sweep(s, cfg.rect, combos, kinds, cfg.variants, dev):
+            hyp = None if rep is None else hyps[_hypothesis_params(kind, p)]
+            row = _bound_row(name, kind, variant, p, rep)
+            row["hypothesis"] = SKIPPED if hyp is None else hyp.verdict
             rows.append(row)
-            if rep.verdict == BOUND_VIOLATED and hyp_verdict == NO_VIOLATION:
-                entry = {
-                    "surface": name,
-                    "theorem": rep.theorem,
-                    "variant": rep.variant,
-                    **{key: getattr(p, key) for key in PARAM_KEYS},
-                    "lhs": rep.lhs,
-                    "rhs": rep.rhs,
-                }
-                findings.append(entry)
-                if rep.variant == PROOF_FORM:
-                    failing.append(entry)
+            if rep is not None and rep.verdict == BOUND_VIOLATED and row["hypothesis"] == NO_VIOLATION:
+                findings.append(
+                    {
+                        "surface": name,
+                        "theorem": kind,
+                        "variant": variant,
+                        **{key: getattr(p, key) for key in PARAM_KEYS},
+                        "lhs": rep.lhs,
+                        "rhs": rep.rhs,
+                    }
+                )
 
-        if CLASSICAL in kinds_selected:
-            record(CLASSICAL, classical_p, bound_classical(s, cfg.rect, dev=dev))
-        for p in combos:
-            for kind in _applicable_kinds(kinds_selected, p.q):
-                for variant in cfg.variants:
-                    try:
-                        rep = _BOUND_FNS[kind](s, cfg.rect, p, variant=variant, dev=dev)
-                    except OutOfDomainError:
-                        row = _skipped_bound_row(name, kind, variant, p)
-                        row["hypothesis"] = SKIPPED
-                        rows.append(row)
-                        continue
-                    record(kind, p, rep)
-
-    _sort_rows(rows, HUNT_HEADER)
-    _write_csv(cfg.output_dir / "hunt.csv", HUNT_HEADER, rows)
+    failing = [f for f in findings if f["variant"] == PROOF_FORM]
     exit_code = 1 if failing else 0
     summary = {
         "surfaces_generated": cfg.hunt_count,
@@ -667,9 +587,7 @@ def run_hunt(cfg: RunConfig) -> int:
         "wall_time_s": round(time.time() - t0, 3),
         "exit_code": exit_code,
     }
-    with open(cfg.output_dir / "hunt_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(cfg.output_dir, {"hunt": rows}, "hunt_summary.json", summary)
     return exit_code
 
 
@@ -711,7 +629,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to JSON run config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel surface workers")
     sub.add_parser("corpus")
     c = sub.add_parser("constants")
     c.add_argument("--points", type=int, default=11)
@@ -734,7 +651,6 @@ def main(argv=None) -> int:
             args.config,
             seed=args.seed,
             out=args.out,
-            jobs=args.jobs,
             default_variants=defaults,
         )
         if args.command == "verify":

@@ -212,7 +212,7 @@ class MembershipSweep:
     surface grouped by (m1, m2): per group it evaluates the five point
     arrays once (for hypotheses raw d2f once, then |d2f|^q once per q), and
     per cell it only sweeps the weights.  Point arrays live for one group,
-    in locals of one call, so one sweep may serve several threads.
+    in locals of one call.
     """
 
     def __init__(self, rect: Rect, plan: SamplingPlan = DEFAULT_PLAN):

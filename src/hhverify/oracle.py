@@ -178,11 +178,6 @@ def _affine_power(c0: Fraction, c1: Fraction, n: int) -> list[Fraction]:
     return out
 
 
-def poly_integral_1d_exact(p: RationalPoly1, lo, hi) -> Fraction:
-    """Exact integral of a univariate restriction over [lo, hi]."""
-    return p.integral(lo, hi)
-
-
 def poly_integral_2d_exact(p: RationalPoly2, r: Rect) -> Fraction:
     """Exact iterated integral of p over the rectangle r."""
     a, b, c, d = map(_frac, (r.a, r.b, r.c, r.d))
@@ -196,10 +191,6 @@ def poly_integral_2d_exact(p: RationalPoly2, r: Rect) -> Fraction:
             / (j + 1)
         )
     return total
-
-
-def poly_mixed_partial(p: RationalPoly2) -> RationalPoly2:
-    return p.mixed_partial()
 
 
 def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:

@@ -26,7 +26,6 @@ from hhverify import (
     hh_chain_1d,
     hh_chain_2d,
     identity_report,
-    identity_residual,
     identity_rhs,
     integrate_1d,
     kink_moment,
@@ -130,7 +129,7 @@ def test_identity_residual_corpus():
 
 
 def test_identity_residual_exp():
-    assert abs(identity_residual(get_surface("exp_sum"), RECT01)) <= 1e-9
+    assert abs(identity_report(get_surface("exp_sum"), RECT01).residual) <= 1e-9
 
 
 def test_identity_with_finite_difference_surface():

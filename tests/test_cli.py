@@ -171,22 +171,23 @@ def test_hull_violations_become_skipped_rows(tmp_path):
     assert any(r["verdict"] == "skipped" for r in member_rows if r["m1"] == "0.5")
 
 
+def _rigged_direct(s, r, p, variant=PROOF_FORM, tol=None, dev=None):
+    """A direct bound that is violated on every input."""
+    return BoundReport(
+        theorem="direct",
+        variant=variant,
+        lhs=1.0,
+        rhs=0.0,
+        slack=-1.0,
+        error_budget=0.0,
+        verdict="violated",
+    )
+
+
 def test_exit_one_when_proof_form_fails_on_member(tmp_path, monkeypatch):
     """A violated proof-form bound on a membership-passing input must flip the
     exit code to 1 (simulated by rigging the direct bound)."""
-
-    def rigged(s, r, p, variant=PROOF_FORM, tol=None, dev=None):
-        return BoundReport(
-            theorem="direct",
-            variant=variant,
-            lhs=1.0,
-            rhs=0.0,
-            slack=-1.0,
-            error_budget=0.0,
-            verdict="violated",
-        )
-
-    monkeypatch.setitem(cli._BOUND_FNS, "direct", rigged)
+    monkeypatch.setitem(cli._BOUND_FNS, "direct", _rigged_direct)
     out = tmp_path / "out"
     cfgfile = write_config(
         tmp_path,
@@ -209,23 +210,6 @@ def test_determinism_same_seed(tmp_path):
     assert cli.main(["verify", "--config", str(cfgfile), "--out", str(out2)]) == 0
     for name in ("bounds.csv", "membership.csv", "chains.csv", "identity.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-
-def test_jobs_flag_keeps_output_identical(tmp_path):
-    cfgfile = write_config(tmp_path)
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert cli.main(["verify", "--config", str(cfgfile), "--out", str(out1)]) == 0
-    assert (
-        cli.main(
-            ["verify", "--config", str(cfgfile), "--out", str(out2), "--jobs", "4"]
-        )
-        == 0
-    )
-    for name in ("bounds.csv", "membership.csv", "chains.csv", "identity.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-    # the threads share one sweep; a lost update would show in the work counts
-    work = [json.loads((out / "summary.json").read_text())["work"] for out in (out1, out2)]
-    assert work[0] == work[1]
 
 
 def test_summary_work_counts(tmp_path):
@@ -289,6 +273,53 @@ def test_hunt_classical_grid_finds_nothing(tmp_path):
     assert summary["as_written_findings"] == []
     rows = read_rows(out / "hunt.csv")
     assert rows and all(r["hypothesis"] in ("no-violation-found", "violated") for r in rows)
+
+
+def _finding_key(entry):
+    return (entry["surface"], entry["theorem"], entry["variant"], *(float(entry[k]) for k in cli.PARAM_KEYS))
+
+
+def test_hunt_reports_violations_under_clean_hypothesis(tmp_path, monkeypatch):
+    """A violated bound whose |d2f|^q hypothesis found no violation is a
+    finding: a proof-form one fails the run, an as-written one is listed.
+    At s1 = 0.5 the hypothesis is refuted, and those rows are no finding."""
+    monkeypatch.setitem(cli._BOUND_FNS, "direct", _rigged_direct)
+    out = tmp_path / "out"
+    cfgfile = write_config(
+        tmp_path,
+        param_grid={"q": [1.0], "s1": [0.5, 1.0]},
+        output_dir=str(out),
+        hunt={"count": 3, "degree": 3},
+    )
+    assert cli.main(["hunt", "--config", str(cfgfile)]) == 1
+    summary = json.loads((out / "hunt_summary.json").read_text())
+    assert summary["exit_code"] == 1
+    rows = read_rows(out / "hunt.csv")
+    flagged = [
+        r for r in rows if r["verdict"] == "violated" and r["hypothesis"] == "no-violation-found"
+    ]
+    proof_form = sorted(_finding_key(r) for r in flagged if r["variant"] == "proof-form")
+    as_written = sorted(_finding_key(r) for r in flagged if r["variant"] == "as-written")
+    assert proof_form and as_written
+    assert any(r["theorem"] == "direct" and r["hypothesis"] == "violated" for r in rows)
+    assert {r["theorem"] for r in flagged} == {"direct"}
+    assert sorted(map(_finding_key, summary["proof_form_failures"])) == proof_form
+    assert sorted(map(_finding_key, summary["as_written_findings"])) == as_written
+    for entry in summary["proof_form_failures"] + summary["as_written_findings"]:
+        assert (entry["lhs"], entry["rhs"]) == (1.0, 0.0)
+
+
+def test_hunt_without_bound_checks_sweeps_every_kind(tmp_path):
+    out = tmp_path / "out"
+    cfgfile = write_config(
+        tmp_path,
+        checks=["membership"],
+        output_dir=str(out),
+        hunt={"count": 1, "degree": 3},
+    )
+    assert cli.main(["hunt", "--config", str(cfgfile)]) == 0
+    rows = read_rows(out / "hunt.csv")
+    assert {r["theorem"] for r in rows} == {"classical", "direct", "holder", "power-mean"}
 
 
 def test_hunt_determinism(tmp_path):

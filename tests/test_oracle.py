@@ -11,9 +11,7 @@ from hhverify import (
     deviation_exact,
     identity_residual_exact,
     integrate_2d,
-    poly_integral_1d_exact,
     poly_integral_2d_exact,
-    poly_mixed_partial,
 )
 
 X2Y2 = RationalPoly2({(2, 2): 1})
@@ -35,31 +33,29 @@ def test_integral_2d_area():
 
 
 def test_integral_1d_square():
-    assert poly_integral_1d_exact(RationalPoly1({2: 1}), 0, 1) == Fraction(1, 3)
+    assert RationalPoly1({2: 1}).integral(0, 1) == Fraction(1, 3)
 
 
 def test_integral_1d_shifted_product():
     # (1-2t)(1-t) = 1 - 3t + 2t^2
     p = RationalPoly1({0: 1, 1: -3, 2: 2})
-    assert poly_integral_1d_exact(p, 0, 1) == Fraction(1, 6)
+    assert p.integral(0, 1) == Fraction(1, 6)
 
 
 def test_integral_1d_tent_weight_via_split():
     # |1-2t|*t splits into polynomial pieces at t = 1/2
     left = RationalPoly1({1: 1, 2: -2})  # (1-2t)t
     right = RationalPoly1({1: -1, 2: 2})  # (2t-1)t
-    assert poly_integral_1d_exact(left, 0, Fraction(1, 2)) == Fraction(1, 24)
-    assert poly_integral_1d_exact(right, Fraction(1, 2), 1) == Fraction(5, 24)
-    total = poly_integral_1d_exact(left, 0, Fraction(1, 2)) + poly_integral_1d_exact(
-        right, Fraction(1, 2), 1
-    )
+    assert left.integral(0, Fraction(1, 2)) == Fraction(1, 24)
+    assert right.integral(Fraction(1, 2), 1) == Fraction(5, 24)
+    total = left.integral(0, Fraction(1, 2)) + right.integral(Fraction(1, 2), 1)
     assert total == Fraction(1, 4)
 
 
 def test_mixed_partial_rules():
-    assert poly_mixed_partial(X2Y2) == RationalPoly2({(1, 1): 4})
-    assert poly_mixed_partial(XY) == RationalPoly2({(0, 0): 1})
-    assert poly_mixed_partial(RationalPoly2({(3, 0): 1})) == RationalPoly2({})
+    assert X2Y2.mixed_partial() == RationalPoly2({(1, 1): 4})
+    assert XY.mixed_partial() == RationalPoly2({(0, 0): 1})
+    assert RationalPoly2({(3, 0): 1}).mixed_partial() == RationalPoly2({})
 
 
 def test_normalization_merges_and_drops():
