@@ -155,10 +155,18 @@ class IdentityReport:
     error_budget: float
 
 
-def identity_report(s: Surface, r: Rect, tol: Tolerance | None = None) -> IdentityReport:
-    """Signed deviation minus identity right side, with the combined budget."""
+def identity_report(
+    s: Surface,
+    r: Rect,
+    tol: Tolerance | None = None,
+    dev: DeviationTerms | None = None,
+) -> IdentityReport:
+    """Signed deviation minus identity right side, with the combined budget.
+
+    ``dev`` is deviation_terms(s, r, tol) when the caller already has it."""
     tol = tol or DEFAULT_TOL
-    dev = deviation_terms(s, r, tol)
+    if dev is None:
+        dev = deviation_terms(s, r, tol)
     rhs, rhs_budget = _identity_rhs(s, r, tol)
     return IdentityReport(
         residual=dev.signed_deviation - rhs,

@@ -394,8 +394,10 @@ def _verify_surface(name, s, cfg, combos, sweep, files, work) -> list:
     """Append the rows of one surface to ``files``; returns its proof-form
     failures as (surface, kind, params)."""
     rect = cfg.rect
+    any_bound = any(c in cfg.checks for c in BOUND_KINDS)
+    dev = deviation_terms(s, rect) if any_bound or "identity" in cfg.checks else None
     if "identity" in cfg.checks:
-        rep = identity_report(s, rect)
+        rep = identity_report(s, rect, dev=dev)
         files["identity"].append(
             {
                 "surface": name,
@@ -422,8 +424,7 @@ def _verify_surface(name, s, cfg, combos, sweep, files, work) -> list:
         )
 
     violations = []  # (kind, params) for violated proof-form rows
-    if any(c in cfg.checks for c in BOUND_KINDS):
-        dev = deviation_terms(s, rect)
+    if any_bound:
         for kind, p, variant, rep in _bound_sweep(s, rect, combos, cfg.checks, cfg.variants, dev):
             files["bounds"].append(_bound_row(name, kind, variant, p, rep))
             if rep is not None and rep.verdict == BOUND_VIOLATED and variant == PROOF_FORM:

@@ -30,10 +30,11 @@ FINITE_DIFFERENCE = "finite-difference"
 class Surface:
     """A named test function on a declared rectangular domain.
 
-    ``f`` maps (x, y) -> value and should accept numpy arrays as well as
-    scalars (all the built-in corpus entries do).  ``d2f`` is the analytic
-    mixed partial d^2 f / dx dy, or None to fall back to a finite-difference
-    stencil.
+    ``f`` maps (x, y) -> value and must accept numpy arrays as well as
+    scalars (all the built-in corpus entries do): quadrature and the
+    membership refuters evaluate it on whole arrays of points.  ``d2f`` is
+    the analytic mixed partial d^2 f / dx dy, or None to fall back to a
+    finite-difference stencil.
     """
 
     name: str

@@ -14,6 +14,8 @@ from hhverify import (
     panel_1d,
     panel_2d,
 )
+from hhverify.quadrature import QuadratureResult
+from hhverify.surfaces import fd_mixed_partial
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 
@@ -62,7 +64,7 @@ def test_additivity_on_random_smooth_integrands():
         freq = rng.uniform(0.5, 3.0)
 
         def g(x):
-            return coeffs[0] + coeffs[1] * x + coeffs[2] * x**2 + coeffs[3] * math.sin(freq * x)
+            return coeffs[0] + coeffs[1] * x + coeffs[2] * x**2 + coeffs[3] * np.sin(freq * x)
 
         lo, hi = sorted(rng.uniform(-2.0, 2.0, size=2))
         if hi - lo < 0.1:
@@ -82,9 +84,9 @@ def test_empty_interval_rejected():
 
 def test_non_finite_sample():
     with pytest.raises(NonFiniteError):
-        integrate_1d(lambda x: math.nan if x > 0.5 else 1.0, 0.0, 1.0)
+        integrate_1d(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
     with pytest.raises(NonFiniteError):
-        integrate_2d(lambda x, y: math.inf if x + y > 1.0 else 0.0, RECT01)
+        integrate_2d(lambda x, y: np.where(x + y > 1.0, np.inf, 0.0), RECT01)
 
 
 def test_convergence_failure_carries_best_value():
@@ -115,8 +117,8 @@ def test_2d_identity_kernel_integrand():
 
 def test_2d_matches_product_of_1d():
     cases = [
-        (lambda x: math.exp(x), lambda y: y**2 + 1.0),
-        (lambda x: math.cos(x), lambda y: math.exp(-y)),
+        (lambda x: np.exp(x), lambda y: y**2 + 1.0),
+        (lambda x: np.cos(x), lambda y: np.exp(-y)),
     ]
     r = Rect(-0.5, 1.5, 0.0, 2.0)
     for u, v in cases:
@@ -138,3 +140,240 @@ def test_2d_panel_exactness():
         exact = 1.0 / ((i + 1) * (j + 1))
         got = panel_2d(lambda x, y: x**i * y**j, 0.0, 1.0, 0.0, 1.0)
         assert abs(got - exact) <= 1e-13 * (1.0 + exact)
+
+
+# --------------------------------------------------------------------------
+# Scalar reference: the one-node-at-a-time panel loops and the recursive
+# bisection that re-evaluates each panel as the next level's coarse value.
+# The package evaluates the same rule on arrays and must agree bit for bit.
+
+_REF_GL = list(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(12))))
+
+
+def _ref_panel_1d(g, lo, hi):
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    total = 0.0
+    for t, w in _REF_GL:
+        x = mid + half * t
+        fx = float(g(x))
+        if not math.isfinite(fx):
+            raise NonFiniteError(f"x = {x}", fx)
+        total += w * fx
+    return half * total
+
+
+def _ref_panel_2d(g, a, b, c, d):
+    hx, mx = 0.5 * (b - a), 0.5 * (a + b)
+    hy, my = 0.5 * (d - c), 0.5 * (c + d)
+    total = 0.0
+    for tx, wx in _REF_GL:
+        x = mx + hx * tx
+        row = 0.0
+        for ty, wy in _REF_GL:
+            y = my + hy * ty
+            fxy = float(g(x, y))
+            if not math.isfinite(fxy):
+                raise NonFiniteError(f"(x, y) = ({x}, {y})", fxy)
+            row += wy * fxy
+        total += wx * row
+    return hx * hy * total
+
+
+def _ref_adapt_1d(g, lo, hi, budget, depth, tol):
+    whole = _ref_panel_1d(g, lo, hi)
+    mid = 0.5 * (lo + hi)
+    if not (lo < mid < hi):
+        return whole, 0.0, 1
+    refined = _ref_panel_1d(g, lo, mid) + _ref_panel_1d(g, mid, hi)
+    err = abs(refined - whole)
+    if err <= budget or depth >= tol.max_depth:
+        return refined, err, 2
+    lv, le, ln = _ref_adapt_1d(g, lo, mid, 0.5 * budget, depth + 1, tol)
+    rv, re, rn = _ref_adapt_1d(g, mid, hi, 0.5 * budget, depth + 1, tol)
+    return lv + rv, le + re, ln + rn
+
+
+def _ref_adapt_2d(g, a, b, c, d, budget, depth, tol):
+    whole = _ref_panel_2d(g, a, b, c, d)
+    mx, my = 0.5 * (a + b), 0.5 * (c + d)
+    if not (a < mx < b and c < my < d):
+        return whole, 0.0, 1
+    quads = ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d))
+    refined = sum(_ref_panel_2d(g, *cell) for cell in quads)
+    err = abs(refined - whole)
+    if err <= budget or depth >= tol.max_depth:
+        return refined, err, 4
+    value = total_err = 0.0
+    panels = 0
+    for cell in quads:
+        v, e, n = _ref_adapt_2d(g, *cell, 0.25 * budget, depth + 1, tol)
+        value += v
+        total_err += e
+        panels += n
+    return value, total_err, panels
+
+
+def _ref_result(pieces, rough, tol):
+    """(result, converged) from the per-segment (value, error, panels) and the
+    rough sum, accumulated as integrate_1d / integrate_2d do."""
+    budget = max(tol.abs_floor, tol.rel * abs(rough))
+    value = err = 0.0
+    panels = 0
+    for v, e, n in pieces:
+        value += v
+        err += e
+        panels += n
+    return QuadratureResult(value, max(err, 2.0**-50 * (1.0 + abs(value))), panels), err <= budget
+
+
+def _ref_integrate_1d(g, lo, hi, tol=Tolerance(), splits=()):
+    edges = [lo, *sorted({float(s) for s in splits if lo < s < hi}), hi]
+    segments = list(zip(edges[:-1], edges[1:]))
+    rough = sum(_ref_panel_1d(g, a, b) for a, b in segments)
+    budget = max(tol.abs_floor, tol.rel * abs(rough))
+    pieces = [_ref_adapt_1d(g, a, b, budget * (b - a) / (hi - lo), 0, tol) for a, b in segments]
+    return _ref_result(pieces, rough, tol)
+
+
+def _ref_integrate_2d(g, r, tol=Tolerance(), x_splits=(), y_splits=()):
+    xs = [r.a, *sorted({float(s) for s in x_splits if r.a < s < r.b}), r.b]
+    ys = [r.c, *sorted({float(s) for s in y_splits if r.c < s < r.d}), r.d]
+    cells = [(xa, xb, ya, yb) for xa, xb in zip(xs[:-1], xs[1:]) for ya, yb in zip(ys[:-1], ys[1:])]
+    rough = sum(_ref_panel_2d(g, *cell) for cell in cells)
+    budget = max(tol.abs_floor, tol.rel * abs(rough))
+    pieces = [
+        _ref_adapt_2d(g, xa, xb, ya, yb, budget * ((xb - xa) * (yb - ya) / r.area), 0, tol)
+        for xa, xb, ya, yb in cells
+    ]
+    return _ref_result(pieces, rough, tol)
+
+
+def _batched(integrate, *args, **kwargs):
+    """(result, converged) of the package integrator."""
+    try:
+        return integrate(*args, **kwargs), True
+    except ConvergenceError as exc:
+        return exc.result, False
+
+
+def _fd_identity_integrand():
+    """The identity integrand of exp(x + y) on [0, 1]^2 with the mixed partial
+    from the finite-difference stencil, whose error keeps the bisection from
+    meeting the default budget."""
+    f = lambda x, y: np.exp(x + y)
+
+    def g(lam, mu):
+        x = lam * 0.0 + (1.0 - lam) * 1.0
+        y = mu * 0.0 + (1.0 - mu) * 1.0
+        return (1.0 - 2.0 * lam) * (1.0 - 2.0 * mu) * fd_mixed_partial(f, x, y)
+
+    return g
+
+
+CASES_1D = [
+    ("poly", lambda x: 3.0 * x**5 - 2.0 * x**2 + 0.5, 0.0, 1.0, {}),
+    ("oscillatory", lambda x: np.sin(37.0 * x + 0.3) * np.exp(0.7 * x), -0.4, 1.3, {}),
+    ("exp", lambda x: np.exp(-3.0 * x), 0.0, 2.0, {}),
+    ("kink-split", lambda x: np.abs(1.0 - 2.0 * x) * np.cos(9.0 * x), 0.0, 1.0, {"splits": (0.5, 0.8)}),
+    ("needle-depth-6", lambda x: 1.0 / (1e-14 + (x - 0.123456) ** 2), 0.0, 1.0, {"tol": Tolerance(max_depth=6)}),
+]
+
+CASES_2D = [
+    ("poly", lambda x, y: x**3 * y**2 - 2.0 * x * y + 1.0, RECT01, {}),
+    (
+        "oscillatory",
+        lambda x, y: np.sin(23.0 * x + 1.1) * np.cos(17.0 * y + 0.4) * np.exp(0.5 * x),
+        Rect(0.2, 1.3, -0.1, 0.9),
+        {},
+    ),
+    ("exp", lambda x, y: np.exp(x + y), Rect(-0.5, 1.5, 0.0, 2.0), {}),
+    (
+        "kink-splits",
+        lambda x, y: np.abs(1.0 - 2.0 * x) * np.abs(1.0 - 2.0 * y) * np.sin(5.0 * x * y),
+        RECT01,
+        {"x_splits": (0.5,), "y_splits": (0.5, 0.25)},
+    ),
+    ("fd-exp-depth-3", _fd_identity_integrand(), RECT01, {"tol": Tolerance(max_depth=3)}),
+]
+
+
+@pytest.mark.parametrize("name, g, lo, hi, kwargs", CASES_1D, ids=[c[0] for c in CASES_1D])
+def test_batched_1d_equals_scalar_reference(name, g, lo, hi, kwargs):
+    got = _batched(integrate_1d, g, lo, hi, **kwargs)
+    ref = _ref_integrate_1d(g, lo, hi, **kwargs)
+    assert got == ref and repr(got) == repr(ref)  # repr also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("name, g, r, kwargs", CASES_2D, ids=[c[0] for c in CASES_2D])
+def test_batched_2d_equals_scalar_reference(name, g, r, kwargs):
+    got = _batched(integrate_2d, g, r, **kwargs)
+    ref = _ref_integrate_2d(g, r, **kwargs)
+    assert got == ref and repr(got) == repr(ref)
+
+
+def test_one_panel_calls_equal_scalar_reference():
+    # -0.0 terms: a sum started at 0.0 gives +0.0, which only the one-panel
+    # calls expose; the integrators add every panel into a 0.0 total.
+    for g in [c[1] for c in CASES_1D] + [lambda x: -0.0 * x]:
+        assert repr(panel_1d(g, 0.25, 1.0)) == repr(_ref_panel_1d(g, 0.25, 1.0))
+    for g in [c[1] for c in CASES_2D] + [lambda x, y: -0.0 * x * y]:
+        assert repr(panel_2d(g, 0.25, 1.0, 0.0, 0.5)) == repr(_ref_panel_2d(g, 0.25, 1.0, 0.0, 0.5))
+
+
+def test_fd_convergence_failure_is_unchanged():
+    with pytest.raises(ConvergenceError) as exc_info:
+        integrate_2d(_fd_identity_integrand(), RECT01, Tolerance(max_depth=3))
+    assert exc_info.value.result.panels == 256
+
+
+def _recording(g, calls):
+    def recorded(*coords):
+        calls.append(list(zip(*(np.atleast_1d(c).tolist() for c in coords))))
+        return g(*coords)
+
+    return recorded
+
+
+def test_no_node_is_evaluated_twice():
+    calls = []
+    g = lambda x, y: np.sin(61.0 * x + 1.1) * np.cos(47.0 * y + 0.4)
+    q = integrate_2d(_recording(g, calls), RECT01, x_splits=(0.5,))
+    nodes = [p for call in calls for p in call]
+    assert q.panels > 64  # several levels deep
+    assert len(nodes) == len(set(nodes))
+    # one call for the rough pass over the split cells, then one per step
+    assert [len(call) for call in calls] == [2 * 144] + [4 * 144] * (len(calls) - 1)
+
+    calls = []
+    q = integrate_1d(_recording(lambda x: np.sin(60.0 * x), calls), 0.0, 1.0)
+    nodes = [p for call in calls for p in call]
+    assert q.panels > 8
+    assert len(nodes) == len(set(nodes))
+    assert [len(call) for call in calls] == [12] + [24] * (len(calls) - 1)
+
+
+def test_non_finite_error_names_the_first_node_of_the_scalar_order():
+    # Poison three nodes of the first bisection step: two in the third child
+    # (a, mx, my, d) and one in the fourth.  The top panel's nodes are clean,
+    # so the error comes from that step, at the first poisoned node the
+    # panel loops reach.
+    calls = []
+    smooth = lambda x, y: np.exp(x - y)
+    integrate_2d(_recording(smooth, calls), RECT01)
+    step = calls[1]
+    poisoned = [step[2 * 144 + 9 * 12 + 2], step[2 * 144 + 5 * 12 + 7], step[3 * 144 + 1]]
+
+    def g(x, y):
+        bad = np.zeros(np.shape(x), dtype=bool)
+        for px, py in poisoned:
+            bad |= (x == px) & (y == py)
+        return np.where(bad, np.nan, smooth(x, y))
+
+    with pytest.raises(NonFiniteError) as got:
+        integrate_2d(g, RECT01)
+    with pytest.raises(NonFiniteError) as ref:
+        _ref_integrate_2d(g, RECT01)
+    assert str(got.value) == str(ref.value)
+    x, y = poisoned[1]
+    assert got.value.where == f"(x, y) = ({x}, {y})"
