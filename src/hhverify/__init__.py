@@ -20,7 +20,6 @@ from .bounds import (
     hh_chain_1d,
     hh_chain_2d,
     identity_report,
-    identity_rhs,
     kink_moment,
 )
 from .convexity import (

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OutOfDomainError, ParameterError
-from .geometry import GenParams, Rect
+from .geometry import CLASSICAL_PARAMS, GenParams, Rect
 from .quadrature import DEFAULT_TOL, Tolerance, integrate_1d, integrate_2d
 from .surfaces import Surface, eval_mixed_partial, mixed_partial_func
 
@@ -142,17 +142,15 @@ def _identity_rhs(s: Surface, r: Rect, tol: Tolerance):
     return scale * qr.value, scale * qr.error_estimate
 
 
-def identity_rhs(s: Surface, r: Rect, tol: Tolerance | None = None) -> float:
-    """(b-a)(d-c)/4 times the (1-2u)(1-2v)-weighted mixed-partial integral
-    along the affine reparameterization of r; the right side of the identity."""
-    value, _ = _identity_rhs(s, r, tol or DEFAULT_TOL)
-    return value
-
-
 @dataclass(frozen=True)
 class IdentityReport:
+    """residual = signed deviation - rhs, where rhs is (b-a)(d-c)/4 times the
+    (1-2u)(1-2v)-weighted mixed-partial integral along the affine
+    reparameterization of r: the right side of the identity."""
+
     residual: float
     error_budget: float
+    rhs: float
 
 
 def identity_report(
@@ -171,6 +169,7 @@ def identity_report(
     return IdentityReport(
         residual=dev.signed_deviation - rhs,
         error_budget=dev.error_budget + rhs_budget,
+        rhs=rhs,
     )
 
 
@@ -198,7 +197,10 @@ def _report(theorem: str, variant: str, lhs: float, rhs: float, budget: float) -
 def _corner_mags(s: Surface, r: Rect, p: GenParams):
     """|d2f| at the four m-scaled evaluation corners (a,c), (a,d/m2),
     (b/m1,c), (b/m1,d/m2); raises OutOfDomainError naming any corner that
-    leaves the surface's declared domain."""
+    leaves the surface's declared domain.
+
+    They depend on p only through (m1, m2): a caller sweeping many cells
+    passes them to the bound functions as ``mags``, like ``dev``."""
     return (
         abs(eval_mixed_partial(s, r.a, r.c)),
         abs(eval_mixed_partial(s, r.a, r.d / p.m2)),
@@ -217,13 +219,13 @@ def bound_classical(
     r: Rect,
     tol: Tolerance | None = None,
     dev: DeviationTerms | None = None,
+    mags: tuple | None = None,
 ) -> BoundReport:
     """Trapezoid bound for co-ordinated-convex |d2f|: area/16 times the
-    corner average of |d2f|."""
+    corner average of |d2f| (``mags``: _corner_mags at m1 = m2 = 1)."""
     if dev is None:
         dev = deviation_terms(s, r, tol)
-    mags = [abs(eval_mixed_partial(s, x, y)) for x, y in r.corners()]
-    rhs = r.area / 16.0 * (sum(mags) / 4.0)
+    rhs = r.area / 16.0 * (sum(mags or _corner_mags(s, r, CLASSICAL_PARAMS)) / 4.0)
     return _report(CLASSICAL, PROOF_FORM, dev.abs_deviation, rhs, dev.error_budget)
 
 
@@ -234,6 +236,7 @@ def bound_direct(
     variant: str = PROOF_FORM,
     tol: Tolerance | None = None,
     dev: DeviationTerms | None = None,
+    mags: tuple | None = None,
 ) -> BoundReport:
     """First-sense class bound at q = 1, built from the two kink moments."""
     _check_variant(variant)
@@ -243,7 +246,7 @@ def bound_direct(
         dev = deviation_terms(s, r, tol)
     mx = kink_moment(p.theta1)
     my = kink_moment(p.theta2)
-    d00, d01, d10, d11 = _corner_mags(s, r, p)
+    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
     if variant == PROOF_FORM:
         bracket = (
             mx * my * d00
@@ -259,9 +262,9 @@ def bound_direct(
     return _report(DIRECT, variant, dev.abs_deviation, rhs, dev.error_budget)
 
 
-def holder_s_term(s: Surface, r: Rect, p: GenParams) -> float:
+def holder_s_term(s: Surface, r: Rect, p: GenParams, mags: tuple | None = None) -> float:
     """The weighted corner sum S = sum of m/theta-weighted |d2f|^q values."""
-    d00, d01, d10, d11 = _corner_mags(s, r, p)
+    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
     q = p.q
     return (
         d00**q
@@ -278,6 +281,7 @@ def bound_holder(
     variant: str = PROOF_FORM,
     tol: Tolerance | None = None,
     dev: DeviationTerms | None = None,
+    mags: tuple | None = None,
 ) -> BoundReport:
     """Holder-route bound for q > 1 (conjugate exponent p = q/(q-1)).
 
@@ -291,7 +295,7 @@ def bound_holder(
     if dev is None:
         dev = deviation_terms(s, r, tol)
     conj = p.p
-    s_term = holder_s_term(s, r, p)
+    s_term = holder_s_term(s, r, p, mags)
     denom = (p.theta1 + 1.0) * (p.theta2 + 1.0)
     base = r.area / (4.0 * (conj + 1.0) ** (2.0 / conj))
     if variant == PROOF_FORM:
@@ -308,6 +312,7 @@ def bound_power_mean(
     variant: str = PROOF_FORM,
     tol: Tolerance | None = None,
     dev: DeviationTerms | None = None,
+    mags: tuple | None = None,
 ) -> BoundReport:
     """Power-mean-route bound for q >= 1.
 
@@ -320,7 +325,7 @@ def bound_power_mean(
         dev = deviation_terms(s, r, tol)
     mx = kink_moment(p.theta1)
     my = kink_moment(p.theta2)
-    d00, d01, d10, d11 = _corner_mags(s, r, p)
+    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
     q = p.q
     e00, e01, e10, e11 = d00**q, d01**q, d10**q, d11**q
     if variant == PROOF_FORM:

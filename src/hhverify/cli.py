@@ -47,6 +47,7 @@ from .bounds import (
     BOUND_VIOLATED,
     BoundReport,
     DeviationTerms,
+    _corner_mags,
     bound_classical,
     bound_direct,
     bound_holder,
@@ -263,13 +264,19 @@ def _fmt(v):
     return str(v)
 
 
-def _param_cols(p: GenParams) -> dict:
-    return {k: _fmt(float(getattr(p, k))) for k in PARAM_KEYS}
+def _param_cols(combos) -> dict:
+    """The formatted parameter columns of the classical cell and of each
+    grid cell, keyed by GenParams; a run formats each cell once."""
+    return {
+        p: {k: _fmt(float(getattr(p, k))) for k in PARAM_KEYS}
+        for p in (CLASSICAL_PARAMS, *combos)
+    }
 
 
-def _bound_row(surface, kind, variant, p: GenParams, rep: BoundReport | None) -> dict:
-    """One bounds row; ``rep`` None is a cell skipped for leaving the domain."""
-    row = {"surface": surface, "theorem": kind, "variant": variant, **_param_cols(p)}
+def _bound_row(surface, kind, variant, cols: dict, rep: BoundReport | None) -> dict:
+    """One bounds row with parameter columns ``cols``; ``rep`` None is a
+    cell skipped for leaving the domain."""
+    row = {"surface": surface, "theorem": kind, "variant": variant, **cols}
     if rep is None:
         row.update(lhs="", rhs="", slack="", error_budget="", verdict=SKIPPED)
     else:
@@ -283,12 +290,12 @@ def _bound_row(surface, kind, variant, p: GenParams, rep: BoundReport | None) ->
     return row
 
 
-def _membership_row(surface, target, notion, p, rep: MembershipReport | None) -> dict:
+def _membership_row(surface, target, notion, cols: dict, rep: MembershipReport | None) -> dict:
     row = {
         "surface": surface,
         "target": target,
         "notion": notion,
-        **_param_cols(p),
+        **cols,
     }
     if rep is None:
         row.update(
@@ -370,16 +377,27 @@ _BOUND_FNS = {DIRECT: bound_direct, HOLDER: bound_holder, POWER_MEAN: bound_powe
 def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
     """Yield (kind, params, variant, report) for every bound row of s: the
     classical bound first, then each grid cell x applicable kind x variant.
-    The report is None where the m-scaled corners leave the domain."""
+    |d2f| at the m-scaled corners is evaluated once per (m1, m2) and handed
+    to every bound of that pair; the report is None where those corners
+    leave the domain."""
+    mags = {}  # (m1, m2) -> _corner_mags, None off the domain
+
+    def corner_mags(p):
+        if (p.m1, p.m2) not in mags:
+            try:
+                mags[p.m1, p.m2] = _corner_mags(s, rect, p)
+            except OutOfDomainError:
+                mags[p.m1, p.m2] = None
+        return mags[p.m1, p.m2]
+
     if CLASSICAL in kinds:
-        yield CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM, bound_classical(s, rect, dev=dev)
+        rep = bound_classical(s, rect, dev=dev, mags=corner_mags(CLASSICAL_PARAMS))
+        yield CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM, rep
     for p in combos:
         for kind in _applicable_kinds(kinds, p.q):
+            m = corner_mags(p)
             for variant in variants:
-                try:
-                    rep = _BOUND_FNS[kind](s, rect, p, variant=variant, dev=dev)
-                except OutOfDomainError:
-                    rep = None
+                rep = None if m is None else _BOUND_FNS[kind](s, rect, p, variant=variant, dev=dev, mags=m)
                 yield kind, p, variant, rep
 
 
@@ -390,7 +408,7 @@ def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
 NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-def _verify_surface(name, s, cfg, combos, sweep, files, work) -> list:
+def _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work) -> list:
     """Append the rows of one surface to ``files``; returns its proof-form
     failures as (surface, kind, params)."""
     rect = cfg.rect
@@ -426,16 +444,18 @@ def _verify_surface(name, s, cfg, combos, sweep, files, work) -> list:
     violations = []  # (kind, params) for violated proof-form rows
     if any_bound:
         for kind, p, variant, rep in _bound_sweep(s, rect, combos, cfg.checks, cfg.variants, dev):
-            files["bounds"].append(_bound_row(name, kind, variant, p, rep))
+            files["bounds"].append(_bound_row(name, kind, variant, param_cols[p], rep))
             if rep is not None and rep.verdict == BOUND_VIOLATED and variant == PROOF_FORM:
                 violations.append((kind, p))
 
     if "membership" in cfg.checks:
         cells = [(FIRST, CLASSICAL_PARAMS)] + [(sense, p) for p in combos for sense in NOTIONS]
         reports = sweep.reports(s, cells, work=work)
-        files["membership"].append(_membership_row(name, "f", "coordinated", CLASSICAL_PARAMS, reports[0]))
+        files["membership"].append(
+            _membership_row(name, "f", "coordinated", param_cols[CLASSICAL_PARAMS], reports[0])
+        )
         for (sense, p), rep in zip(cells[1:], reports[1:]):
-            files["membership"].append(_membership_row(name, "f", NOTIONS[sense], p, rep))
+            files["membership"].append(_membership_row(name, "f", NOTIONS[sense], param_cols[p], rep))
 
     hyps = _hypothesis_reports(sweep, s, (_hypothesis_params(k, p) for k, p in violations), work)
     failing = []
@@ -456,9 +476,11 @@ def run_verify(cfg: RunConfig) -> int:
 
     files = {"bounds": [], "membership": [], "chains": [], "identity": []}
     work = Counter()
+    param_cols = _param_cols(combos)
     failing = []
     for name in cfg.surfaces:
-        failing += _verify_surface(name, registry[name].surface, cfg, combos, sweep, files, work)
+        s = registry[name].surface
+        failing += _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work)
 
     slacks = [
         float(row["slack"]) for row in files["bounds"] if row["verdict"] != SKIPPED
@@ -542,6 +564,7 @@ def run_hunt(cfg: RunConfig) -> int:
     work = Counter()
     hyp_params = [CLASSICAL_PARAMS] if CLASSICAL in kinds else []
     hyp_params += [p for p in combos if _applicable_kinds(kinds, p.q)]
+    param_cols = _param_cols(combos)
 
     rows = []
     findings = []
@@ -561,7 +584,7 @@ def run_hunt(cfg: RunConfig) -> int:
         hyps = _hypothesis_reports(sweep, s, hyp_params, work)
         for kind, p, variant, rep in _bound_sweep(s, cfg.rect, combos, kinds, cfg.variants, dev):
             hyp = None if rep is None else hyps[_hypothesis_params(kind, p)]
-            row = _bound_row(name, kind, variant, p, rep)
+            row = _bound_row(name, kind, variant, param_cols[p], rep)
             row["hypothesis"] = SKIPPED if hyp is None else hyp.verdict
             rows.append(row)
             if rep is not None and rep.verdict == BOUND_VIOLATED and row["hypothesis"] == NO_VIOLATION:

@@ -73,12 +73,12 @@ def margin_coordinated(f, x, y, z, w, lam, mu):
 
 def margin_class_first(f, p: GenParams, x, y, z, w, lam, mu):
     """RHS - LHS of the first-sense inequality (weights 1 - lam^(alpha*s))."""
-    return _combine(_weights_first(p, lam, mu), _points(f, p.m1, p.m2, x, y, z, w, lam, mu))
+    return _combine(_weights_first(p, _power_of(lam, mu)), _points(f, p.m1, p.m2, x, y, z, w, lam, mu))
 
 
 def margin_class_second(f, p: GenParams, x, y, z, w, lam, mu):
     """RHS - LHS of the second-sense inequality (weights (1 - lam^alpha)^s)."""
-    return _combine(_weights_second(p, lam, mu), _points(f, p.m1, p.m2, x, y, z, w, lam, mu))
+    return _combine(_weights_second(p, _power_of(lam, mu)), _points(f, p.m1, p.m2, x, y, z, w, lam, mu))
 
 
 def _points(f, m1, m2, x, y, z, w, lam, mu):
@@ -96,10 +96,16 @@ def _points(f, m1, m2, x, y, z, w, lam, mu):
     )
 
 
-def _weights_first(p: GenParams, lam, mu):
-    """The four corner weights of the first-sense inequality."""
-    wl = np.power(lam, p.theta1)
-    wm = np.power(mu, p.theta2)
+def _power_of(lam, mu):
+    """power(axis, e): lam^e on axis 0, mu^e on axis 1."""
+    return lambda axis, e: np.power((lam, mu)[axis], e)
+
+
+def _weights_first(p: GenParams, power):
+    """The four corner weights of the first-sense inequality; ``power`` is
+    as _power_of returns it."""
+    wl = power(0, p.theta1)
+    wm = power(1, p.theta2)
     return (
         wl * wm,
         p.m2 * wl * (1.0 - wm),
@@ -108,12 +114,12 @@ def _weights_first(p: GenParams, lam, mu):
     )
 
 
-def _weights_second(p: GenParams, lam, mu):
+def _weights_second(p: GenParams, power):
     """The four corner weights of the second-sense inequality."""
-    wl = np.power(lam, p.theta1)
-    wm = np.power(mu, p.theta2)
-    cl = np.power(1.0 - np.power(lam, p.alpha1), p.s1)
-    cm = np.power(1.0 - np.power(mu, p.alpha2), p.s2)
+    wl = power(0, p.theta1)
+    wm = power(1, p.theta2)
+    cl = np.power(1.0 - power(0, p.alpha1), p.s1)
+    cm = np.power(1.0 - power(1, p.alpha2), p.s2)
     return (wl * wm, p.m2 * wl * cm, p.m1 * wm * cl, p.m1 * p.m2 * cl * cm)
 
 
@@ -208,17 +214,29 @@ def _samples(rect: Rect, plan: SamplingPlan):
 class MembershipSweep:
     """The refuters over one rectangle and plan, for many parameter cells.
 
-    The samples are built once, here.  ``reports`` visits the cells of one
-    surface grouped by (m1, m2): per group it evaluates the five point
-    arrays once (for hypotheses raw d2f once, then |d2f|^q once per q), and
-    per cell it only sweeps the weights.  Point arrays live for one group,
-    in locals of one call.
+    The samples are built once, here, and so are the powers lam^e and mu^e
+    of the sample columns, once per distinct exponent e (theta = alpha*s,
+    and alpha in the second sense); they do not depend on the surface.
+    ``reports`` visits the cells of one surface grouped by (m1, m2): per
+    group it evaluates the five point arrays once (for hypotheses raw d2f
+    once, then |d2f|^q once per q, all q of the group live together), per
+    (sense, weight parameters) it computes the corner weights once, and
+    per q it makes one report, which every cell alike in sense, weight
+    parameters, m and q shares: their margins are bitwise equal.
     """
 
     def __init__(self, rect: Rect, plan: SamplingPlan = DEFAULT_PLAN):
         self.rect = rect
         self.plan = plan
         self.samples = _samples(rect, plan)
+        self._powers: dict = {}  # (axis, e) -> lam^e or mu^e
+
+    def _sample_power(self, axis: int, e: float):
+        """lam^e (axis 0) or mu^e (axis 1) over the samples, once per sweep."""
+        key = (axis, e)
+        if key not in self._powers:
+            self._powers[key] = np.power(self.samples[4 + axis], e)
+        return self._powers[key]
 
     def reports(self, s: Surface, cells, hypothesis: bool = False, work=None) -> list:
         """One MembershipReport per (sense, p) cell of s, None where the
@@ -226,13 +244,14 @@ class MembershipSweep:
 
         With ``hypothesis`` a cell refutes membership of |d2f|^(p.q) (see
         abs_mixed_surface) instead of f, whose cells do not depend on q.
-        Cells alike in (m1, m2) share their point arrays, cells alike in m
-        and in the parameters of their sense's weights share the weights.
-        ``work``, a Counter, gains the reports computed and the batched
-        surface evaluations made.
+        ``work``, a Counter, gains the cells reported and the batched
+        surface evaluations made.  A non-finite margin raises the
+        NonFiniteError of the first failing cell, visiting the (m1, m2)
+        pairs, within a pair its q values, and within a q its cells, each
+        in order of first appearance.
         """
         keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
-        groups: dict = {}  # (m1, m2) -> q -> (sense, weight parameters) -> cells
+        groups: dict = {}  # (m1, m2) -> its cells, in order
         results: dict = {}
         for key in dict.fromkeys(keys):
             sense, p = key
@@ -241,27 +260,36 @@ class MembershipSweep:
             except OutOfDomainError:
                 results[key] = None
                 continue
-            group = groups.setdefault((p.m1, p.m2), {}).setdefault(p.q, {})
-            group.setdefault((sense, _SENSES[sense][1](p)), []).append(key)
+            groups.setdefault((p.m1, p.m2), []).append(key)
 
         fn = mixed_partial_func(s) if hypothesis else s.f
         batched = lambda xs, ys: _batch_eval(fn, xs, ys)
-        lam, mu = self.samples[4:]
-        for (m1, m2), by_q in groups.items():
+        for (m1, m2), members in groups.items():
+            alike: dict = {}  # (sense, weight parameters) -> (first p, q -> cells)
+            for key in members:
+                sense, p = key
+                by_q = alike.setdefault((sense, _SENSES[sense][1](p)), (p, {}))[1]
+                by_q.setdefault(p.q, []).append(key)
+            qs = list(dict.fromkeys(p.q for _, p in members))
             raw = _points(batched, m1, m2, *self.samples)
             if work is not None:
                 work["batched_evaluations"] += len(raw)
             if hypothesis:
                 raw = tuple(np.abs(v) for v in raw)
-            for q, alike in by_q.items():
-                if hypothesis:
-                    target, points = abs_mixed_surface(s, q), tuple(_power(v, q) for v in raw)
-                else:
-                    target, points = s, raw
-                for (sense, _), members in alike.items():
-                    weights = _SENSES[sense][0](members[0][1], lam, mu)
-                    for key in members:
-                        results[key] = self._report(key, weights, target, points)
+            points = {q: tuple(_power(v, q) for v in raw) for q in qs}
+            targets = {q: abs_mixed_surface(s, q) if hypothesis else s for q in qs}
+            errors = []
+            for (sense, _), (p, by_q) in alike.items():
+                weights = _SENSES[sense][0](p, self._sample_power)
+                for q, same in by_q.items():
+                    try:
+                        rep = self._report(same[0], weights, targets[q], points[q])
+                    except NonFiniteError as exc:
+                        errors.append(((qs.index(q), members.index(same[0])), exc))
+                        continue
+                    results.update(dict.fromkeys(same, rep))
+            if errors:
+                raise min(errors, key=lambda e: e[0])[1]
         if work is not None:
             work["membership_reports"] += sum(rep is not None for rep in results.values())
         return [results[key] for key in keys]
@@ -286,7 +314,8 @@ class MembershipSweep:
         # Re-evaluate the witness through the scalar path so the reported margin
         # is reproducible from the witness alone.
         points = _points(target.f, p.m1, p.m2, *witness)
-        worst_margin = float(_combine(_SENSES[sense][0](p, witness[4], witness[5]), points))
+        weights = _SENSES[sense][0](p, _power_of(witness[4], witness[5]))
+        worst_margin = float(_combine(weights, points))
         verdict = VIOLATED if worst_margin < -self.plan.tolerance else NO_VIOLATION
         return MembershipReport(
             verdict=verdict,

@@ -26,7 +26,6 @@ from hhverify import (
     hh_chain_1d,
     hh_chain_2d,
     identity_report,
-    identity_rhs,
     integrate_1d,
     kink_moment,
 )
@@ -116,9 +115,9 @@ def test_deviation_matches_exact_oracle_on_polynomials():
 
 
 def test_identity_rhs_examples():
-    assert abs(identity_rhs(get_surface("xy"), RECT01)) <= 1e-12
-    assert abs(identity_rhs(get_surface("x2y2"), RECT01) - 1.0 / 36.0) <= 1e-12
-    assert abs(identity_rhs(constant_surface(3.0), RECT01)) <= 1e-13
+    assert abs(identity_report(get_surface("xy"), RECT01).rhs) <= 1e-12
+    assert abs(identity_report(get_surface("x2y2"), RECT01).rhs - 1.0 / 36.0) <= 1e-12
+    assert abs(identity_report(constant_surface(3.0), RECT01).rhs) <= 1e-13
 
 
 def test_identity_residual_corpus():
@@ -322,7 +321,7 @@ def test_scaling_equivariance(t):
         dev1 = deviation_terms(scaled, RECT01)
         assert rel_close(dev1.signed_deviation, t * dev0.signed_deviation, 1e-12), name
         assert rel_close(
-            identity_rhs(scaled, RECT01), t * identity_rhs(entry.surface, RECT01), 1e-12
+            identity_report(scaled, RECT01).rhs, t * identity_report(entry.surface, RECT01).rhs, 1e-12
         ), name
         for make in (
             lambda s, dev: bound_classical(s, RECT01, dev=dev),

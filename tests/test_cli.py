@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -7,15 +8,18 @@ import pytest
 from hhverify import (
     BoundReport,
     GenParams,
+    OutOfDomainError,
     PROOF_FORM,
     Rect,
+    Surface,
     bound_classical,
     bound_direct,
     bound_holder,
     bound_power_mean,
     corpus,
+    deviation_terms,
 )
-from hhverify import cli
+from hhverify import bounds, cli
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -171,7 +175,67 @@ def test_hull_violations_become_skipped_rows(tmp_path):
     assert any(r["verdict"] == "skipped" for r in member_rows if r["m1"] == "0.5")
 
 
-def _rigged_direct(s, r, p, variant=PROOF_FORM, tol=None, dev=None):
+BOUND_GRID = [
+    GenParams(s1=s, alpha2=a, m1=m1, m2=m2, q=q)
+    for s in (0.5, 1.0)
+    for a in (0.5, 1.0)
+    for m1 in (0.5, 1.0)
+    for m2 in (0.5, 1.0)
+    for q in (1.0, 2.0, 4.0)
+]
+RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
+# The m = 0.5 corners b / m1 = d / m2 = 2 leave this domain.
+NARROW = Surface(
+    "narrow", Rect(-1.0, 1.5, -1.0, 1.5), f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y
+)
+
+
+@pytest.mark.parametrize("s", [corpus()["exp_sum"].surface, NARROW], ids=["exp_sum", "narrow"])
+def test_bound_sweep_matches_bound_functions(s):
+    dev = deviation_terms(s, RECT01)
+    rows = list(cli._bound_sweep(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev))
+    fns = {"direct": bound_direct, "holder": bound_holder, "power-mean": bound_power_mean}
+    assert rows[0] == ("classical", GenParams(), PROOF_FORM, bound_classical(s, RECT01, dev=dev))
+    # per cell: direct or holder, and power-mean, each in two variants
+    assert len(rows) == 1 + 4 * len(BOUND_GRID)
+    for kind, p, variant, rep in rows[1:]:
+        try:
+            want = fns[kind](s, RECT01, p, variant=variant, dev=dev)
+        except OutOfDomainError:
+            want = None
+        assert rep == want, (kind, p, variant)
+    skipped = {p for _, p, _, rep in rows if rep is None}
+    if s is NARROW:
+        assert skipped == {p for p in BOUND_GRID if min(p.m1, p.m2) < 1.0}
+    else:
+        assert not skipped
+
+
+@pytest.mark.parametrize("command", ["verify", "hunt"])
+def test_corner_magnitudes_once_per_m_pair(tmp_path, monkeypatch, command):
+    calls = Counter()
+
+    def counted(s, x, y):
+        calls[s.name] += 1
+        return original(s, x, y)
+
+    original = bounds.eval_mixed_partial
+    monkeypatch.setattr(bounds, "eval_mixed_partial", counted)
+    grid = {"m1": [0.5, 1.0], "m2": [0.5, 1.0], "s1": [0.5, 1.0], "q": [1.0, 2.0]}
+    cfgfile = write_config(
+        tmp_path,
+        param_grid=grid,
+        checks=["classical", "direct", "holder", "power-mean"],
+        output_dir=str(tmp_path / "o"),
+        hunt={"count": 2, "degree": 3},
+    )
+    assert cli.main([command, "--config", str(cfgfile)]) == 0
+    assert len(calls) == 2
+    # four corners for each of the four (m1, m2) pairs, the classical bound's included
+    assert all(n <= 4 * 4 for n in calls.values()), calls
+
+
+def _rigged_direct(s, r, p, variant=PROOF_FORM, tol=None, dev=None, mags=None):
     """A direct bound that is violated on every input."""
     return BoundReport(
         theorem="direct",
@@ -269,7 +333,10 @@ def test_hunt_classical_grid_finds_nothing(tmp_path):
     assert cli.main(["hunt", "--config", str(cfgfile)]) == 0
     summary = json.loads((out / "hunt_summary.json").read_text())
     assert summary["proof_form_failures"] == []
-    # at classical parameters every grouping coincides; nothing to find
+    # as-written holder keeps a ((theta1+1)(theta2+1))^(1-1/q) factor even at
+    # classical parameters and can fail there (the (x-x^2)(y-y^2) bump reaches
+    # lhs/rhs 1.12 at q = 4), but at q <= 2 the bump's ratio is 0.667, and
+    # these nonnegative-coefficient polynomials give nothing to find
     assert summary["as_written_findings"] == []
     rows = read_rows(out / "hunt.csv")
     assert rows and all(r["hypothesis"] in ("no-violation-found", "violated") for r in rows)

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hhverify import (
     NO_VIOLATION,
     VIOLATED,
     GenParams,
+    NonFiniteError,
     OutOfDomainError,
     Rect,
     SamplingPlan,
@@ -328,3 +330,106 @@ def test_sweep_evaluates_once_per_m_pair():
         "batched_evaluations": 2 * 5 * len(pairs),
         "membership_reports": len(cells) // 3 + len(SWEEP_GRID),
     }
+
+
+# Cells whose theta = alpha * s collide (alpha, s = 0.5, 1 against 1, 0.5 on
+# either axis) and so share one report in the first sense, but not in the
+# second, whose weights depend on s and alpha apart.
+COLLIDING_GRID = [
+    GenParams(s1=s1, s2=s2, alpha1=a1, alpha2=a2, m1=m1, m2=m2, q=q)
+    for s1 in (0.5, 1.0)
+    for a1 in (0.5, 1.0)
+    for s2 in (0.5, 1.0)
+    for a2 in (0.5, 1.0)
+    for m1, m2 in ((0.5, 1.0), (1.0, 0.5), (1.0, 1.0))
+    for q in (1.0, 2.0, 4.0)
+]
+SMALL_PLAN = SamplingPlan(grid_per_axis=3, random_trials=300, seed=2)
+
+
+def distinct_margins(cells, hypothesis):
+    """One entry per distinct (sense, weight parameters, m1, m2, q)."""
+    weight_params = {
+        FIRST: lambda p: (p.theta1, p.theta2),
+        SECOND: lambda p: (p.s1, p.s2, p.alpha1, p.alpha2),
+    }
+    return {(sense, weight_params[sense](p), p.m1, p.m2, p.q if hypothesis else 1.0) for sense, p in cells}
+
+
+@pytest.mark.parametrize("hypothesis", [False, True])
+@pytest.mark.parametrize("name", ["x2y2", "narrow"])
+def test_sweep_shares_reports_of_equal_margins(name, hypothesis):
+    s = SWEEP_SURFACES[name]
+    cells = [(sense, p) for p in COLLIDING_GRID for sense in (FIRST, SECOND)]
+    reports = MembershipSweep(RECT01, SMALL_PLAN).reports(s, cells, hypothesis=hypothesis)
+    for (sense, p), rep in zip(cells, reports):
+        target = abs_mixed_surface(s, p.q) if hypothesis else s
+        check = check_class_first if sense == FIRST else check_class_second
+        if out_of_domain(name, p):
+            assert rep is None
+            with pytest.raises(OutOfDomainError):
+                check(target, RECT01, p, SMALL_PLAN)
+            continue
+        assert rep == check(target, RECT01, p, SMALL_PLAN)
+    assert {rep is None for rep in reports} == ({True, False} if name == "narrow" else {False})
+
+
+def counting_scalars(fn, calls):
+    def counted(x, y):
+        if not (np.ndim(x) or np.ndim(y)):
+            calls.append((x, y))
+        return fn(x, y)
+
+    return counted
+
+
+@pytest.mark.parametrize("hypothesis", [False, True])
+def test_sweep_reports_once_per_distinct_margin(hypothesis):
+    # Each report re-evaluates its witness at five scalar points; nothing
+    # else in the sweep evaluates a scalar.
+    calls = []
+    base = get_surface("x2y2")
+    s = Surface("counted", base.domain, f=counting_scalars(base.f, calls), d2f=counting_scalars(base.d2f, calls))
+    cells = [(sense, p) for p in COLLIDING_GRID for sense in (FIRST, SECOND)]
+    work = Counter()
+    MembershipSweep(RECT01, SMALL_PLAN).reports(s, cells, hypothesis=hypothesis, work=work)
+    distinct = distinct_margins(cells, hypothesis)
+    assert len(calls) == 5 * len(distinct)
+    # first-sense cells collide in theta; f cells also across q
+    assert len(distinct) < len({(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells})
+    assert work["membership_reports"] == len(cells) // (1 if hypothesis else 3)
+
+
+def test_sweep_raises_the_first_non_finite_cell_q_by_q():
+    # |d2f| = 1.5e308: at q = 2 every margin overflows; at q = 1 the second-
+    # sense weights with s = 1/2 sum past 1 and overflow, those with s = 1
+    # do not.  The sweep meets the cells of one (m1, m2) pair q by q, so the
+    # q = 1 cell with s = 1/2 fails first, although unit A's q = 2 cell comes
+    # before it and unit A's weights are computed first.
+    big = lambda x, y: np.full(np.shape(x), 1.5e308)
+    s = Surface("huge", Rect(-8, 8, -8, 8), f=lambda x, y: np.zeros(np.shape(x)), d2f=big)
+    unit_a, unit_b = GenParams(), GenParams(s1=0.5, s2=0.5)
+    cells = [(SECOND, unit_a), (SECOND, replace(unit_a, q=2.0)), (SECOND, unit_b)]
+    expected = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sense, p in sorted(cells, key=lambda cell: cell[1].q):
+            try:
+                check_class_second(abs_mixed_surface(s, p.q), RECT01, p, SMALL_PLAN)
+            except NonFiniteError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None and "|^1 margin" in expected
+        with pytest.raises(NonFiniteError) as info:
+            MembershipSweep(RECT01, SMALL_PLAN).reports(s, cells, hypothesis=True)
+    assert str(info.value) == expected
+
+
+def test_sweep_caches_sample_powers_per_exponent():
+    cells = [(FIRST, p) for p in COLLIDING_GRID]
+    sweep = MembershipSweep(RECT01, SMALL_PLAN)
+    sweep.reports(SWEEP_SURFACES["expfd"], cells, hypothesis=True)
+    thetas = {p.theta1 for p in COLLIDING_GRID}
+    assert set(sweep._powers) == {(axis, t) for axis in (0, 1) for t in thetas}
+    # powers cached for one surface serve the next
+    reports = sweep.reports(get_surface("x2y2"), cells, hypothesis=True)
+    assert reports == MembershipSweep(RECT01, SMALL_PLAN).reports(get_surface("x2y2"), cells, hypothesis=True)
