@@ -17,7 +17,6 @@ from .bounds import (
     bound_holder,
     bound_power_mean,
     deviation_terms,
-    hh_chain_1d,
     hh_chain_2d,
     identity_report,
     kink_moment,
@@ -31,7 +30,6 @@ from .convexity import (
     check_def1_coordinated,
     margin_class_first,
     margin_class_second,
-    margin_coordinated,
 )
 from .errors import (
     ConvergenceError,
@@ -39,7 +37,7 @@ from .errors import (
     OutOfDomainError,
     ParameterError,
 )
-from .geometry import GenParams, Rect, required_hull
+from .geometry import GenParams, Rect, scaled_eval_hull
 from .oracle import (
     RationalPoly1,
     RationalPoly2,
@@ -60,10 +58,8 @@ from .surfaces import (
     corpus,
     crosscheck_mixed_partial,
     eval_mixed_partial,
-    eval_surface,
     get_surface,
     poly_surface,
-    scaled_eval_hull,
 )
 
 __version__ = "0.1.0"

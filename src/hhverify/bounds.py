@@ -1,5 +1,6 @@
-"""Closed-form constants, deviation terms, the identity check, the two
-Hermite-Hadamard chains, and the four trapezoid-deviation bounds.
+"""Closed-form constants, deviation terms, the identity check, the
+two-dimensional Hermite-Hadamard chain, and the four trapezoid-deviation
+bounds.
 
 Bound vocabulary used throughout (also in reports and CSV output):
 
@@ -23,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfDomainError, ParameterError
-from .geometry import CLASSICAL_PARAMS, GenParams, Rect
+from .errors import ParameterError
+from .geometry import CLASSICAL_PARAMS, GenParams, Rect, require_inside
 from .quadrature import DEFAULT_TOL, Tolerance, integrate_1d, integrate_2d
 from .surfaces import Surface, eval_mixed_partial, mixed_partial_func
 
@@ -66,8 +67,10 @@ class DeviationTerms:
     """The signed trapezoid deviation and its ingredients.
 
     signed_deviation = corner_avg + integral_mean - marginal_a, where
-    marginal_a averages the four edge integral means.  error_budget is the
-    linear propagation of the quadrature error estimates.
+    marginal_a is half the sum of the four edge integral means (twice their
+    average).  integral_budget and marginal_budget are the linear
+    propagation of the quadrature error estimates into integral_mean and
+    marginal_a; error_budget is their sum.
     """
 
     corner_avg: float
@@ -75,7 +78,12 @@ class DeviationTerms:
     marginal_a: float
     signed_deviation: float
     abs_deviation: float
-    error_budget: float
+    integral_budget: float
+    marginal_budget: float
+
+    @property
+    def error_budget(self) -> float:
+        return self.integral_budget + self.marginal_budget
 
 
 @dataclass(frozen=True)
@@ -97,17 +105,11 @@ class ChainReport:
     error_budget: float
 
 
-def _check_rect(s: Surface, r: Rect) -> None:
-    for x, y in r.corners():
-        if not s.domain.contains(x, y):
-            raise OutOfDomainError((x, y), s.domain, context=s.name)
-
-
 def deviation_terms(s: Surface, r: Rect, tol: Tolerance | None = None) -> DeviationTerms:
-    """Corner average, double-integral mean and edge-mean average over r."""
+    """Corner average, double-integral mean and edge term A over r."""
     if tol is None:
         tol = DEFAULT_TOL
-    _check_rect(s, r)
+    require_inside(s.domain, r.corners(), s.name)
     f = s.f
     corner_avg = sum(float(f(x, y)) for x, y in r.corners()) / 4.0
     dbl = integrate_2d(f, r, tol)
@@ -116,16 +118,14 @@ def deviation_terms(s: Surface, r: Rect, tol: Tolerance | None = None) -> Deviat
     qy = integrate_1d(lambda y: f(r.a, y) + f(r.b, y), r.c, r.d, tol)
     marginal_a = 0.5 * (qx.value / r.width + qy.value / r.height)
     signed = corner_avg + integral_mean - marginal_a
-    budget = dbl.error_estimate / r.area + 0.5 * (
-        qx.error_estimate / r.width + qy.error_estimate / r.height
-    )
     return DeviationTerms(
         corner_avg=corner_avg,
         integral_mean=integral_mean,
         marginal_a=marginal_a,
         signed_deviation=signed,
         abs_deviation=abs(signed),
-        error_budget=budget,
+        integral_budget=dbl.error_estimate / r.area,
+        marginal_budget=0.5 * (qx.error_estimate / r.width + qy.error_estimate / r.height),
     )
 
 
@@ -344,9 +344,38 @@ def bound_power_mean(
     return _report(POWER_MEAN, variant, dev.abs_deviation, rhs, dev.error_budget)
 
 
-def _chain_report(values, budgets):
+def hh_chain_2d(
+    s: Surface,
+    r: Rect,
+    tol: Tolerance | None = None,
+    dev: DeviationTerms | None = None,
+) -> ChainReport:
+    """The five-term two-dimensional Hermite-Hadamard chain over r:
+    center value <= mid-line means <= double mean <= edge means <= corner
+    average, each consecutive step holding for co-ordinated convex surfaces.
+
+    The double mean, the edge mean (half of marginal_a) and the corner
+    average, with their budgets, are the deviation's; ``dev`` is
+    deviation_terms(s, r, tol) when the caller already has it.  Only the two
+    mid-lines are integrated here.
+    """
+    tol = tol or DEFAULT_TOL
+    if dev is None:
+        dev = deviation_terms(s, r, tol)
+    f = s.f
+    center = float(f(r.mid_x, r.mid_y))
+    q_mid_x = integrate_1d(lambda u: f(u, r.mid_y), r.a, r.b, tol)
+    q_mid_y = integrate_1d(lambda v: f(r.mid_x, v), r.c, r.d, tol)
+    mid_mean = 0.5 * (q_mid_x.value / r.width + q_mid_y.value / r.height)
+    values = [center, mid_mean, dev.integral_mean, 0.5 * dev.marginal_a, dev.corner_avg]
+    budgets = [
+        0.0,
+        0.5 * (q_mid_x.error_estimate / r.width + q_mid_y.error_estimate / r.height),
+        dev.integral_budget,
+        0.5 * dev.marginal_budget,
+        0.0,
+    ]
     gaps = [b - a for a, b in zip(values[:-1], values[1:])]
-    worst_gap = min(gaps)
     monotone = all(
         gap >= -(ba + bb + 1e-12)
         for gap, ba, bb in zip(gaps, budgets[:-1], budgets[1:])
@@ -354,61 +383,6 @@ def _chain_report(values, budgets):
     return ChainReport(
         values=tuple(values),
         monotone=monotone,
-        worst_gap=worst_gap,
+        worst_gap=min(gaps),
         error_budget=sum(budgets),
     )
-
-
-def hh_chain_2d(s: Surface, r: Rect, tol: Tolerance | None = None) -> ChainReport:
-    """The five-term two-dimensional Hermite-Hadamard chain over r:
-    center value <= mid-line means <= double mean <= edge means <= corner
-    average, each consecutive step holding for co-ordinated convex surfaces.
-    """
-    tol = tol or DEFAULT_TOL
-    _check_rect(s, r)
-    f = s.f
-    center = float(f(r.mid_x, r.mid_y))
-    q_mid_x = integrate_1d(lambda u: f(u, r.mid_y), r.a, r.b, tol)
-    q_mid_y = integrate_1d(lambda v: f(r.mid_x, v), r.c, r.d, tol)
-    mid_mean = 0.5 * (q_mid_x.value / r.width + q_mid_y.value / r.height)
-    q_dbl = integrate_2d(f, r, tol)
-    dbl_mean = q_dbl.value / r.area
-    q_c = integrate_1d(lambda u: f(u, r.c), r.a, r.b, tol)
-    q_d = integrate_1d(lambda u: f(u, r.d), r.a, r.b, tol)
-    q_a = integrate_1d(lambda v: f(r.a, v), r.c, r.d, tol)
-    q_b = integrate_1d(lambda v: f(r.b, v), r.c, r.d, tol)
-    edge_mean = 0.25 * (
-        q_c.value / r.width
-        + q_d.value / r.width
-        + q_a.value / r.height
-        + q_b.value / r.height
-    )
-    corner_avg = sum(float(f(x, y)) for x, y in r.corners()) / 4.0
-    values = [center, mid_mean, dbl_mean, edge_mean, corner_avg]
-    budgets = [
-        0.0,
-        0.5 * (q_mid_x.error_estimate / r.width + q_mid_y.error_estimate / r.height),
-        q_dbl.error_estimate / r.area,
-        0.25
-        * (
-            (q_c.error_estimate + q_d.error_estimate) / r.width
-            + (q_a.error_estimate + q_b.error_estimate) / r.height
-        ),
-        0.0,
-    ]
-    return _chain_report(values, budgets)
-
-
-def hh_chain_1d(g, lo: float, hi: float, tol: Tolerance | None = None) -> ChainReport:
-    """The one-dimensional chain: midpoint value <= integral mean <= endpoint
-    average (for convex g)."""
-    if not lo < hi:
-        raise ParameterError(f"empty interval [{lo}, {hi}]")
-    tol = tol or DEFAULT_TOL
-    mid = float(g(0.5 * (lo + hi)))
-    q = integrate_1d(g, lo, hi, tol)
-    mean = q.value / (hi - lo)
-    ends = 0.5 * (float(g(lo)) + float(g(hi)))
-    values = [mid, mean, ends]
-    budgets = [0.0, q.error_estimate / (hi - lo), 0.0]
-    return _chain_report(values, budgets)

@@ -67,9 +67,9 @@ from .convexity import (
     abs_mixed_surface,
 )
 from .errors import ConfigError, OutOfDomainError, ParameterError
-from .geometry import CLASSICAL_PARAMS, GenParams, Rect
+from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_hull
 from .oracle import RationalPoly2, deviation_exact
-from .surfaces import corpus, poly_surface, scaled_eval_hull
+from .surfaces import corpus, poly_surface
 
 ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membership")
 SKIPPED = "skipped"
@@ -413,7 +413,8 @@ def _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work) -> lis
     failures as (surface, kind, params)."""
     rect = cfg.rect
     any_bound = any(c in cfg.checks for c in BOUND_KINDS)
-    dev = deviation_terms(s, rect) if any_bound or "identity" in cfg.checks else None
+    needs_dev = any_bound or "identity" in cfg.checks or "chain" in cfg.checks
+    dev = deviation_terms(s, rect) if needs_dev else None
     if "identity" in cfg.checks:
         rep = identity_report(s, rect, dev=dev)
         files["identity"].append(
@@ -425,7 +426,7 @@ def _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work) -> lis
             }
         )
     if "chain" in cfg.checks:
-        chain = hh_chain_2d(s, rect)
+        chain = hh_chain_2d(s, rect, dev=dev)
         c1, c2, c3, c4, c5 = chain.values
         files["chains"].append(
             {
@@ -579,7 +580,8 @@ def run_hunt(cfg: RunConfig) -> int:
             marginal_a=0.0,
             signed_deviation=signed,
             abs_deviation=abs(signed),
-            error_budget=0.0,
+            integral_budget=0.0,
+            marginal_budget=0.0,
         )
         hyps = _hypothesis_reports(sweep, s, hyp_params, work)
         for kind, p, variant, rep in _bound_sweep(s, cfg.rect, combos, kinds, cfg.variants, dev):

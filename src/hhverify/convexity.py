@@ -62,15 +62,6 @@ class MembershipReport:
     samples_checked: int
 
 
-def margin_coordinated(f, x, y, z, w, lam, mu):
-    """RHS - LHS of the plain co-ordinated convexity inequality.
-
-    Algebraically the first-sense margin at s = alpha = m = 1; kept as the
-    shared kernel so the trivial-parameter coincidence is bitwise.
-    """
-    return margin_class_first(f, _TRIVIAL, x, y, z, w, lam, mu)
-
-
 def margin_class_first(f, p: GenParams, x, y, z, w, lam, mu):
     """RHS - LHS of the first-sense inequality (weights 1 - lam^(alpha*s))."""
     return _combine(_weights_first(p, _power_of(lam, mu)), _points(f, p.m1, p.m2, x, y, z, w, lam, mu))
@@ -154,18 +145,10 @@ def abs_mixed_surface(s: Surface, q: float) -> Surface:
 
 
 def _batch_eval(f, xs, ys):
-    """Vectorized call with a scalar fallback for array-shy callables."""
-    try:
-        out = np.asarray(f(xs, ys), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except Exception:
-        pass
-    return np.fromiter(
-        (float(f(float(x), float(y))) for x, y in zip(xs, ys)),
-        dtype=float,
-        count=len(xs),
-    )
+    """f over the sample arrays from one call; a scalar return is broadcast."""
+    out = np.empty(xs.shape)
+    out[...] = f(xs, ys)
+    return out
 
 
 def _samples(rect: Rect, plan: SamplingPlan):

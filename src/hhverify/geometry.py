@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import OutOfDomainError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -113,14 +113,22 @@ class GenParams:
 CLASSICAL_PARAMS = GenParams()
 
 
-def required_hull(rect: Rect, params: GenParams) -> Rect:
-    """Smallest rectangle containing {a, b, b/m1} x {c, d, d/m2}.
+def scaled_eval_hull(rect: Rect, params: GenParams) -> Rect:
+    """Every point the bounds and the membership refuters evaluate over
+    ``rect`` at ``params``.
 
-    These are the evaluation points the bounds touch.  Callers must verify the
-    hull lies inside a surface's declared domain before evaluating a bound.
-    When coordinates are negative and m < 1 the scaled point moves left/down,
-    so the hull is the convex hull of all three abscissae per axis.
+    The bounds touch the m-scaled corners b/m1 and d/m2; the refuters divide
+    *sampled* coordinates by m, so the hull covers a/m1 and c/m2 too when
+    those fall left/below of the rectangle (negative coordinates, m < 1).
     """
-    xs = (rect.a, rect.b, rect.b / params.m1)
-    ys = (rect.c, rect.d, rect.d / params.m2)
+    xs = (rect.a, rect.b, rect.a / params.m1, rect.b / params.m1)
+    ys = (rect.c, rect.d, rect.c / params.m2, rect.d / params.m2)
     return Rect(min(xs), max(xs), min(ys), max(ys))
+
+
+def require_inside(domain: Rect, points, context: str) -> None:
+    """Raise OutOfDomainError, with ``context``, at the first of ``points``
+    that lies outside ``domain``."""
+    for x, y in points:
+        if not domain.contains(x, y):
+            raise OutOfDomainError((x, y), domain, context=context)

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteError, OutOfDomainError
-from .geometry import GenParams, Rect, required_hull
+from .errors import NonFiniteError
+from .geometry import GenParams, Rect, require_inside, scaled_eval_hull
 from .oracle import RationalPoly2
 
 # Optimal step exponent for a second-order cross difference.
@@ -50,13 +50,6 @@ class Surface:
         return f"{self.name} on {self.domain}"
 
 
-def eval_surface(s: Surface, x: float, y: float) -> float:
-    """Evaluate f(x, y), rejecting points outside the declared domain."""
-    if not s.domain.contains(x, y):
-        raise OutOfDomainError((x, y), s.domain, context=s.name)
-    return float(s.f(x, y))
-
-
 def fd_mixed_partial(f: Callable, x, y):
     """4-point cross stencil for d^2 f / dx dy with per-coordinate steps.
 
@@ -72,17 +65,13 @@ def fd_mixed_partial(f: Callable, x, y):
 def eval_mixed_partial(s: Surface, x: float, y: float) -> float:
     """Evaluate d^2 f / dx dy at (x, y), analytically or by finite differences."""
     if s.d2f is not None:
-        if not s.domain.contains(x, y):
-            raise OutOfDomainError((x, y), s.domain, context=s.name)
+        require_inside(s.domain, ((x, y),), s.name)
         value = float(s.d2f(x, y))
     else:
         h = _FD_STEP * (1.0 + abs(x))
         k = _FD_STEP * (1.0 + abs(y))
-        for sx, sy in ((x + h, y + k), (x + h, y - k), (x - h, y + k), (x - h, y - k)):
-            if not s.domain.contains(sx, sy):
-                raise OutOfDomainError(
-                    (sx, sy), s.domain, context=f"{s.name} stencil"
-                )
+        stencil = ((x + h, y + k), (x + h, y - k), (x - h, y + k), (x - h, y - k))
+        require_inside(s.domain, stencil, f"{s.name} stencil")
         value = float(fd_mixed_partial(s.f, x, y))
     if not np.isfinite(value):
         raise NonFiniteError(f"{s.name} mixed partial at ({x}, {y})", value)
@@ -130,30 +119,12 @@ def crosscheck_mixed_partial(
     return worst
 
 
-def scaled_eval_hull(rect: Rect, params: GenParams) -> Rect:
-    """Every point a membership refuter may touch when sampling over ``rect``.
-
-    Unlike required_hull (corner points only), the refuter divides *sampled*
-    coordinates by m, so the hull must cover a/m1 and c/m2 too when those
-    fall left/below of the rectangle.
-    """
-    xs = (rect.a, rect.b, rect.a / params.m1, rect.b / params.m1)
-    ys = (rect.c, rect.d, rect.c / params.m2, rect.d / params.m2)
-    return Rect(min(xs), max(xs), min(ys), max(ys))
-
-
 def require_hull_inside(s: Surface, rect: Rect, params: GenParams) -> None:
-    """Raise OutOfDomainError naming the offending scaled corner if the
-    evaluation hull pokes outside the surface's declared domain."""
+    """Raise OutOfDomainError naming the first corner of the evaluation hull
+    (scaled_eval_hull) that lies outside the surface's declared domain."""
     hull = scaled_eval_hull(rect, params)
-    if s.domain.contains_rect(hull):
-        return
-    named = required_hull(rect, params)
-    for x, y in (*named.corners(), *hull.corners()):
-        if not s.domain.contains(x, y):
-            raise OutOfDomainError(
-                (x, y), s.domain, context=f"{s.name}: m-scaled evaluation corner"
-            )
+    if not s.domain.contains_rect(hull):
+        require_inside(s.domain, hull.corners(), f"{s.name}: m-scaled evaluation corner")
 
 
 def poly_surface(name: str, poly: RationalPoly2, domain: Rect) -> Surface:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hhverify import (
     HOLDS,
     PROOF_FORM,
     GenParams,
+    OutOfDomainError,
     ParameterError,
     Rect,
     Surface,
@@ -23,12 +25,12 @@ from hhverify import (
     deviation_exact,
     deviation_terms,
     get_surface,
-    hh_chain_1d,
     hh_chain_2d,
     identity_report,
     integrate_1d,
     kink_moment,
 )
+from hhverify import bounds
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 CLASSICAL_P = GenParams()
@@ -370,20 +372,72 @@ def test_chain_2d_bilinear_equality():
     assert chain.monotone
 
 
+def _constant_in_y(name, g):
+    return Surface(name, Rect(-8.0, 8.0, -8.0, 8.0), f=lambda x, y: g(x) + 0.0 * y)
+
+
 def test_chain_1d_square():
-    chain = hh_chain_1d(lambda x: x * x, 0.0, 1.0)
-    expected = (0.25, 1.0 / 3.0, 0.5)
+    """For f(x, y) = g(x) the center, double mean and corner average are the
+    one-dimensional chain g(mid) <= mean of g <= endpoint average; the
+    mid-line and edge means average neighbouring members of it."""
+    chain = hh_chain_2d(_constant_in_y("x2", lambda x: x * x), RECT01)
+    expected = (0.25, 7.0 / 24.0, 1.0 / 3.0, 5.0 / 12.0, 0.5)
     for got, want in zip(chain.values, expected):
         assert abs(got - want) <= 1e-12
     assert chain.monotone
 
 
 def test_chain_1d_constant_and_affine():
-    flat = hh_chain_1d(lambda x: 7.0, -1.0, 2.0)
+    flat = hh_chain_2d(constant_surface(7.0), Rect(-1.0, 2.0, 0.0, 1.0))
     assert all(abs(v - 7.0) <= 1e-12 for v in flat.values)
-    line = hh_chain_1d(lambda x: x, 0.0, 1.0)
+    line = hh_chain_2d(_constant_in_y("x", lambda x: x), RECT01)
     assert all(abs(v - 0.5) <= 1e-12 for v in line.values)
     assert flat.monotone and line.monotone
+
+
+@pytest.mark.parametrize("name", list(corpus()))
+def test_chain_2d_reads_the_deviation(name):
+    s = corpus()[name].surface
+    dev = deviation_terms(s, RECT01)
+    chain = hh_chain_2d(s, RECT01, dev=dev)
+    assert chain == hh_chain_2d(s, RECT01)
+    assert chain.values[2:] == (dev.integral_mean, 0.5 * dev.marginal_a, dev.corner_avg)
+
+
+def test_marginal_a_is_twice_the_edge_mean():
+    """marginal_a is half the sum of the four edge means: 0.5 for xy on
+    [0, 1]^2, whose edge means 0, 0.5, 0 and 0.5 average to the chain's 0.25."""
+    s = get_surface("xy")
+    dev = deviation_terms(s, RECT01)
+    assert abs(dev.marginal_a - 0.5) <= 1e-15
+    assert abs(hh_chain_2d(s, RECT01, dev=dev).values[3] - 0.25) <= 1e-15
+
+
+def test_off_domain_rect_names_its_first_corner_outside():
+    s = Surface("unit", RECT01, f=lambda x, y: x * y)
+    for fn in (deviation_terms, hh_chain_2d):
+        with pytest.raises(OutOfDomainError) as exc_info:
+            fn(s, Rect(0.0, 2.0, 0.0, 1.0))
+        assert exc_info.value.point == (2.0, 0.0)
+        assert str(exc_info.value).startswith("unit: point (2.0, 0.0) outside")
+
+
+def test_chain_2d_with_dev_integrates_only_the_mid_lines(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    s = get_surface("exp_sum")
+    dev = deviation_terms(s, RECT01)
+    monkeypatch.setattr(bounds, "integrate_1d", counting("1d", bounds.integrate_1d))
+    monkeypatch.setattr(bounds, "integrate_2d", counting("2d", bounds.integrate_2d))
+    hh_chain_2d(s, RECT01, dev=dev)
+    assert calls == Counter({"1d": 2})
 
 
 # ------------------------------------------------------- bound validity smoke

@@ -235,6 +235,27 @@ def test_corner_magnitudes_once_per_m_pair(tmp_path, monkeypatch, command):
     assert all(n <= 4 * 4 for n in calls.values()), calls
 
 
+def test_verify_integrates_at_most_six_times_per_surface(tmp_path, monkeypatch):
+    """deviation_terms (3), the identity's right side (1) and the chain's two
+    mid-lines (2): the chain reads its double and edge means from the
+    deviation."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("integrate_1d", "integrate_2d"):
+        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+    surfaces = ["x2y2", "exp_sum"]
+    cfgfile = write_config(tmp_path, surfaces=surfaces, output_dir=str(tmp_path / "o"))
+    assert cli.main(["verify", "--config", str(cfgfile)]) == 0
+    assert sum(calls.values()) <= 6 * len(surfaces), calls
+
+
 def _rigged_direct(s, r, p, variant=PROOF_FORM, tol=None, dev=None, mags=None):
     """A direct bound that is violated on every input."""
     return BoundReport(

@@ -21,7 +21,6 @@ from hhverify import (
     get_surface,
     margin_class_first,
     margin_class_second,
-    margin_coordinated,
     poly_surface,
     RationalPoly2,
 )
@@ -41,7 +40,7 @@ PLAN = SamplingPlan(grid_per_axis=5, random_trials=2000, seed=0)
 
 def margin_fn_for(notion):
     return {
-        "coordinated": lambda f, p, *args: margin_coordinated(f, *args),
+        "coordinated": lambda f, p, *args: margin_class_first(f, GenParams(), *args),
         "first": margin_class_first,
         "second": margin_class_second,
     }[notion]
@@ -59,7 +58,7 @@ def test_concave_surface_violates_def1():
     assert rep.verdict == VIOLATED
     assert rep.worst_margin <= -0.1
     x, y, z, w, lam, mu = rep.witness
-    re_eval = margin_coordinated(get_surface("neg_squares").f, x, y, z, w, lam, mu)
+    re_eval = margin_class_first(get_surface("neg_squares").f, GenParams(), x, y, z, w, lam, mu)
     assert abs(re_eval - rep.worst_margin) <= 1e-12
 
 
@@ -154,6 +153,18 @@ def test_hull_violation_names_scaled_corner():
     with pytest.raises(OutOfDomainError) as exc_info:
         check_class_first(s, RECT01, GenParams(m1=0.5), SamplingPlan(random_trials=10))
     assert "scaled" in str(exc_info.value)
+    assert exc_info.value.point == (2.0, 0.0)  # b / m1 at y = c
+
+
+def test_scalar_valued_f_is_broadcast():
+    """f returning a plain float gives the report of the equal constant
+    surface; an f that cannot take arrays raises, as it does in quadrature."""
+    one = Surface("one", get_surface("xy").domain, f=lambda x, y: 1.0)
+    want = MembershipSweep(RECT01, PLAN).reports(constant_surface(1.0), [(FIRST, GenParams(m1=0.5))])
+    assert MembershipSweep(RECT01, PLAN).reports(one, [(FIRST, GenParams(m1=0.5))]) == want
+    scalar_only = Surface("scalar-only", one.domain, f=lambda x, y: float(x) * float(y))
+    with pytest.raises(TypeError):
+        check_def1_coordinated(scalar_only, RECT01, PLAN)
 
 
 def test_samples_checked_matches_plan():

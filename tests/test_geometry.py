@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhverify import GenParams, ParameterError, Rect, required_hull
+from hhverify import GenParams, OutOfDomainError, ParameterError, Rect, scaled_eval_hull
+from hhverify.geometry import require_inside
 
 
 def test_rect_rejects_degenerate():
@@ -45,17 +46,26 @@ def test_genparams_conjugate():
         GenParams(q=1.0).p
 
 
-def test_required_hull_identity_scaling():
-    assert required_hull(Rect(0, 1, 0, 1), GenParams()) == Rect(0, 1, 0, 1)
+def test_scaled_eval_hull_identity_scaling():
+    assert scaled_eval_hull(Rect(0, 1, 0, 1), GenParams()) == Rect(0, 1, 0, 1)
 
 
-def test_required_hull_scales_upper_corner():
-    assert required_hull(Rect(0, 1, 0, 1), GenParams(m1=0.5)) == Rect(0, 2, 0, 1)
+def test_scaled_eval_hull_scales_upper_corner():
+    assert scaled_eval_hull(Rect(0, 1, 0, 1), GenParams(m1=0.5)) == Rect(0, 2, 0, 1)
 
 
-def test_required_hull_negative_left_edge():
-    # b/m1 = 2 while a = -1 stays put: hull of {-1, 1, 2}
-    assert required_hull(Rect(-1, 1, 0, 1), GenParams(m1=0.5)) == Rect(-1, 2, 0, 1)
+def test_scaled_eval_hull_negative_left_edge():
+    # b/m1 = 2, and sampled x = a = -1 scales to a/m1 = -2: hull of {-2, -1, 1, 2}
+    assert scaled_eval_hull(Rect(-1, 1, 0, 1), GenParams(m1=0.5)) == Rect(-2, 2, 0, 1)
+
+
+def test_require_inside_names_the_first_point_outside():
+    domain = Rect(0, 1, 0, 1)
+    require_inside(domain, [(0.0, 0.0), (1.0, 1.0)], "unit")
+    with pytest.raises(OutOfDomainError) as exc_info:
+        require_inside(domain, [(0.5, 0.5), (1.5, 0.0), (-1.0, 0.0)], "unit")
+    assert exc_info.value.point == (1.5, 0.0)
+    assert str(exc_info.value) == "unit: point (1.5, 0.0) outside domain [0, 1] x [0, 1]"
 
 
 @settings(max_examples=100, deadline=None)
@@ -68,6 +78,6 @@ def test_hull_monotone_in_m(m_small, m_large, b):
     """Shrinking m never shrinks the hull."""
     lo, hi = sorted((m_small, m_large))
     r = Rect(b - 1.0, b + 1.0, 0.0, 1.0)
-    h_small = required_hull(r, GenParams(m1=lo, m2=lo))
-    h_large = required_hull(r, GenParams(m1=hi, m2=hi))
+    h_small = scaled_eval_hull(r, GenParams(m1=lo, m2=lo))
+    h_large = scaled_eval_hull(r, GenParams(m1=hi, m2=hi))
     assert h_small.contains_rect(h_large)

@@ -15,26 +15,26 @@ from hhverify import (
     corpus,
     crosscheck_mixed_partial,
     eval_mixed_partial,
-    eval_surface,
     get_surface,
     poly_surface,
-    required_hull,
     scaled_eval_hull,
 )
+from hhverify.surfaces import _FD_STEP, require_hull_inside
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 
 
 def test_eval_examples():
-    assert eval_surface(get_surface("xy"), 0.5, 0.5) == 0.25
-    assert eval_surface(get_surface("x2y2"), 1.0, 1.0) == 1.0
+    assert get_surface("xy").f(0.5, 0.5) == 0.25
+    assert get_surface("x2y2").f(1.0, 1.0) == 1.0
 
 
 def test_eval_out_of_domain():
-    s = Surface("unit-x2y2", RECT01, f=lambda x, y: x * x * y * y)
+    s = Surface("unit-x2y2", RECT01, f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y)
     with pytest.raises(OutOfDomainError) as exc_info:
-        eval_surface(s, 2.0, 1.0)
-    assert "2.0" in str(exc_info.value)
+        eval_mixed_partial(s, 2.0, 1.0)
+    assert exc_info.value.point == (2.0, 1.0)
+    assert str(exc_info.value).startswith("unit-x2y2: point (2.0, 1.0) outside")
 
 
 def test_mixed_partial_analytic():
@@ -53,8 +53,11 @@ def test_mixed_partial_constant():
 
 def test_fd_stencil_domain_violation():
     s = Surface("tight", RECT01, f=lambda x, y: x * y)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(OutOfDomainError) as exc_info:
         eval_mixed_partial(s, 1.0, 0.5)  # stencil pokes past x = 1
+    h, k = 2.0 * _FD_STEP, 1.5 * _FD_STEP
+    assert exc_info.value.point == (1.0 + h, 0.5 + k)  # the stencil's first point
+    assert str(exc_info.value).startswith("tight stencil: point")
 
 
 def test_non_finite_mixed_partial():
@@ -100,7 +103,7 @@ def test_poly_backed_eval_matches_exact():
 
 def test_poly_surface_constructor():
     s = poly_surface("p", RationalPoly2({(2, 1): 3}), Rect(-2, 2, -2, 2))
-    assert eval_surface(s, 1.0, 1.0) == 3.0
+    assert s.f(1.0, 1.0) == 3.0
     assert eval_mixed_partial(s, 1.0, 1.0) == 6.0  # d2(3x^2y) = 6x
 
 
@@ -109,8 +112,17 @@ def test_scaled_eval_hull_covers_sampling():
     hull = scaled_eval_hull(Rect(-1, 1, 0, 1), p)
     # sampled z in [-1, 1] lands in [-2, 2] after scaling
     assert hull == Rect(-2, 2, 0, 2)
-    # the corner hull alone keeps the left edge
-    assert required_hull(Rect(-1, 1, 0, 1), p) == Rect(-1, 2, 0, 2)
+
+
+def test_hull_violation_names_a_hull_corner_outside_the_domain():
+    # hull [-2, 2] x [0, 1]: both x = -2 and x = 2 leave the domain; the
+    # first hull corner outside it, in corners() order, is named
+    s = Surface("mid", Rect(-1.5, 1.5, -1.0, 2.0), f=lambda x, y: x * y)
+    with pytest.raises(OutOfDomainError) as exc_info:
+        require_hull_inside(s, Rect(-1, 1, 0, 1), GenParams(m1=0.5))
+    assert exc_info.value.point == (-2.0, 0.0)
+    assert str(exc_info.value).startswith("mid: m-scaled evaluation corner: point (-2.0, 0.0)")
+    require_hull_inside(s, Rect(-1, 1, 0, 1), GenParams())
 
 
 def test_surface_str():
