@@ -14,9 +14,10 @@ Exit codes: 0 clean; 1 a proof-form bound was violated on an input whose
 membership refuter found no violation (an acceptance failure); 2 usage or
 configuration error.
 
-Reports are deterministic for a given config and seed: rows are emitted in
-sorted order and floats are written with shortest round-trip repr.  Wall time
-lives only in the JSON summary, never in the CSVs.
+Reports are deterministic for a given config and seed: each row is a tuple
+in its file's header order, rows sort by their columns in that order, and
+floats are written with shortest round-trip repr.  Wall time lives only in
+the JSON summary, never in the CSVs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import argparse
 import csv
 import itertools
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -74,8 +74,6 @@ from .surfaces import corpus, poly_surface
 ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membership")
 SKIPPED = "skipped"
 
-OUT_ENV_VAR = "HHVERIFY_OUT"
-
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
 
 # CSV columns of each report file, which is also the order its rows sort in.
@@ -111,8 +109,8 @@ class RunConfig:
     plan: SamplingPlan
     output_dir: Path
     seed: int
-    hunt_count: int = 20
-    hunt_degree: int = 4
+    hunt_count: int
+    hunt_degree: int
 
 
 def _as_list(value, name):
@@ -129,7 +127,7 @@ def _number(kind, value, name):
 
 
 def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM,)) -> RunConfig:
-    """Validate a parsed config mapping and apply CLI/env overrides."""
+    """Validate a parsed config mapping and apply CLI overrides."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     known = {
@@ -199,10 +197,7 @@ def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM
     except ValueError as exc:
         raise ConfigError(f"bad plan: {exc}") from exc
 
-    out_dir = raw.get("output_dir", "out")
-    out_dir = os.environ.get(OUT_ENV_VAR, out_dir)
-    if out is not None:
-        out_dir = out
+    out_dir = raw.get("output_dir", "out") if out is None else out
 
     hunt_raw = raw.get("hunt", {})
     if not isinstance(hunt_raw, dict):
@@ -268,66 +263,48 @@ def _param_cols(combos) -> dict:
     """The formatted parameter columns of the classical cell and of each
     grid cell, keyed by GenParams; a run formats each cell once."""
     return {
-        p: {k: _fmt(float(getattr(p, k))) for k in PARAM_KEYS}
+        p: tuple(_fmt(float(getattr(p, k))) for k in PARAM_KEYS)
         for p in (CLASSICAL_PARAMS, *combos)
     }
 
 
-def _bound_row(surface, kind, variant, cols: dict, rep: BoundReport | None) -> dict:
+def _bound_row(surface, kind, variant, cols: tuple, rep: BoundReport | None) -> tuple:
     """One bounds row with parameter columns ``cols``; ``rep`` None is a
     cell skipped for leaving the domain."""
-    row = {"surface": surface, "theorem": kind, "variant": variant, **cols}
     if rep is None:
-        row.update(lhs="", rhs="", slack="", error_budget="", verdict=SKIPPED)
-    else:
-        row.update(
-            lhs=_fmt(rep.lhs),
-            rhs=_fmt(rep.rhs),
-            slack=_fmt(rep.slack),
-            error_budget=_fmt(rep.error_budget),
-            verdict=rep.verdict,
-        )
-    return row
+        return (surface, kind, variant, *cols, "", "", "", "", SKIPPED)
+    return (
+        surface, kind, variant, *cols,
+        _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.slack), _fmt(rep.error_budget), rep.verdict,
+    )
 
 
-def _membership_row(surface, target, notion, cols: dict, rep: MembershipReport | None) -> dict:
-    row = {
-        "surface": surface,
-        "target": target,
-        "notion": notion,
-        **cols,
-    }
+def _membership_row(surface, target, notion, cols: tuple, rep: MembershipReport | None) -> tuple:
     if rep is None:
-        row.update(
-            verdict=SKIPPED,
-            worst_margin="",
-            witness_x="", witness_y="", witness_z="",
-            witness_w="", witness_lam="", witness_mu="",
-            samples_checked="",
-        )
-    else:
-        wx, wy, wz, ww, wl, wm = rep.witness
-        row.update(
-            verdict=rep.verdict,
-            worst_margin=_fmt(rep.worst_margin),
-            witness_x=_fmt(wx), witness_y=_fmt(wy), witness_z=_fmt(wz),
-            witness_w=_fmt(ww), witness_lam=_fmt(wl), witness_mu=_fmt(wm),
-            samples_checked=str(rep.samples_checked),
-        )
-    return row
+        # worst_margin, the six witness coordinates and samples_checked
+        return (surface, target, notion, *cols, SKIPPED, *[""] * 8)
+    return (
+        surface, target, notion, *cols,
+        rep.verdict, _fmt(rep.worst_margin), *map(_fmt, rep.witness), str(rep.samples_checked),
+    )
+
+
+def _column(files: dict, key: str, col: str) -> list:
+    """Column ``col`` of every row in ``files[key]``."""
+    i = HEADERS[key].index(col)
+    return [row[i] for row in files[key]]
 
 
 def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) -> None:
-    """Write each non-empty row list, sorted by its header, as ``<key>.csv``,
-    then the summary as JSON."""
+    """Write each non-empty row list, sorted, as ``<key>.csv`` under its
+    header, then the summary as JSON."""
     for key, rows in files.items():
         if not rows:
             continue
-        header = HEADERS[key]
-        rows.sort(key=lambda row: tuple(row[col] for col in header))
+        rows.sort()
         with open(out_dir / f"{key}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header, lineterminator="\n")
-            writer.writeheader()
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(HEADERS[key])
             writer.writerows(rows)
     with open(out_dir / summary_name, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -417,30 +394,12 @@ def _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work) -> lis
     dev = deviation_terms(s, rect) if needs_dev else None
     if "identity" in cfg.checks:
         rep = identity_report(s, rect, dev=dev)
-        files["identity"].append(
-            {
-                "surface": name,
-                "residual": _fmt(rep.residual),
-                "error_budget": _fmt(rep.error_budget),
-                "within_budget": _fmt(abs(rep.residual) <= rep.error_budget),
-            }
-        )
+        within = abs(rep.residual) <= rep.error_budget
+        files["identity"].append((name, _fmt(rep.residual), _fmt(rep.error_budget), _fmt(within)))
     if "chain" in cfg.checks:
         chain = hh_chain_2d(s, rect, dev=dev)
-        c1, c2, c3, c4, c5 = chain.values
-        files["chains"].append(
-            {
-                "surface": name,
-                "center": _fmt(c1),
-                "midline_mean": _fmt(c2),
-                "double_mean": _fmt(c3),
-                "edge_mean": _fmt(c4),
-                "corner_avg": _fmt(c5),
-                "monotone": _fmt(chain.monotone),
-                "worst_gap": _fmt(chain.worst_gap),
-                "error_budget": _fmt(chain.error_budget),
-            }
-        )
+        cols = (*chain.values, chain.monotone, chain.worst_gap, chain.error_budget)
+        files["chains"].append((name, *map(_fmt, cols)))
 
     violations = []  # (kind, params) for violated proof-form rows
     if any_bound:
@@ -483,16 +442,14 @@ def run_verify(cfg: RunConfig) -> int:
         s = registry[name].surface
         failing += _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work)
 
-    slacks = [
-        float(row["slack"]) for row in files["bounds"] if row["verdict"] != SKIPPED
-    ]
+    slacks = [float(v) for v in _column(files, "bounds", "slack") if v]  # "" on skipped rows
     exit_code = 1 if failing else 0
-    chain_counts = Counter(row["monotone"] for row in files["chains"])
-    identity_counts = Counter(row["within_budget"] for row in files["identity"])
+    chain_counts = Counter(_column(files, "chains", "monotone"))
+    identity_counts = Counter(_column(files, "identity", "within_budget"))
     summary = {
         "counts": {
-            "bounds": Counter(row["verdict"] for row in files["bounds"]),
-            "membership": Counter(row["verdict"] for row in files["membership"]),
+            "bounds": Counter(_column(files, "bounds", "verdict")),
+            "membership": Counter(_column(files, "membership", "verdict")),
             "chains": {
                 "monotone": chain_counts["true"],
                 "non-monotone": chain_counts["false"],
@@ -586,10 +543,9 @@ def run_hunt(cfg: RunConfig) -> int:
         hyps = _hypothesis_reports(sweep, s, hyp_params, work)
         for kind, p, variant, rep in _bound_sweep(s, cfg.rect, combos, kinds, cfg.variants, dev):
             hyp = None if rep is None else hyps[_hypothesis_params(kind, p)]
-            row = _bound_row(name, kind, variant, param_cols[p], rep)
-            row["hypothesis"] = SKIPPED if hyp is None else hyp.verdict
-            rows.append(row)
-            if rep is not None and rep.verdict == BOUND_VIOLATED and row["hypothesis"] == NO_VIOLATION:
+            hypothesis = SKIPPED if hyp is None else hyp.verdict
+            rows.append(_bound_row(name, kind, variant, param_cols[p], rep) + (hypothesis,))
+            if rep is not None and rep.verdict == BOUND_VIOLATED and hypothesis == NO_VIOLATION:
                 findings.append(
                     {
                         "surface": name,
@@ -621,22 +577,17 @@ def run_hunt(cfg: RunConfig) -> int:
 # small subcommands
 
 
-def print_corpus(file=None):
-    file = file if file is not None else sys.stdout
+def print_corpus():
     for name, entry in corpus().items():
         s = entry.surface
-        print(
-            f"{name:12s} f = {entry.formula:12s} domain {s.domain}  d2f {s.d2f_kind}",
-            file=file,
-        )
+        print(f"{name:12s} f = {entry.formula:12s} domain {s.domain}  d2f {s.d2f_kind}")
 
 
-def print_constants(points: int = 11, file=None):
-    file = file if file is not None else sys.stdout
-    print("theta,moment", file=file)
+def print_constants(points: int):
+    print("theta,moment")
     for i in range(points):
         theta = i / (points - 1) if points > 1 else 0.0
-        print(f"{theta!r},{kink_moment(theta)!r}", file=file)
+        print(f"{theta!r},{kink_moment(theta)!r}")
 
 
 # --------------------------------------------------------------------------

@@ -194,7 +194,8 @@ def poly_integral_2d_exact(p: RationalPoly2, r: Rect) -> Fraction:
 
 
 def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:
-    """Exact corner average + double-integral mean - edge-mean average.
+    """Exact corner average + double-integral mean - A, where A is half the
+    sum of the four edge means (twice their average).
 
     This is the signed trapezoid deviation the identity and all the bounds
     are about, computed without any floating point.

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from collections import Counter
 from pathlib import Path
@@ -175,6 +176,39 @@ def test_hull_violations_become_skipped_rows(tmp_path):
     assert any(r["verdict"] == "skipped" for r in member_rows if r["m1"] == "0.5")
 
 
+def test_report_rows_have_header_shape_and_sorted_order(tmp_path):
+    """Every CSV row has one field per header column, the rows are sorted by
+    their columns, and csv.DictWriter rewrites each file byte for byte."""
+    verify_out, hunt_out = tmp_path / "verify", tmp_path / "hunt"
+    verify_cfg = write_config(
+        tmp_path,
+        surfaces=["exp_sum"],
+        rect=[-6.0, 6.0, 0.0, 1.0],
+        param_grid={"m1": [0.5, 1.0], "q": [1.0]},
+        checks=["identity", "chain", "direct", "membership"],
+        variants=["proof-form"],
+    )
+    assert cli.main(["verify", "--config", str(verify_cfg), "--out", str(verify_out)]) == 0
+    hunt_cfg = write_config(tmp_path, param_grid={"q": [1.0, 2.0]}, hunt={"count": 2, "degree": 3})
+    assert cli.main(["hunt", "--config", str(hunt_cfg), "--out", str(hunt_out)]) == 0
+    paths = sorted(verify_out.glob("*.csv")) + sorted(hunt_out.glob("*.csv"))
+    assert [path.stem for path in paths] == ["bounds", "chains", "identity", "membership", "hunt"]
+    for path in paths:
+        header = cli.HEADERS[path.stem]
+        text = path.read_text()
+        header_row, *rows = csv.reader(text.splitlines())
+        assert header_row == header
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        assert rows == sorted(rows), path.name
+        rewritten = io.StringIO()
+        writer = csv.DictWriter(rewritten, fieldnames=header, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(read_rows(path))
+        assert rewritten.getvalue() == text, path.name
+    for name in ("bounds", "membership"):
+        assert any(r["verdict"] == "skipped" for r in read_rows(verify_out / f"{name}.csv"))
+
+
 BOUND_GRID = [
     GenParams(s1=s, alpha2=a, m1=m1, m2=m2, q=q)
     for s in (0.5, 1.0)
@@ -317,11 +351,10 @@ def test_summary_work_counts(tmp_path):
     assert hunt_work == {"membership_reports": 4, "batched_evaluations": 10, "samples_per_report": samples}
 
 
-def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
-    target = tmp_path / "env-out"
-    monkeypatch.setenv(cli.OUT_ENV_VAR, str(target))
+def test_out_flag_overrides_config_output_dir(tmp_path):
+    target = tmp_path / "flag-out"
     cfgfile = write_config(tmp_path, output_dir=str(tmp_path / "ignored"))
-    assert cli.main(["verify", "--config", str(cfgfile)]) == 0
+    assert cli.main(["verify", "--config", str(cfgfile), "--out", str(target)]) == 0
     assert (target / "bounds.csv").exists()
     assert not (tmp_path / "ignored").exists()
 
