@@ -22,10 +22,12 @@ kept so the discrepancy can be measured and hunted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, require_inside
+from .oracle import deviation_parts
 from .quadrature import DEFAULT_TOL, Tolerance, integrate_1d, integrate_2d
 from .surfaces import Surface, eval_mixed_partial, mixed_partial_func
 
@@ -68,18 +70,22 @@ class DeviationTerms:
 
     signed_deviation = corner_avg + integral_mean - marginal_a, where
     marginal_a is half the sum of the four edge integral means (twice their
-    average).  integral_budget and marginal_budget are the linear
-    propagation of the quadrature error estimates into integral_mean and
-    marginal_a; error_budget is their sum.
+    average).  integral_budget and marginal_budget propagate the quadrature
+    error estimates into integral_mean and marginal_a or, on a polynomial
+    surface, where each field is its exact value rounded once, cover that
+    rounding and signed_deviation's.  error_budget is their sum.
     """
 
     corner_avg: float
     integral_mean: float
     marginal_a: float
     signed_deviation: float
-    abs_deviation: float
     integral_budget: float
     marginal_budget: float
+
+    @property
+    def abs_deviation(self) -> float:
+        return abs(self.signed_deviation)
 
     @property
     def error_budget(self) -> float:
@@ -106,10 +112,21 @@ class ChainReport:
 
 
 def deviation_terms(s: Surface, r: Rect, tol: Tolerance | None = None) -> DeviationTerms:
-    """Corner average, double-integral mean and edge term A over r."""
-    if tol is None:
-        tol = DEFAULT_TOL
+    """Corner average, double-integral mean and edge term A over r, exact when
+    s carries its polynomial (oracle.deviation_parts), else by quadrature."""
     require_inside(s.domain, r.corners(), s.name)
+    if s.poly is not None:
+        corner, mean, marginal = deviation_parts(s.poly, r)
+        signed = float(corner + mean - marginal)
+        return DeviationTerms(
+            corner_avg=float(corner),
+            integral_mean=float(mean),
+            marginal_a=float(marginal),
+            signed_deviation=signed,
+            integral_budget=max(math.ulp(mean), math.ulp(signed)) / 2.0,
+            marginal_budget=max(math.ulp(marginal), math.ulp(signed)) / 2.0,
+        )
+    tol = tol or DEFAULT_TOL
     f = s.f
     corner_avg = sum(float(f(x, y)) for x, y in r.corners()) / 4.0
     dbl = integrate_2d(f, r, tol)
@@ -117,13 +134,11 @@ def deviation_terms(s: Surface, r: Rect, tol: Tolerance | None = None) -> Deviat
     qx = integrate_1d(lambda x: f(x, r.c) + f(x, r.d), r.a, r.b, tol)
     qy = integrate_1d(lambda y: f(r.a, y) + f(r.b, y), r.c, r.d, tol)
     marginal_a = 0.5 * (qx.value / r.width + qy.value / r.height)
-    signed = corner_avg + integral_mean - marginal_a
     return DeviationTerms(
         corner_avg=corner_avg,
         integral_mean=integral_mean,
         marginal_a=marginal_a,
-        signed_deviation=signed,
-        abs_deviation=abs(signed),
+        signed_deviation=corner_avg + integral_mean - marginal_a,
         integral_budget=dbl.error_estimate / r.area,
         marginal_budget=0.5 * (qx.error_estimate / r.width + qy.error_estimate / r.height),
     )
@@ -262,18 +277,6 @@ def bound_direct(
     return _report(DIRECT, variant, dev.abs_deviation, rhs, dev.error_budget)
 
 
-def holder_s_term(s: Surface, r: Rect, p: GenParams, mags: tuple | None = None) -> float:
-    """The weighted corner sum S = sum of m/theta-weighted |d2f|^q values."""
-    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
-    q = p.q
-    return (
-        d00**q
-        + p.m2 * p.theta2 * d01**q
-        + p.m1 * p.theta1 * d10**q
-        + p.m1 * p.m2 * p.theta1 * p.theta2 * d11**q
-    )
-
-
 def bound_holder(
     s: Surface,
     r: Rect,
@@ -295,13 +298,21 @@ def bound_holder(
     if dev is None:
         dev = deviation_terms(s, r, tol)
     conj = p.p
-    s_term = holder_s_term(s, r, p, mags)
+    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
+    q = p.q
+    # The weighted corner sum of |d2f|^q.
+    s_term = (
+        d00**q
+        + p.m2 * p.theta2 * d01**q
+        + p.m1 * p.theta1 * d10**q
+        + p.m1 * p.m2 * p.theta1 * p.theta2 * d11**q
+    )
     denom = (p.theta1 + 1.0) * (p.theta2 + 1.0)
     base = r.area / (4.0 * (conj + 1.0) ** (2.0 / conj))
     if variant == PROOF_FORM:
-        rhs = base * (s_term / denom) ** (1.0 / p.q)
+        rhs = base * (s_term / denom) ** (1.0 / q)
     else:
-        rhs = base / denom * s_term ** (1.0 / p.q)
+        rhs = base / denom * s_term ** (1.0 / q)
     return _report(HOLDER, variant, dev.abs_deviation, rhs, dev.error_budget)
 
 

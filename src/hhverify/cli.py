@@ -64,11 +64,10 @@ from .convexity import (
     MembershipReport,
     MembershipSweep,
     SamplingPlan,
-    abs_mixed_surface,
 )
 from .errors import ConfigError, OutOfDomainError, ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_hull
-from .oracle import RationalPoly2, deviation_exact
+from .oracle import RationalPoly2
 from .surfaces import corpus, poly_surface
 
 ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membership")
@@ -530,16 +529,7 @@ def run_hunt(cfg: RunConfig) -> int:
         poly = _random_nonneg_poly(rng, cfg.hunt_degree)
         name = f"hunt-{k:03d}"
         s = poly_surface(name, poly, domain)
-        signed = float(deviation_exact(poly, cfg.rect))
-        dev = DeviationTerms(
-            corner_avg=0.0,
-            integral_mean=0.0,
-            marginal_a=0.0,
-            signed_deviation=signed,
-            abs_deviation=abs(signed),
-            integral_budget=0.0,
-            marginal_budget=0.0,
-        )
+        dev = deviation_terms(s, cfg.rect)
         hyps = _hypothesis_reports(sweep, s, hyp_params, work)
         for kind, p, variant, rep in _bound_sweep(s, cfg.rect, combos, kinds, cfg.variants, dev):
             hyp = None if rep is None else hyps[_hypothesis_params(kind, p)]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteError, OutOfDomainError
-from .geometry import GenParams, Rect
+from .geometry import CLASSICAL_PARAMS, GenParams, Rect
 from .surfaces import Surface, mixed_partial_func, require_hull_inside
 
 NO_VIOLATION = "no-violation-found"
@@ -28,10 +28,6 @@ VIOLATED = "violated"
 # first sense at trivial parameters.
 FIRST = "first"
 SECOND = "second"
-
-# lam^0 with lam = 0 must evaluate to 1 (limit convention); np.power does.
-_TRIVIAL = GenParams()
-
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -89,6 +85,7 @@ def _points(f, m1, m2, x, y, z, w, lam, mu):
 
 def _power_of(lam, mu):
     """power(axis, e): lam^e on axis 0, mu^e on axis 1."""
+    # lam^0 with lam = 0 must evaluate to 1 (limit convention); np.power does.
     return lambda axis, e: np.power((lam, mu)[axis], e)
 
 
@@ -317,7 +314,7 @@ def check_def1_coordinated(
     s: Surface, r: Rect, plan: SamplingPlan = DEFAULT_PLAN
 ) -> MembershipReport:
     """Refute (or fail to refute) plain co-ordinated convexity of s over r."""
-    return _check_one(s, r, plan, FIRST, _TRIVIAL)
+    return _check_one(s, r, plan, FIRST, CLASSICAL_PARAMS)
 
 
 def check_class_first(

@@ -1,8 +1,10 @@
 """Exact rational-arithmetic ground truth for bivariate polynomials.
 
 Coefficients are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms), so every integral, derivative and composition here is exact.  This is
-the oracle the floating-point pipeline is tested against.
+terms), so every integral, derivative and composition here is exact.  Floats
+such as rectangle endpoints convert with ``Fraction(float)``, which is their
+exact binary value.  This is the oracle the floating-point pipeline is tested
+against.
 """
 
 from __future__ import annotations
@@ -11,12 +13,6 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .geometry import Rect
-
-
-def _frac(v) -> Fraction:
-    # Fraction(float) is the exact binary value, which is what we want for
-    # rectangle endpoints coming in as floats.
-    return Fraction(v)
 
 
 class RationalPoly1:
@@ -30,7 +26,7 @@ class RationalPoly1:
             i = int(i)
             if i < 0:
                 raise ValueError(f"negative exponent {i}")
-            fv = clean.get(i, Fraction(0)) + _frac(v)
+            fv = clean.get(i, Fraction(0)) + Fraction(v)
             if fv:
                 clean[i] = fv
             elif i in clean:
@@ -47,12 +43,12 @@ class RationalPoly1:
         return isinstance(other, RationalPoly1) and self.coeffs == other.coeffs
 
     def eval_exact(self, t) -> Fraction:
-        t = _frac(t)
+        t = Fraction(t)
         return sum((c * t**i for i, c in self.coeffs.items()), Fraction(0))
 
     def integral(self, lo, hi) -> Fraction:
         """Exact antiderivative evaluation over [lo, hi]."""
-        lo, hi = _frac(lo), _frac(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
         total = Fraction(0)
         for i, c in self.coeffs.items():
             total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
@@ -74,7 +70,7 @@ class RationalPoly2:
             i, j = int(i), int(j)
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent pair ({i}, {j})")
-            fv = clean.get((i, j), Fraction(0)) + _frac(v)
+            fv = clean.get((i, j), Fraction(0)) + Fraction(v)
             if fv:
                 clean[(i, j)] = fv
             elif (i, j) in clean:
@@ -105,11 +101,11 @@ class RationalPoly2:
         return RationalPoly2(out)
 
     def scale(self, factor) -> "RationalPoly2":
-        f = _frac(factor)
+        f = Fraction(factor)
         return RationalPoly2({k: f * v for k, v in self.terms.items()})
 
     def eval_exact(self, x, y) -> Fraction:
-        x, y = _frac(x), _frac(y)
+        x, y = Fraction(x), Fraction(y)
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()), Fraction(0))
 
     def mixed_partial(self) -> "RationalPoly2":
@@ -122,7 +118,7 @@ class RationalPoly2:
 
     def substitute_x(self, value) -> RationalPoly1:
         """Restrict to the vertical line x = value (polynomial in y)."""
-        v = _frac(value)
+        v = Fraction(value)
         out: dict[int, Fraction] = {}
         for (i, j), c in self.terms.items():
             out[j] = out.get(j, Fraction(0)) + c * v**i
@@ -130,7 +126,7 @@ class RationalPoly2:
 
     def substitute_y(self, value) -> RationalPoly1:
         """Restrict to the horizontal line y = value (polynomial in x)."""
-        v = _frac(value)
+        v = Fraction(value)
         out: dict[int, Fraction] = {}
         for (i, j), c in self.terms.items():
             out[i] = out.get(i, Fraction(0)) + c * v**j
@@ -138,7 +134,7 @@ class RationalPoly2:
 
     def compose_affine(self, x0, x1, y0, y1) -> "RationalPoly2":
         """Exact substitution x <- x0 + x1*u, y <- y0 + y1*v."""
-        x0, x1, y0, y1 = map(_frac, (x0, x1, y0, y1))
+        x0, x1, y0, y1 = map(Fraction, (x0, x1, y0, y1))
         out: dict[tuple[int, int], Fraction] = {}
         for (i, j), c in self.terms.items():
             xs = _affine_power(x0, x1, i)
@@ -180,7 +176,7 @@ def _affine_power(c0: Fraction, c1: Fraction, n: int) -> list[Fraction]:
 
 def poly_integral_2d_exact(p: RationalPoly2, r: Rect) -> Fraction:
     """Exact iterated integral of p over the rectangle r."""
-    a, b, c, d = map(_frac, (r.a, r.b, r.c, r.d))
+    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
     total = Fraction(0)
     for (i, j), coeff in p.terms.items():
         total += (
@@ -193,14 +189,10 @@ def poly_integral_2d_exact(p: RationalPoly2, r: Rect) -> Fraction:
     return total
 
 
-def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:
-    """Exact corner average + double-integral mean - A, where A is half the
-    sum of the four edge means (twice their average).
-
-    This is the signed trapezoid deviation the identity and all the bounds
-    are about, computed without any floating point.
-    """
-    a, b, c, d = map(_frac, (r.a, r.b, r.c, r.d))
+def deviation_parts(p: RationalPoly2, r: Rect) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact corner average, double-integral mean and edge term A over r,
+    where A is half the sum of the four edge means (twice their average)."""
+    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
     corner = (
         p.eval_exact(a, c) + p.eval_exact(a, d) + p.eval_exact(b, c) + p.eval_exact(b, d)
     ) / 4
@@ -208,6 +200,16 @@ def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:
     gx = p.substitute_y(c) + p.substitute_y(d)
     gy = p.substitute_x(a) + p.substitute_x(b)
     marginal = (gx.integral(a, b) / (b - a) + gy.integral(c, d) / (d - c)) / 2
+    return corner, mean, marginal
+
+
+def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:
+    """Exact corner average + double-integral mean - A (deviation_parts).
+
+    This is the signed trapezoid deviation the identity and all the bounds
+    are about, computed without any floating point.
+    """
+    corner, mean, marginal = deviation_parts(p, r)
     return corner + mean - marginal
 
 
@@ -223,7 +225,7 @@ def identity_residual_exact(p: RationalPoly2, r: Rect) -> Fraction:
     square; no absolute values appear, so the integrand stays polynomial.
     Returns deviation - rhs, which is exactly 0 for every polynomial.
     """
-    a, b, c, d = map(_frac, (r.a, r.b, r.c, r.d))
+    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
     deviation = deviation_exact(p, r)
     composed = p.mixed_partial().compose_affine(b, a - b, d, c - d)
     kernel = RationalPoly2({(0, 0): 1, (1, 0): -2}) * RationalPoly2({(0, 0): 1, (0, 1): -2})

@@ -32,8 +32,6 @@ from .geometry import Rect
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
-PANEL_DEGREE = 2 * len(_GL_NODES) - 1
-
 
 @dataclass(frozen=True)
 class Tolerance:

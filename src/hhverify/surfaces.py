@@ -34,13 +34,15 @@ class Surface:
     scalars (all the built-in corpus entries do): quadrature and the
     membership refuters evaluate it on whole arrays of points.  ``d2f`` is
     the analytic mixed partial d^2 f / dx dy, or None to fall back to a
-    finite-difference stencil.
+    finite-difference stencil.  ``poly`` is set only by poly_surface: the
+    exact polynomial, of which ``f`` and ``d2f`` are the float evaluators.
     """
 
     name: str
     domain: Rect
     f: Callable
     d2f: Callable | None = None
+    poly: RationalPoly2 | None = None
 
     @property
     def d2f_kind(self) -> str:
@@ -134,13 +136,13 @@ def poly_surface(name: str, poly: RationalPoly2, domain: Rect) -> Surface:
         domain=domain,
         f=poly.to_float_fn(),
         d2f=poly.mixed_partial().to_float_fn(),
+        poly=poly,
     )
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
     surface: Surface
-    poly: RationalPoly2 | None  # exact representation when one exists
     formula: str
 
 
@@ -151,8 +153,7 @@ def _build_corpus() -> dict[str, CorpusEntry]:
     entries: dict[str, CorpusEntry] = {}
 
     def add_poly(name, terms, formula):
-        poly = RationalPoly2(terms)
-        entries[name] = CorpusEntry(poly_surface(name, poly, _WIDE), poly, formula)
+        entries[name] = CorpusEntry(poly_surface(name, RationalPoly2(terms), _WIDE), formula)
 
     add_poly("xy", {(1, 1): 1}, "x*y")
     add_poly("x2y2", {(2, 2): 1}, "x^2*y^2")
@@ -168,7 +169,7 @@ def _build_corpus() -> dict[str, CorpusEntry]:
         f=lambda x, y: np.exp(x + y),
         d2f=lambda x, y: np.exp(x + y),
     )
-    entries["exp_sum"] = CorpusEntry(exp_sum, None, "exp(x+y)")
+    entries["exp_sum"] = CorpusEntry(exp_sum, "exp(x+y)")
     return entries
 
 

@@ -5,7 +5,22 @@ package's Gauss-Legendre machinery (different rule family), so agreement is
 meaningful evidence rather than a tautology.
 """
 
+from fractions import Fraction
+
 import mpmath
+
+from hhverify import RationalPoly2
+
+
+def random_poly(rng, degree=6):
+    """Up to 9 random terms x^i y^j, i, j <= degree, with small rational
+    coefficients."""
+    terms = {}
+    for _ in range(int(rng.integers(1, 10))):
+        i = int(rng.integers(0, degree + 1))
+        j = int(rng.integers(0, degree + 1))
+        terms[(i, j)] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+    return RationalPoly2(terms)
 
 
 def tanh_sinh_1d(g, lo, hi, dps=30, splits=()):

@@ -38,7 +38,7 @@ from hhverify import (
     margin_class_first,
 )
 from hhverify import cli
-from hhverify.cli import abs_mixed_surface
+from hhverify.convexity import abs_mixed_surface
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 PLAN = SamplingPlan()  # the default 9 / 10000 plan

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from support import rel_close, tanh_sinh_1d
+from support import random_poly, rel_close, tanh_sinh_1d
 
 from hhverify import (
     AS_WRITTEN,
@@ -13,6 +15,7 @@ from hhverify import (
     GenParams,
     OutOfDomainError,
     ParameterError,
+    RationalPoly2,
     Rect,
     Surface,
     Tolerance,
@@ -29,8 +32,10 @@ from hhverify import (
     identity_report,
     integrate_1d,
     kink_moment,
+    poly_surface,
 )
 from hhverify import bounds
+from hhverify.oracle import deviation_parts
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 CLASSICAL_P = GenParams()
@@ -105,12 +110,58 @@ def test_deviation_constant():
 
 
 def test_deviation_matches_exact_oracle_on_polynomials():
+    # Without its polynomial the surface takes the quadrature path, which is
+    # what this checks against the oracle.
     for name, entry in corpus().items():
-        if entry.poly is None:
+        poly = entry.surface.poly
+        if poly is None:
             continue
-        dev = deviation_terms(entry.surface, RECT01)
-        exact = float(deviation_exact(entry.poly, RECT01))
+        dev = deviation_terms(dataclasses.replace(entry.surface, poly=None), RECT01)
+        exact = float(deviation_exact(poly, RECT01))
         assert abs(dev.signed_deviation - exact) <= dev.error_budget + 1e-13, name
+
+
+def _covers_exact_values(dev, parts):
+    """Each rounded field lies within its budget of its exact value."""
+    corner, mean, marginal = parts
+    return (
+        abs(Fraction(dev.signed_deviation) - (corner + mean - marginal)) <= Fraction(dev.error_budget)
+        and abs(Fraction(dev.integral_mean) - mean) <= Fraction(dev.integral_budget)
+        and abs(Fraction(dev.marginal_a) / 2 - marginal / 2) <= Fraction(dev.marginal_budget) / 2
+    )
+
+
+def test_poly_surface_deviation_is_exact_within_one_rounding():
+    rng = np.random.default_rng(11)
+    zero_budget_misses = 0
+    for _ in range(60):
+        poly = random_poly(rng, int(rng.integers(0, 7)))
+        a, c = (float(v) for v in rng.uniform(-3.0, 2.0, size=2))
+        r = Rect(a, a + float(rng.uniform(0.01, 2.0)), c, c + float(rng.uniform(0.01, 2.0)))
+        dev = deviation_terms(poly_surface("p", poly, Rect(-8, 8, -8, 8)), r)
+        assert dev.signed_deviation == float(deviation_exact(poly, r))
+        parts = deviation_parts(poly, r)
+        assert dev.corner_avg == float(parts[0])
+        assert _covers_exact_values(dev, parts)
+        zero = dataclasses.replace(dev, integral_budget=0.0, marginal_budget=0.0)
+        zero_budget_misses += not _covers_exact_values(zero, parts)
+    assert zero_budget_misses >= 40, zero_budget_misses
+
+
+def test_budgets_cover_the_deviation_rounding_when_the_means_are_exact():
+    # Legendre P2(x) P2(y) / 3 on [0,1]^2: the double mean and edge means are
+    # exactly 0 and the corners 1/3, so only the budgets' share for
+    # signed_deviation covers the rounding of 1/3.
+    p2 = {(2, 0): 6, (1, 0): -6, (0, 0): 1}
+    poly = RationalPoly2({k: Fraction(v, 3) for k, v in p2.items()}) * RationalPoly2(
+        {(j, i): v for (i, j), v in p2.items()}
+    )
+    dev = deviation_terms(poly_surface("p2p2", poly, Rect(-8, 8, -8, 8)), RECT01)
+    assert (dev.integral_mean, dev.marginal_a, dev.signed_deviation) == (0.0, 0.0, 1.0 / 3.0)
+    parts = deviation_parts(poly, RECT01)
+    assert _covers_exact_values(dev, parts)
+    zero = dataclasses.replace(dev, integral_budget=0.0, marginal_budget=0.0)
+    assert not _covers_exact_values(zero, parts)
 
 
 # ------------------------------------------------------------------- identity
@@ -447,7 +498,7 @@ def test_bound_validity_smoke():
     """Membership-passing (surface, params) pairs must satisfy the proof-form
     bounds.  The acceptance suite runs the full grid; this is a spot check."""
     from hhverify import NO_VIOLATION, SamplingPlan, check_class_first
-    from hhverify.cli import abs_mixed_surface
+    from hhverify.convexity import abs_mixed_surface
 
     plan = SamplingPlan(grid_per_axis=5, random_trials=2000, seed=0)
     cases = [

@@ -19,6 +19,7 @@ from hhverify import (
     bound_power_mean,
     corpus,
     deviation_terms,
+    get_surface,
 )
 from hhverify import bounds, cli
 
@@ -270,9 +271,10 @@ def test_corner_magnitudes_once_per_m_pair(tmp_path, monkeypatch, command):
 
 
 def test_verify_integrates_at_most_six_times_per_surface(tmp_path, monkeypatch):
-    """deviation_terms (3), the identity's right side (1) and the chain's two
-    mid-lines (2): the chain reads its double and edge means from the
-    deviation."""
+    """exp_sum: deviation_terms (3), the identity's right side (1) and the
+    chain's two mid-lines (2), the chain reading its double and edge means
+    from the deviation.  A polynomial surface takes its deviation from the
+    exact oracle, so only the identity and the mid-lines integrate."""
     calls = Counter()
 
     def counting(name, fn):
@@ -284,10 +286,13 @@ def test_verify_integrates_at_most_six_times_per_surface(tmp_path, monkeypatch):
 
     for name in ("integrate_1d", "integrate_2d"):
         monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
-    surfaces = ["x2y2", "exp_sum"]
-    cfgfile = write_config(tmp_path, surfaces=surfaces, output_dir=str(tmp_path / "o"))
-    assert cli.main(["verify", "--config", str(cfgfile)]) == 0
-    assert sum(calls.values()) <= 6 * len(surfaces), calls
+    deviation_terms(get_surface("x2y2"), Rect(0.0, 1.0, 0.0, 1.0))
+    assert sum(calls.values()) == 0, calls
+    for surface, expected in (("x2y2", 3), ("exp_sum", 6)):
+        calls.clear()
+        cfgfile = write_config(tmp_path, surfaces=[surface], output_dir=str(tmp_path / surface))
+        assert cli.main(["verify", "--config", str(cfgfile)]) == 0
+        assert sum(calls.values()) == expected, (surface, calls)
 
 
 def _rigged_direct(s, r, p, variant=PROOF_FORM, tol=None, dev=None, mags=None):

@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import random_poly
+
 from hhverify import (
     RationalPoly1,
     RationalPoly2,
@@ -77,15 +79,6 @@ def test_identity_sides_x2y2():
     assert deviation_exact(XY, RECT01) == 0
 
 
-def _random_poly(rng, degree=6):
-    terms = {}
-    for _ in range(int(rng.integers(1, 10))):
-        i = int(rng.integers(0, degree + 1))
-        j = int(rng.integers(0, degree + 1))
-        terms[(i, j)] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-    return RationalPoly2(terms)
-
-
 def _random_rect(rng):
     def frac(v):
         return Fraction(int(v), int(rng.integers(1, 5)))
@@ -104,7 +97,7 @@ def test_identity_residual_exact_randomized():
     """
     rng = np.random.default_rng(2024)
     for _ in range(30):
-        poly = _random_poly(rng)
+        poly = random_poly(rng)
         rect = _random_rect(rng)
         assert identity_residual_exact(poly, rect) == 0
 
@@ -112,7 +105,7 @@ def test_identity_residual_exact_randomized():
 def test_float_quadrature_agrees_with_oracle():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        poly = _random_poly(rng, degree=4)
+        poly = random_poly(rng, degree=4)
         rect = _random_rect(rng)
         exact = float(poly_integral_2d_exact(poly, rect))
         q = integrate_2d(poly.to_float_fn(), rect)
@@ -152,7 +145,7 @@ def test_poly_terms_are_reduced(p):
 def test_compose_affine_matches_direct_eval():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        poly = _random_poly(rng, degree=4)
+        poly = random_poly(rng, degree=4)
         x0, x1, y0, y1 = (Fraction(int(rng.integers(-3, 4)), 2) for _ in range(4))
         composed = poly.compose_affine(x0, x1, y0, y1)
         for u, v in ((Fraction(0), Fraction(1)), (Fraction(1, 3), Fraction(2, 5))):

@@ -90,13 +90,13 @@ def test_fd_agreement_over_corpus():
 def test_poly_backed_eval_matches_exact():
     rng = np.random.default_rng(3)
     for name, entry in corpus().items():
-        if entry.poly is None:
-            continue
         s = entry.surface
+        if s.poly is None:
+            continue
         for _ in range(20):
             x = float(rng.uniform(-3, 3))
             y = float(rng.uniform(-3, 3))
-            exact = float(entry.poly.eval_exact(Fraction(x), Fraction(y)))
+            exact = float(s.poly.eval_exact(Fraction(x), Fraction(y)))
             got = float(s.f(x, y))
             assert abs(got - exact) <= 1e-14 * (1.0 + abs(exact))
 
