@@ -2,16 +2,19 @@
 
 Subcommands
 -----------
-verify     run the selected checks over surfaces x parameter grid, write one
-           CSV row per report plus a JSON summary.
-hunt       generate random nonneg-coefficient polynomial surfaces and sweep
-           parameters looking for cases where an as-written bound falls below
-           the verified left side.
+verify     run the selected checks over the corpus surfaces x parameter grid,
+           write one CSV row per report plus a JSON summary.
+hunt       sweep the bounds of random nonneg-coefficient polynomial surfaces,
+           looking for a bound violated under a clean hypothesis: a finding.
 corpus     list registered surfaces.
 constants  print the kink-moment table over a theta grid.
 
-Exit codes: 0 clean; 1 a proof-form bound was violated on an input whose
-membership refuter found no violation (an acceptance failure); 2 usage or
+verify and hunt are one driver, ``_run``, fed by a surface source (the
+corpus names, or seeded random polynomials); each surface goes through one
+routine, ``_sweep_surface``, and both summaries list findings in one shape.
+
+Exit codes: 0 clean; 1 a proof-form row is a finding: violated while the
+refuter finds its hypothesis clean (an acceptance failure); 2 usage or
 configuration error.
 
 Reports are deterministic for a given config and seed: each row is a tuple
@@ -29,7 +32,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -118,15 +121,20 @@ def _as_list(value, name):
     return value
 
 
-def _number(kind, value, name):
+def _number(kind, value, name, minimum=None):
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a number, not {value!r}") from exc
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, not {number!r}")
+    return number
 
 
-def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM,)) -> RunConfig:
-    """Validate a parsed config mapping and apply CLI overrides."""
+def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConfig:
+    """Validate a parsed config mapping for ``command`` and apply CLI
+    overrides.  Only ``verify`` reads the corpus surfaces, so only it needs
+    the rectangle inside their domains."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     known = {
@@ -155,6 +163,11 @@ def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM
         rect = Rect(*map(float, rect_raw))
     except (ParameterError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad rect: {exc}") from exc
+    if command == "verify":
+        for n in names:
+            domain = registry[n].surface.domain
+            if not domain.contains_rect(rect):
+                raise ConfigError(f"rect {rect} leaves the domain {domain} of surface {n!r}")
 
     grid_raw = raw.get("param_grid", {})
     if not isinstance(grid_raw, dict):
@@ -169,7 +182,7 @@ def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM
             raise ConfigError(f"no parameters to sweep: param_grid.{key} is empty")
         grid[key] = [_number(float, v, f"param_grid.{key}") for v in values]
 
-    variants = raw.get("variants", list(default_variants))
+    variants = raw.get("variants", [PROOF_FORM] if command == "verify" else list(VARIANTS))
     variants = _as_list(variants, "variants")
     for v in variants:
         if v not in VARIANTS:
@@ -181,17 +194,17 @@ def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM
         if c not in ALL_CHECKS:
             raise ConfigError(f"unknown check {c!r}; expected subset of {ALL_CHECKS}")
 
-    run_seed = _number(int, raw.get("seed", 0), "seed") if seed is None else int(seed)
+    run_seed = _number(int, raw.get("seed", 0) if seed is None else seed, "seed", minimum=0)
 
     plan_raw = raw.get("plan", {})
     if not isinstance(plan_raw, dict):
         raise ConfigError("plan must be an object")
     try:
         plan = SamplingPlan(
-            grid_per_axis=int(plan_raw.get("grid_per_axis", 9)),
-            random_trials=int(plan_raw.get("random_trials", 10000)),
-            seed=int(plan_raw.get("seed", run_seed)),
-            tolerance=float(plan_raw.get("tolerance", 1e-9)),
+            grid_per_axis=_number(int, plan_raw.get("grid_per_axis", 9), "plan.grid_per_axis"),
+            random_trials=_number(int, plan_raw.get("random_trials", 10000), "plan.random_trials"),
+            seed=_number(int, plan_raw.get("seed", run_seed), "plan.seed"),
+            tolerance=_number(float, plan_raw.get("tolerance", 1e-9), "plan.tolerance"),
         )
     except ValueError as exc:
         raise ConfigError(f"bad plan: {exc}") from exc
@@ -211,8 +224,8 @@ def build_config(raw: dict, *, seed=None, out=None, default_variants=(PROOF_FORM
         plan=plan,
         output_dir=Path(out_dir),
         seed=run_seed,
-        hunt_count=_number(int, hunt_raw.get("count", 20), "hunt.count"),
-        hunt_degree=_number(int, hunt_raw.get("degree", 4), "hunt.degree"),
+        hunt_count=_number(int, hunt_raw.get("count", 20), "hunt.count", minimum=0),
+        hunt_degree=_number(int, hunt_raw.get("degree", 4), "hunt.degree", minimum=0),
     )
     param_combos(cfg.param_grid)  # validates every grid cell
     return cfg
@@ -310,17 +323,8 @@ def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) 
         fh.write("\n")
 
 
-def _work_block(work: Counter, sweep: MembershipSweep) -> dict:
-    """Deterministic counts of the refuter work done in a run."""
-    return {
-        "membership_reports": work["membership_reports"],
-        "batched_evaluations": work["batched_evaluations"],
-        "samples_per_report": len(sweep.samples[0]),
-    }
-
-
 # --------------------------------------------------------------------------
-# the bound sweep shared by verify and hunt
+# the bound sweep
 
 
 def _hypothesis_params(kind: str, p: GenParams) -> GenParams:
@@ -328,12 +332,6 @@ def _hypothesis_params(kind: str, p: GenParams) -> GenParams:
     needs plain co-ordinated convexity of |d2f|, the others first-sense
     membership of |d2f|^q at p."""
     return CLASSICAL_PARAMS if kind == CLASSICAL else p
-
-
-def _hypothesis_reports(sweep: MembershipSweep, s, params, work) -> dict:
-    """Hypothesis membership reports of s, keyed by the given parameters."""
-    params = list(dict.fromkeys(params))
-    return dict(zip(params, sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True, work=work)))
 
 
 def _applicable_kinds(checks, q: float):
@@ -378,98 +376,113 @@ def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
 
 
 # --------------------------------------------------------------------------
-# verify
+# one run: a surface source, one routine per surface, one report
 
 
 NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-def _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work) -> list:
-    """Append the rows of one surface to ``files``; returns its proof-form
-    failures as (surface, kind, params)."""
-    rect = cfg.rect
-    any_bound = any(c in cfg.checks for c in BOUND_KINDS)
-    needs_dev = any_bound or "identity" in cfg.checks or "chain" in cfg.checks
+def _sweep_surface(name, s, cfg, combos, param_cols, sweep, work, files, bound_file) -> list:
+    """Append the rows of one surface to ``files`` and return its findings:
+    the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
+    A ``bound_file`` with a ``hypothesis`` column refutes every evaluated
+    cell, any other only the violated proof-form cells, in one batched call."""
+    rect, checks = cfg.rect, cfg.checks
+    needs_dev = any(c in checks for c in (*BOUND_KINDS, "identity", "chain"))
     dev = deviation_terms(s, rect) if needs_dev else None
-    if "identity" in cfg.checks:
+    if "identity" in checks:
         rep = identity_report(s, rect, dev=dev)
         within = abs(rep.residual) <= rep.error_budget
         files["identity"].append((name, _fmt(rep.residual), _fmt(rep.error_budget), _fmt(within)))
-    if "chain" in cfg.checks:
+    if "chain" in checks:
         chain = hh_chain_2d(s, rect, dev=dev)
         cols = (*chain.values, chain.monotone, chain.worst_gap, chain.error_budget)
         files["chains"].append((name, *map(_fmt, cols)))
-
-    violations = []  # (kind, params) for violated proof-form rows
-    if any_bound:
-        for kind, p, variant, rep in _bound_sweep(s, rect, combos, cfg.checks, cfg.variants, dev):
-            files["bounds"].append(_bound_row(name, kind, variant, param_cols[p], rep))
-            if rep is not None and rep.verdict == BOUND_VIOLATED and variant == PROOF_FORM:
-                violations.append((kind, p))
-
-    if "membership" in cfg.checks:
+    if "membership" in checks:
         cells = [(FIRST, CLASSICAL_PARAMS)] + [(sense, p) for p in combos for sense in NOTIONS]
-        reports = sweep.reports(s, cells, work=work)
-        files["membership"].append(
-            _membership_row(name, "f", "coordinated", param_cols[CLASSICAL_PARAMS], reports[0])
-        )
-        for (sense, p), rep in zip(cells[1:], reports[1:]):
-            files["membership"].append(_membership_row(name, "f", NOTIONS[sense], param_cols[p], rep))
+        notions = ["coordinated"] + [NOTIONS[sense] for sense, _ in cells[1:]]
+        for (_, p), notion, rep in zip(cells, notions, sweep.reports(s, cells, work=work)):
+            files["membership"].append(_membership_row(name, "f", notion, param_cols[p], rep))
 
-    hyps = _hypothesis_reports(sweep, s, (_hypothesis_params(k, p) for k, p in violations), work)
-    failing = []
-    for kind, p in violations:
-        hyp = hyps[_hypothesis_params(kind, p)]
-        if hyp is not None and hyp.verdict == NO_VIOLATION:
-            failing.append((name, kind, p))
-    return failing
+    swept = list(_bound_sweep(s, rect, combos, checks, cfg.variants, dev))
+    every = "hypothesis" in HEADERS[bound_file]
+    keys = [  # where each row's hypothesis is refuted, None where it is not
+        _hypothesis_params(kind, p)
+        if rep is not None and (every or (variant == PROOF_FORM and rep.verdict == BOUND_VIOLATED))
+        else None
+        for kind, p, variant, rep in swept
+    ]
+    params = [p for p in dict.fromkeys(keys) if p is not None]
+    hyps = dict(zip(params, sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True, work=work)))
+    findings = []
+    for (kind, p, variant, rep), key in zip(swept, keys):
+        hyp = hyps.get(key)
+        hypothesis = SKIPPED if hyp is None else hyp.verdict
+        row = _bound_row(name, kind, variant, param_cols[p], rep)
+        files[bound_file].append(row + (hypothesis,) if every else row)
+        if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
+            finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
+            findings.append(finding | {k: getattr(p, k) for k in PARAM_KEYS})
+    return findings
 
 
-def run_verify(cfg: RunConfig) -> int:
-    """Execute the configured checks; returns the process exit code."""
+def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys) -> int:
+    """Sweep every (name, surface) of the source ``surfaces`` and write the
+    report: the rows, and a summary of the shared keys plus those
+    ``own_keys(files, findings)`` returns.  Returns the exit code, 1 when a
+    proof-form row is a finding."""
     t0 = time.time()
     combos = param_combos(cfg.param_grid)
-    registry = corpus()
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     sweep = MembershipSweep(cfg.rect, cfg.plan)
-
-    files = {"bounds": [], "membership": [], "chains": [], "identity": []}
+    files = {bound_file: [], "membership": [], "chains": [], "identity": []}
     work = Counter()
     param_cols = _param_cols(combos)
-    failing = []
-    for name in cfg.surfaces:
-        s = registry[name].surface
-        failing += _verify_surface(name, s, cfg, combos, param_cols, sweep, files, work)
+    findings = []
+    for name, s in surfaces:
+        findings += _sweep_surface(name, s, cfg, combos, param_cols, sweep, work, files, bound_file)
 
-    slacks = [float(v) for v in _column(files, "bounds", "slack") if v]  # "" on skipped rows
+    failing = [f for f in findings if f["variant"] == PROOF_FORM]
     exit_code = 1 if failing else 0
-    chain_counts = Counter(_column(files, "chains", "monotone"))
-    identity_counts = Counter(_column(files, "identity", "within_budget"))
     summary = {
-        "counts": {
-            "bounds": Counter(_column(files, "bounds", "verdict")),
-            "membership": Counter(_column(files, "membership", "verdict")),
-            "chains": {
-                "monotone": chain_counts["true"],
-                "non-monotone": chain_counts["false"],
-            },
-            "identity": {
-                "within-budget": identity_counts["true"],
-                "out-of-budget": identity_counts["false"],
-            },
-        },
-        "worst_slack": min(slacks) if slacks else None,
-        "proof_form_failures": [
-            {"surface": n, "theorem": k, **{key: getattr(p, key) for key in PARAM_KEYS}}
-            for n, k, p in failing
-        ],
+        **own_keys(files, findings),
+        "proof_form_failures": failing,
         "rows": sum(len(v) for v in files.values()),
-        "work": _work_block(work, sweep),
+        "work": {  # deterministic counts of the refuter work, no timings
+            "membership_reports": work["membership_reports"],
+            "batched_evaluations": work["batched_evaluations"],
+            "samples_per_report": len(sweep.samples[0]),
+        },
         "wall_time_s": round(time.time() - t0, 3),
         "exit_code": exit_code,
     }
-    _write_report(cfg.output_dir, files, "summary.json", summary)
+    _write_report(cfg.output_dir, files, summary_name, summary)
     return exit_code
+
+
+def run_verify(cfg: RunConfig) -> int:
+    """Run the configured checks on the corpus surfaces; returns the exit code."""
+
+    def own_keys(files, findings):
+        slacks = [float(v) for v in _column(files, "bounds", "slack") if v]  # "" on skipped rows
+        chain_counts = Counter(_column(files, "chains", "monotone"))
+        identity_counts = Counter(_column(files, "identity", "within_budget"))
+        return {
+            "counts": {
+                "bounds": Counter(_column(files, "bounds", "verdict")),
+                "membership": Counter(_column(files, "membership", "verdict")),
+                "chains": {"monotone": chain_counts["true"], "non-monotone": chain_counts["false"]},
+                "identity": {
+                    "within-budget": identity_counts["true"],
+                    "out-of-budget": identity_counts["false"],
+                },
+            },
+            "worst_slack": min(slacks) if slacks else None,
+        }
+
+    registry = corpus()
+    surfaces = ((name, registry[name].surface) for name in cfg.surfaces)
+    return _run(cfg, surfaces, "bounds", "summary.json", own_keys)
 
 
 # --------------------------------------------------------------------------
@@ -508,59 +521,28 @@ def _hunt_domain(rect: Rect, combos) -> Rect:
 
 
 def run_hunt(cfg: RunConfig) -> int:
-    """Sweep random polynomial surfaces hunting for as-written bound failures."""
-    t0 = time.time()
+    """Sweep the bounds of random polynomial surfaces, hunting for
+    as-written bound failures under a clean hypothesis."""
     if AS_WRITTEN not in cfg.variants:
         raise ConfigError("hunt requires the as-written variant to be enabled")
-    combos = param_combos(cfg.param_grid)
     kinds = [c for c in cfg.checks if c in BOUND_KINDS] or list(BOUND_KINDS)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
-    domain = _hunt_domain(cfg.rect, combos)
-    sweep = MembershipSweep(cfg.rect, cfg.plan)
-    work = Counter()
-    hyp_params = [CLASSICAL_PARAMS] if CLASSICAL in kinds else []
-    hyp_params += [p for p in combos if _applicable_kinds(kinds, p.q)]
-    param_cols = _param_cols(combos)
+    cfg = replace(cfg, checks=kinds)
 
-    rows = []
-    findings = []
-    for k in range(cfg.hunt_count):
-        poly = _random_nonneg_poly(rng, cfg.hunt_degree)
-        name = f"hunt-{k:03d}"
-        s = poly_surface(name, poly, domain)
-        dev = deviation_terms(s, cfg.rect)
-        hyps = _hypothesis_reports(sweep, s, hyp_params, work)
-        for kind, p, variant, rep in _bound_sweep(s, cfg.rect, combos, kinds, cfg.variants, dev):
-            hyp = None if rep is None else hyps[_hypothesis_params(kind, p)]
-            hypothesis = SKIPPED if hyp is None else hyp.verdict
-            rows.append(_bound_row(name, kind, variant, param_cols[p], rep) + (hypothesis,))
-            if rep is not None and rep.verdict == BOUND_VIOLATED and hypothesis == NO_VIOLATION:
-                findings.append(
-                    {
-                        "surface": name,
-                        "theorem": kind,
-                        "variant": variant,
-                        **{key: getattr(p, key) for key in PARAM_KEYS},
-                        "lhs": rep.lhs,
-                        "rhs": rep.rhs,
-                    }
-                )
+    def surfaces():
+        rng = np.random.default_rng(cfg.seed)
+        domain = _hunt_domain(cfg.rect, param_combos(cfg.param_grid))
+        for k in range(cfg.hunt_count):
+            name = f"hunt-{k:03d}"
+            yield name, poly_surface(name, _random_nonneg_poly(rng, cfg.hunt_degree), domain)
 
-    failing = [f for f in findings if f["variant"] == PROOF_FORM]
-    exit_code = 1 if failing else 0
-    summary = {
-        "surfaces_generated": cfg.hunt_count,
-        "degree": cfg.hunt_degree,
-        "rows": len(rows),
-        "as_written_findings": [f for f in findings if f["variant"] == AS_WRITTEN],
-        "proof_form_failures": failing,
-        "work": _work_block(work, sweep),
-        "wall_time_s": round(time.time() - t0, 3),
-        "exit_code": exit_code,
-    }
-    _write_report(cfg.output_dir, {"hunt": rows}, "hunt_summary.json", summary)
-    return exit_code
+    def own_keys(files, findings):
+        return {
+            "surfaces_generated": cfg.hunt_count,
+            "degree": cfg.hunt_degree,
+            "as_written_findings": [f for f in findings if f["variant"] == AS_WRITTEN],
+        }
+
+    return _run(cfg, surfaces(), "hunt", "hunt_summary.json", own_keys)
 
 
 # --------------------------------------------------------------------------
@@ -613,13 +595,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--points must be >= 1")
             print_constants(args.points)
             return 0
-        defaults = (PROOF_FORM,) if args.command == "verify" else VARIANTS
-        cfg = load_config(
-            args.config,
-            seed=args.seed,
-            out=args.out,
-            default_variants=defaults,
-        )
+        cfg = load_config(args.config, seed=args.seed, out=args.out, command=args.command)
         if args.command == "verify":
             return run_verify(cfg)
         return run_hunt(cfg)

@@ -43,8 +43,10 @@ class SamplingPlan:
             raise ValueError("grid_per_axis must be >= 2")
         if self.random_trials < 0:
             raise ValueError("random_trials must be >= 0")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 0 <= self.tolerance < float("inf"):  # NaN or inf would pass every margin
+            raise ValueError("tolerance must be finite and >= 0")
 
 
 DEFAULT_PLAN = SamplingPlan()

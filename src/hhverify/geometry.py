@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import OutOfDomainError, ParameterError
@@ -9,7 +10,7 @@ from .errors import OutOfDomainError, ParameterError
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle [a, b] x [c, d] with a < b and c < d (strict)."""
+    """Axis-aligned rectangle [a, b] x [c, d] with finite a < b and c < d (strict)."""
 
     a: float
     b: float
@@ -17,6 +18,8 @@ class Rect:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.d))):
+            raise ParameterError(f"non-finite rectangle [{self.a}, {self.b}] x [{self.c}, {self.d}]")
         if not (self.a < self.b and self.c < self.d):
             raise ParameterError(
                 f"degenerate rectangle [{self.a}, {self.b}] x [{self.c}, {self.d}]"

@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hhverify import (
@@ -22,6 +23,7 @@ from hhverify import (
     get_surface,
 )
 from hhverify import bounds, cli
+from hhverify.convexity import MembershipSweep
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -75,6 +77,43 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
     cfgfile = write_config(tmp_path, output_dir=str(tmp_path / "o"), **overrides)
     assert cli.main([command, "--config", str(cfgfile)]) == 2
     assert "must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, flags, message",
+    [
+        ("verify", {"seed": -1}, [], "seed must be >= 0"),
+        ("hunt", {}, ["--seed", "-1"], "seed must be >= 0"),
+        ("verify", {"plan": {"seed": -2}}, [], "seed must be >= 0"),
+        ("verify", {"plan": {"grid_per_axis": None}}, [], "plan.grid_per_axis must be a number"),
+        ("verify", {"plan": {"tolerance": None}}, [], "plan.tolerance must be a number"),
+        ("verify", {"plan": {"tolerance": float("nan")}}, [], "tolerance must be finite"),
+        ("hunt", {"hunt": {"degree": -1}}, [], "hunt.degree must be >= 0"),
+        ("hunt", {"hunt": {"count": -3}}, [], "hunt.count must be >= 0"),
+        ("verify", {"rect": [0.0, 1.0, 0.0, float("inf")]}, [], "non-finite rectangle"),
+        ("hunt", {"rect": [float("-inf"), 1.0, 0.0, 1.0]}, [], "non-finite rectangle"),
+        (
+            "verify", {"surfaces": ["xy"], "rect": [0.0, 10.0, 0.0, 1.0]}, [],
+            "leaves the domain [-8.0, 8.0] x [-8.0, 8.0] of surface 'xy'",
+        ),
+    ],
+)
+def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):
+    """A config value the schema rejects ends in exit code 2 and an error
+    line, not a traceback, and writes no report."""
+    out = tmp_path / "o"
+    cfgfile = write_config(tmp_path, output_dir=str(out), **overrides)
+    assert cli.main([command, "--config", str(cfgfile), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
+def test_hunt_rect_may_leave_the_corpus_domains(tmp_path):
+    """hunt generates its own surfaces on a domain around the rectangle, so a
+    rectangle outside every corpus domain is no error there."""
+    cfgfile = write_config(tmp_path, rect=[0.0, 10.0, 0.0, 1.0], hunt={"count": 1, "degree": 2})
+    assert cli.main(["hunt", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_bad_variant_rejected(tmp_path):
@@ -310,21 +349,37 @@ def _rigged_direct(s, r, p, variant=PROOF_FORM, tol=None, dev=None, mags=None):
 
 def test_exit_one_when_proof_form_fails_on_member(tmp_path, monkeypatch):
     """A violated proof-form bound on a membership-passing input must flip the
-    exit code to 1 (simulated by rigging the direct bound)."""
+    exit code to 1 (simulated by rigging the direct bound).  verify refutes
+    only the hypotheses of violated proof-form rows, and lists a failure in
+    the same record as a hunt finding."""
     monkeypatch.setitem(cli._BOUND_FNS, "direct", _rigged_direct)
     out = tmp_path / "out"
     cfgfile = write_config(
         tmp_path,
         surfaces=["xy"],  # |d2f| = 1 passes membership at classical parameters
-        param_grid={"q": [1.0]},
-        checks=["direct"],
-        variants=["proof-form"],
+        param_grid={"q": [1.0, 2.0]},  # direct at q = 1 is rigged, holder at q = 2 holds
+        checks=["direct", "holder"],
         output_dir=str(out),
+        hunt={"count": 1, "degree": 3},
     )
     assert cli.main(["verify", "--config", str(cfgfile)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["exit_code"] == 1
-    assert summary["proof_form_failures"]
+    # the as-written direct row is violated too, but its hypothesis is not refuted
+    (failure,) = summary["proof_form_failures"]
+    assert failure == {
+        "surface": "xy", "theorem": "direct", "variant": "proof-form",
+        **{key: 1.0 for key in cli.PARAM_KEYS}, "lhs": 1.0, "rhs": 0.0,
+    }
+    # one hypothesis report, for the q = 1 cell; the holding holder rows refute none
+    assert summary["work"]["membership_reports"] == 1
+    assert cli.main(["hunt", "--config", str(cfgfile), "--out", str(tmp_path / "hunt")]) == 1
+    hunt = json.loads((tmp_path / "hunt" / "hunt_summary.json").read_text())
+    # hunt refutes the hypothesis of every row: the q = 1 and q = 2 cells
+    assert hunt["work"]["membership_reports"] == 2
+    assert hunt["proof_form_failures"] and hunt["as_written_findings"]
+    for finding in hunt["proof_form_failures"] + hunt["as_written_findings"]:
+        assert finding.keys() == failure.keys()
 
 
 def test_determinism_same_seed(tmp_path):
@@ -365,13 +420,16 @@ def test_out_flag_overrides_config_output_dir(tmp_path):
 
 
 def test_seed_flag_changes_membership_sampling(tmp_path):
-    cfgfile = write_config(tmp_path, surfaces=["exp_sum"], checks=["membership"])
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
-    cli.main(["verify", "--config", str(cfgfile), "--out", str(out1), "--seed", "1"])
-    cli.main(["verify", "--config", str(cfgfile), "--out", str(out2), "--seed", "2"])
-    rows1 = read_rows(out1 / "membership.csv")
-    rows2 = read_rows(out2 / "membership.csv")
-    assert [r["verdict"] for r in rows1] == [r["verdict"] for r in rows2]
+    """--seed reaches the sampling plan unless the config sets plan.seed, and
+    the plan seed moves the refuters' random samples."""
+    cfgfile = write_config(tmp_path)
+    plans = [cli.load_config(cfgfile, seed=seed).plan for seed in (1, 2)]
+    assert [plan.seed for plan in plans] == [1, 2]
+    own = write_config(tmp_path, plan={"grid_per_axis": 5, "random_trials": 500, "seed": 5})
+    assert cli.load_config(own, seed=1).plan.seed == 5
+    first, second = (MembershipSweep(RECT01, plan).samples for plan in plans)
+    assert all(a.shape == b.shape for a, b in zip(first, second))
+    assert not all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_hunt_requires_as_written(tmp_path):

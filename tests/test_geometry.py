@@ -11,6 +11,11 @@ def test_rect_rejects_degenerate():
         Rect(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ParameterError):
         Rect(0.0, 1.0, 2.0, 1.0)
+    for corner in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ParameterError, match="non-finite"):
+            Rect(0.0, 1.0, 0.0, corner)
+        with pytest.raises(ParameterError, match="non-finite"):
+            Rect(corner, 1.0, 0.0, 1.0)
 
 
 def test_rect_helpers():

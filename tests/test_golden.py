@@ -1,0 +1,44 @@
+"""Golden digests of the CLI's reports.
+
+The sha256 of each CSV that ``verify --config configs/quick.json`` writes,
+and of ``hunt.csv`` from ``configs/hunt.json`` cut to two surfaces.  The
+CSVs are deterministic for a config and seed (README §Reports), so a digest
+moves only when the output does.  Any deliberate output change updates the
+digest here and is listed, with the rows it changes, in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from hhverify import cli
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+QUICK = {
+    "bounds.csv": "b6ca331a3ff814448ecfde288ea7931e6ddde5ba9cdc9a5d70f3753ee5ae2c8a",
+    "chains.csv": "3545b147313a3407add33f24008693d2a2f567ce9fcded2206d3dc8cd0f89347",
+    "identity.csv": "3ba1a81449efd6a3ca54ef886d9cfb2337bd9a7f58b78f7efaa72ca5d31b7618",
+    "membership.csv": "0f5f7b75412d368b69344ad550d8958198468d3519b56fdcfccf1d3ae1ce0049",
+}
+HUNT_TWO_SURFACES = "87a9ae52e3bad4efe18acad6e5adaed35180435f50ee2a7dbbdb03de5ddb4467"
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_quick_verify_digests(tmp_path):
+    assert cli.main(["verify", "--config", str(CONFIGS / "quick.json"), "--out", str(tmp_path)]) == 0
+    assert {path.name: _digest(path) for path in sorted(tmp_path.glob("*.csv"))} == QUICK
+
+
+def test_two_surface_hunt_digest(tmp_path):
+    raw = json.loads((CONFIGS / "hunt.json").read_text())
+    raw["hunt"]["count"] = 2
+    config = tmp_path / "hunt.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert cli.main(["hunt", "--config", str(config), "--out", str(out)]) == 0
+    assert [path.name for path in out.glob("*.csv")] == ["hunt.csv"]
+    assert _digest(out / "hunt.csv") == HUNT_TWO_SURFACES
