@@ -18,17 +18,24 @@ that disagree except at classical parameters (s = alpha = m = 1): the
 ``as-written`` grouping of the final statement.  Proof-form is the default
 because only it reduces to the classical bounds; the as-written variants are
 kept so the discrepancy can be measured and hunted.
+
+Each theorem is written once, as its entry in ``THEOREMS``: its q range,
+the parameter cell at which its hypothesis (|d2f|^q first-sense
+s-(alpha, m)-convex on the co-ordinates) is refuted, and its right side.
+The ``bound_*`` functions and the CLI's bound sweep read them from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .errors import ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, require_inside
 from .oracle import deviation_parts
-from .quadrature import DEFAULT_TOL, Tolerance, integrate_1d, integrate_2d
+from .quadrature import Tolerance, integrate_1d, integrate_2d
 from .surfaces import Surface, eval_mixed_partial, mixed_partial_func
 
 PROOF_FORM = "proof-form"
@@ -126,7 +133,6 @@ def deviation_terms(s: Surface, r: Rect, tol: Tolerance | None = None) -> Deviat
             integral_budget=max(math.ulp(mean), math.ulp(signed)) / 2.0,
             marginal_budget=max(math.ulp(marginal), math.ulp(signed)) / 2.0,
         )
-    tol = tol or DEFAULT_TOL
     f = s.f
     corner_avg = sum(float(f(x, y)) for x, y in r.corners()) / 4.0
     dbl = integrate_2d(f, r, tol)
@@ -177,7 +183,6 @@ def identity_report(
     """Signed deviation minus identity right side, with the combined budget.
 
     ``dev`` is deviation_terms(s, r, tol) when the caller already has it."""
-    tol = tol or DEFAULT_TOL
     if dev is None:
         dev = deviation_terms(s, r, tol)
     rhs, rhs_budget = _identity_rhs(s, r, tol)
@@ -189,24 +194,13 @@ def identity_report(
 
 
 def _verdict(slack: float, budget: float, rhs: float) -> str:
+    if not math.isfinite(rhs):  # a right side that is not a number bounds nothing
+        return INCONCLUSIVE
     if slack >= -budget:
         return HOLDS
     if slack < -(budget + 1e-9 * (1.0 + abs(rhs))):
         return BOUND_VIOLATED
     return INCONCLUSIVE
-
-
-def _report(theorem: str, variant: str, lhs: float, rhs: float, budget: float) -> BoundReport:
-    slack = rhs - lhs
-    return BoundReport(
-        theorem=theorem,
-        variant=variant,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        error_budget=budget,
-        verdict=_verdict(slack, budget, rhs),
-    )
 
 
 def _corner_mags(s: Surface, r: Rect, p: GenParams):
@@ -224,82 +218,45 @@ def _corner_mags(s: Surface, r: Rect, p: GenParams):
     )
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+def _kink_rhs(as_written_weight: float, r: Rect, p: GenParams, variant: str, mags) -> float:
+    """The power-mean right side: area / 4^((2q-1)/q) times the q-th root of
+    the kink-moment bracket over the corner values |d2f|^q (``mags``^q).
 
-
-def bound_classical(
-    s: Surface,
-    r: Rect,
-    tol: Tolerance | None = None,
-    dev: DeviationTerms | None = None,
-    mags: tuple | None = None,
-) -> BoundReport:
-    """Trapezoid bound for co-ordinated-convex |d2f|: area/16 times the
-    corner average of |d2f| (``mags``: _corner_mags at m1 = m2 = 1)."""
-    if dev is None:
-        dev = deviation_terms(s, r, tol)
-    rhs = r.area / 16.0 * (sum(mags or _corner_mags(s, r, CLASSICAL_PARAMS)) / 4.0)
-    return _report(CLASSICAL, PROOF_FORM, dev.abs_deviation, rhs, dev.error_budget)
-
-
-def bound_direct(
-    s: Surface,
-    r: Rect,
-    p: GenParams,
-    variant: str = PROOF_FORM,
-    tol: Tolerance | None = None,
-    dev: DeviationTerms | None = None,
-    mags: tuple | None = None,
-) -> BoundReport:
-    """First-sense class bound at q = 1, built from the two kink moments."""
-    _check_variant(variant)
-    if p.q != 1.0:
-        raise ParameterError(f"direct bound is the q = 1 case, got q = {p.q}")
-    if dev is None:
-        dev = deviation_terms(s, r, tol)
+    proof-form weighs the corners by the products of the moments mx, my and
+    their complements 1/2 - mx, 1/2 - my.  as-written weighs the second
+    corner pair by (w - mx)(w - my), w = ``as_written_weight``: 1 for
+    power-mean, which inflates the bound, 1/2 for direct.  Direct is this at
+    q = 1 bit for bit, since x**1.0 == x and 4.0**1.0 == 4.0.
+    """
+    q = p.q
     mx = kink_moment(p.theta1)
     my = kink_moment(p.theta2)
-    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
+    d00, d01, d10, d11 = mags
+    e00, e01, e10, e11 = d00**q, d01**q, d10**q, d11**q
     if variant == PROOF_FORM:
         bracket = (
-            mx * my * d00
-            + mx * (0.5 - my) * p.m2 * d01
-            + (0.5 - mx) * my * p.m1 * d10
-            + (0.5 - mx) * (0.5 - my) * p.m1 * p.m2 * d11
+            mx * my * e00
+            + mx * (0.5 - my) * p.m2 * e01
+            + (0.5 - mx) * my * p.m1 * e10
+            + (0.5 - mx) * (0.5 - my) * p.m1 * p.m2 * e11
         )
     else:
-        bracket = mx * my * (d00 + p.m1 * d10) + (0.5 - mx) * (0.5 - my) * (
-            p.m2 * d01 + p.m1 * p.m2 * d11
+        w = as_written_weight
+        bracket = mx * my * (e00 + p.m1 * e10) + (w - mx) * (w - my) * (
+            p.m2 * e01 + p.m1 * p.m2 * e11
         )
-    rhs = r.area / 4.0 * bracket
-    return _report(DIRECT, variant, dev.abs_deviation, rhs, dev.error_budget)
+    return r.area / 4.0 ** ((2.0 * q - 1.0) / q) * bracket ** (1.0 / q)
 
 
-def bound_holder(
-    s: Surface,
-    r: Rect,
-    p: GenParams,
-    variant: str = PROOF_FORM,
-    tol: Tolerance | None = None,
-    dev: DeviationTerms | None = None,
-    mags: tuple | None = None,
-) -> BoundReport:
-    """Holder-route bound for q > 1 (conjugate exponent p = q/(q-1)).
+def _holder_rhs(r: Rect, p: GenParams, variant: str, mags) -> float:
+    """The Holder right side, conjugate exponent p = q/(q-1).
 
     proof-form keeps the (theta+1) factors inside the q-th root; as-written
     places them outside, which shrinks the bound by
     ((theta1+1)(theta2+1))^(1-1/q).
     """
-    _check_variant(variant)
-    if p.q <= 1.0:
-        raise ParameterError(f"Holder bound requires q > 1, got q = {p.q}")
-    if dev is None:
-        dev = deviation_terms(s, r, tol)
-    conj = p.p
-    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
-    q = p.q
+    q, conj = p.q, p.p
+    d00, d01, d10, d11 = mags
     # The weighted corner sum of |d2f|^q.
     s_term = (
         d00**q
@@ -310,10 +267,91 @@ def bound_holder(
     denom = (p.theta1 + 1.0) * (p.theta2 + 1.0)
     base = r.area / (4.0 * (conj + 1.0) ** (2.0 / conj))
     if variant == PROOF_FORM:
-        rhs = base * (s_term / denom) ** (1.0 / q)
-    else:
-        rhs = base / denom * s_term ** (1.0 / q)
-    return _report(HOLDER, variant, dev.abs_deviation, rhs, dev.error_budget)
+        return base * (s_term / denom) ** (1.0 / q)
+    return base / denom * s_term ** (1.0 / q)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One bound: its q range (``applies``; ``q_range`` in words), the cell
+    ``hypothesis(p)`` at which |d2f|^q must be first-sense s-(alpha, m)-convex
+    on the co-ordinates, and its right side ``rhs(r, p, variant, mags)``."""
+
+    q_range: str
+    applies: Callable[[float], bool]
+    hypothesis: Callable[[GenParams], GenParams]
+    rhs: Callable[..., float]
+
+
+# The classical bound assumes plain co-ordinated convexity of |d2f|, the first
+# sense at classical parameters; its right side is area/16 times the corner
+# average of |d2f|.
+THEOREMS = {
+    CLASSICAL: Theorem(
+        "q = 1", lambda q: q == 1.0, lambda p: CLASSICAL_PARAMS,
+        lambda r, p, variant, mags: r.area / 16.0 * (sum(mags) / 4.0),
+    ),
+    DIRECT: Theorem("q = 1", lambda q: q == 1.0, lambda p: p, partial(_kink_rhs, 0.5)),
+    HOLDER: Theorem("q > 1", lambda q: q > 1.0, lambda p: p, _holder_rhs),
+    POWER_MEAN: Theorem("q >= 1", lambda q: q >= 1.0, lambda p: p, partial(_kink_rhs, 1.0)),
+}
+
+
+def _bound(kind, s: Surface, r: Rect, p: GenParams, variant: str, dev, mags) -> BoundReport:
+    """Every bound's one path: check the variant and q, compute ``dev`` and
+    ``mags`` where the caller passes None, and report.  A right side whose
+    power |d2f|^q overflows is NaN, so inconclusive."""
+    theorem = THEOREMS[kind]
+    if variant not in VARIANTS:
+        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if not theorem.applies(p.q):
+        raise ParameterError(f"{kind} bound requires {theorem.q_range}, got q = {p.q}")
+    if dev is None:
+        dev = deviation_terms(s, r)
+    if mags is None:
+        mags = _corner_mags(s, r, p)
+    try:
+        rhs = theorem.rhs(r, p, variant, mags)
+    except OverflowError:
+        rhs = math.nan
+    lhs, budget = dev.abs_deviation, dev.error_budget
+    slack = rhs - lhs
+    return BoundReport(kind, variant, lhs, rhs, slack, budget, _verdict(slack, budget, rhs))
+
+
+def bound_classical(
+    s: Surface,
+    r: Rect,
+    dev: DeviationTerms | None = None,
+    mags: tuple | None = None,
+) -> BoundReport:
+    """Trapezoid bound for co-ordinated-convex |d2f| (``mags``: _corner_mags
+    at m1 = m2 = 1)."""
+    return _bound(CLASSICAL, s, r, CLASSICAL_PARAMS, PROOF_FORM, dev, mags)
+
+
+def bound_direct(
+    s: Surface,
+    r: Rect,
+    p: GenParams,
+    variant: str = PROOF_FORM,
+    dev: DeviationTerms | None = None,
+    mags: tuple | None = None,
+) -> BoundReport:
+    """First-sense class bound at q = 1, built from the two kink moments."""
+    return _bound(DIRECT, s, r, p, variant, dev, mags)
+
+
+def bound_holder(
+    s: Surface,
+    r: Rect,
+    p: GenParams,
+    variant: str = PROOF_FORM,
+    dev: DeviationTerms | None = None,
+    mags: tuple | None = None,
+) -> BoundReport:
+    """Holder-route bound for q > 1."""
+    return _bound(HOLDER, s, r, p, variant, dev, mags)
 
 
 def bound_power_mean(
@@ -321,38 +359,11 @@ def bound_power_mean(
     r: Rect,
     p: GenParams,
     variant: str = PROOF_FORM,
-    tol: Tolerance | None = None,
     dev: DeviationTerms | None = None,
     mags: tuple | None = None,
 ) -> BoundReport:
-    """Power-mean-route bound for q >= 1.
-
-    proof-form uses the four kink-moment weights (the same grouping as the
-    direct bound, on |d2f|^q); as-written replaces the (1/2 - moment) factors
-    of the second group by (1 - moment), which inflates the bound.
-    """
-    _check_variant(variant)
-    if dev is None:
-        dev = deviation_terms(s, r, tol)
-    mx = kink_moment(p.theta1)
-    my = kink_moment(p.theta2)
-    d00, d01, d10, d11 = mags or _corner_mags(s, r, p)
-    q = p.q
-    e00, e01, e10, e11 = d00**q, d01**q, d10**q, d11**q
-    if variant == PROOF_FORM:
-        bracket = (
-            mx * my * e00
-            + mx * (0.5 - my) * p.m2 * e01
-            + (0.5 - mx) * my * p.m1 * e10
-            + (0.5 - mx) * (0.5 - my) * p.m1 * p.m2 * e11
-        )
-    else:
-        bracket = mx * my * (e00 + p.m1 * e10) + (1.0 - mx) * (1.0 - my) * (
-            p.m2 * e01 + p.m1 * p.m2 * e11
-        )
-    prefactor = r.area / 4.0 ** ((2.0 * q - 1.0) / q)
-    rhs = prefactor * bracket ** (1.0 / q)
-    return _report(POWER_MEAN, variant, dev.abs_deviation, rhs, dev.error_budget)
+    """Power-mean-route bound for q >= 1; at q = 1 it is the direct bound."""
+    return _bound(POWER_MEAN, s, r, p, variant, dev, mags)
 
 
 def hh_chain_2d(
@@ -370,7 +381,6 @@ def hh_chain_2d(
     deviation_terms(s, r, tol) when the caller already has it.  Only the two
     mid-lines are integrated here.
     """
-    tol = tol or DEFAULT_TOL
     if dev is None:
         dev = deviation_terms(s, r, tol)
     f = s.f

@@ -46,6 +46,7 @@ from .bounds import (
     HOLDER,
     POWER_MEAN,
     PROOF_FORM,
+    THEOREMS,
     VARIANTS,
     BOUND_VIOLATED,
     BoundReport,
@@ -105,7 +106,7 @@ HEADERS["hunt"] = HEADERS["bounds"] + ["hypothesis"]
 class RunConfig:
     surfaces: list[str]
     rect: Rect
-    param_grid: dict[str, list[float]]
+    combos: list[GenParams]  # the validated parameter grid cells, in sweep order
     variants: list[str]
     checks: list[str]
     plan: SamplingPlan
@@ -218,7 +219,7 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
     cfg = RunConfig(
         surfaces=list(names),
         rect=rect,
-        param_grid=grid,
+        combos=param_combos(grid),
         variants=list(variants),
         checks=list(checks),
         plan=plan,
@@ -227,7 +228,6 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
         hunt_count=_number(int, hunt_raw.get("count", 20), "hunt.count", minimum=0),
         hunt_degree=_number(int, hunt_raw.get("degree", 4), "hunt.degree", minimum=0),
     )
-    param_combos(cfg.param_grid)  # validates every grid cell
     return cfg
 
 
@@ -327,24 +327,6 @@ def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) 
 # the bound sweep
 
 
-def _hypothesis_params(kind: str, p: GenParams) -> GenParams:
-    """Where a bound's hypothesis |d2f|^q is refuted: the classical bound
-    needs plain co-ordinated convexity of |d2f|, the others first-sense
-    membership of |d2f|^q at p."""
-    return CLASSICAL_PARAMS if kind == CLASSICAL else p
-
-
-def _applicable_kinds(checks, q: float):
-    kinds = []
-    if DIRECT in checks and q == 1.0:
-        kinds.append(DIRECT)
-    if HOLDER in checks and q > 1.0:
-        kinds.append(HOLDER)
-    if POWER_MEAN in checks:
-        kinds.append(POWER_MEAN)
-    return kinds
-
-
 _BOUND_FNS = {DIRECT: bound_direct, HOLDER: bound_holder, POWER_MEAN: bound_power_mean}
 
 
@@ -365,10 +347,14 @@ def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
         return mags[p.m1, p.m2]
 
     if CLASSICAL in kinds:
-        rep = bound_classical(s, rect, dev=dev, mags=corner_mags(CLASSICAL_PARAMS))
+        m = corner_mags(CLASSICAL_PARAMS)
+        rep = None if m is None else bound_classical(s, rect, dev=dev, mags=m)
         yield CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM, rep
+    grid_kinds = [kind for kind in _BOUND_FNS if kind in kinds]
     for p in combos:
-        for kind in _applicable_kinds(kinds, p.q):
+        for kind in grid_kinds:
+            if not THEOREMS[kind].applies(p.q):
+                continue
             m = corner_mags(p)
             for variant in variants:
                 rep = None if m is None else _BOUND_FNS[kind](s, rect, p, variant=variant, dev=dev, mags=m)
@@ -382,12 +368,12 @@ def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
 NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-def _sweep_surface(name, s, cfg, combos, param_cols, sweep, work, files, bound_file) -> list:
+def _sweep_surface(name, s, cfg, param_cols, sweep, work, files, bound_file) -> list:
     """Append the rows of one surface to ``files`` and return its findings:
     the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
     A ``bound_file`` with a ``hypothesis`` column refutes every evaluated
     cell, any other only the violated proof-form cells, in one batched call."""
-    rect, checks = cfg.rect, cfg.checks
+    rect, checks, combos = cfg.rect, cfg.checks, cfg.combos
     needs_dev = any(c in checks for c in (*BOUND_KINDS, "identity", "chain"))
     dev = deviation_terms(s, rect) if needs_dev else None
     if "identity" in checks:
@@ -407,7 +393,7 @@ def _sweep_surface(name, s, cfg, combos, param_cols, sweep, work, files, bound_f
     swept = list(_bound_sweep(s, rect, combos, checks, cfg.variants, dev))
     every = "hypothesis" in HEADERS[bound_file]
     keys = [  # where each row's hypothesis is refuted, None where it is not
-        _hypothesis_params(kind, p)
+        THEOREMS[kind].hypothesis(p)
         if rep is not None and (every or (variant == PROOF_FORM and rep.verdict == BOUND_VIOLATED))
         else None
         for kind, p, variant, rep in swept
@@ -432,15 +418,14 @@ def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys)
     ``own_keys(files, findings)`` returns.  Returns the exit code, 1 when a
     proof-form row is a finding."""
     t0 = time.time()
-    combos = param_combos(cfg.param_grid)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     files = {bound_file: [], "membership": [], "chains": [], "identity": []}
     work = Counter()
-    param_cols = _param_cols(combos)
+    param_cols = _param_cols(cfg.combos)
     findings = []
     for name, s in surfaces:
-        findings += _sweep_surface(name, s, cfg, combos, param_cols, sweep, work, files, bound_file)
+        findings += _sweep_surface(name, s, cfg, param_cols, sweep, work, files, bound_file)
 
     failing = [f for f in findings if f["variant"] == PROOF_FORM]
     exit_code = 1 if failing else 0
@@ -464,7 +449,8 @@ def run_verify(cfg: RunConfig) -> int:
     """Run the configured checks on the corpus surfaces; returns the exit code."""
 
     def own_keys(files, findings):
-        slacks = [float(v) for v in _column(files, "bounds", "slack") if v]  # "" on skipped rows
+        # "" on skipped rows, "nan" where the right side is not a number
+        slacks = [float(v) for v in _column(files, "bounds", "slack") if v not in ("", "nan")]
         chain_counts = Counter(_column(files, "chains", "monotone"))
         identity_counts = Counter(_column(files, "identity", "within_budget"))
         return {
@@ -530,7 +516,7 @@ def run_hunt(cfg: RunConfig) -> int:
 
     def surfaces():
         rng = np.random.default_rng(cfg.seed)
-        domain = _hunt_domain(cfg.rect, param_combos(cfg.param_grid))
+        domain = _hunt_domain(cfg.rect, cfg.combos)
         for k in range(cfg.hunt_count):
             name = f"hunt-{k:03d}"
             yield name, poly_surface(name, _random_nonneg_poly(rng, cfg.hunt_degree), domain)

@@ -125,10 +125,11 @@ def _combine(weights, points):
     return rhs - lhs
 
 
-# Per sense: its weights, and the parameters besides m that they depend on.
+# Per sense: its weights, the parameters besides m that they depend on, and
+# its margin at one sample.
 _SENSES = {
-    FIRST: (_weights_first, lambda p: (p.theta1, p.theta2)),
-    SECOND: (_weights_second, lambda p: (p.s1, p.s2, p.alpha1, p.alpha2)),
+    FIRST: (_weights_first, lambda p: (p.theta1, p.theta2), margin_class_first),
+    SECOND: (_weights_second, lambda p: (p.s1, p.s2, p.alpha1, p.alpha2), margin_class_second),
 }
 
 
@@ -295,9 +296,7 @@ class MembershipSweep:
         witness = tuple(float(c[i]) for c in cols)
         # Re-evaluate the witness through the scalar path so the reported margin
         # is reproducible from the witness alone.
-        points = _points(target.f, p.m1, p.m2, *witness)
-        weights = _SENSES[sense][0](p, _power_of(witness[4], witness[5]))
-        worst_margin = float(_combine(weights, points))
+        worst_margin = float(_SENSES[sense][2](target.f, p, *witness))
         verdict = VIOLATED if worst_margin < -self.plan.tolerance else NO_VIOLATION
         return MembershipReport(
             verdict=verdict,

@@ -264,11 +264,11 @@ def test_power_mean_q1_degenerates_to_direct():
     for name, entry in corpus().items():
         pm = bound_power_mean(entry.surface, RECT01, CLASSICAL_P)
         direct = bound_direct(entry.surface, RECT01, CLASSICAL_P)
-        assert rel_close(pm.rhs, direct.rhs, 1e-14), name
+        assert pm.rhs == direct.rhs, name
     p = GenParams(s1=0.5, s2=0.75, alpha1=0.5, m1=0.5, m2=0.75)
     pm = bound_power_mean(get_surface("x2y2"), RECT01, p)
     direct = bound_direct(get_surface("x2y2"), RECT01, p)
-    assert rel_close(pm.rhs, direct.rhs, 1e-14)
+    assert pm.rhs == direct.rhs
 
 
 def test_power_mean_xy_q2():
@@ -284,6 +284,15 @@ def test_power_mean_as_written_dominates_proof_form():
             pf = bound_power_mean(entry.surface, RECT01, p, variant=PROOF_FORM)
             aw = bound_power_mean(entry.surface, RECT01, p, variant=AS_WRITTEN)
             assert aw.rhs >= pf.rhs - 1e-14, name
+
+
+def test_non_finite_rhs_is_inconclusive():
+    """A right side that is not a finite number bounds nothing: the corner sum
+    of the classical bound overflowing to inf must not read as holding."""
+    rep = bound_classical(get_surface("x2y2"), RECT01, mags=(1e308,) * 4)
+    assert rep.rhs == math.inf and rep.verdict == "inconclusive"
+    rep = bound_holder(get_surface("x2y2"), RECT01, GenParams(q=1e308))
+    assert math.isnan(rep.rhs) and rep.verdict == "inconclusive"
 
 
 def test_unknown_variant_rejected():

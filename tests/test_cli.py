@@ -262,25 +262,37 @@ RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 NARROW = Surface(
     "narrow", Rect(-1.0, 1.5, -1.0, 1.5), f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y
 )
+# A finite-difference d2f: the stencil around every corner of RECT01 leaves
+# the domain, the classical cell's corners included.
+FD_ON_RECT = Surface("fd", RECT01, f=lambda x, y: np.exp(x + y))
 
 
-@pytest.mark.parametrize("s", [corpus()["exp_sum"].surface, NARROW], ids=["exp_sum", "narrow"])
+def _bound_or_none(make):
+    try:
+        return make()
+    except OutOfDomainError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "s", [corpus()["exp_sum"].surface, NARROW, FD_ON_RECT], ids=["exp_sum", "narrow", "fd"]
+)
 def test_bound_sweep_matches_bound_functions(s):
     dev = deviation_terms(s, RECT01)
     rows = list(cli._bound_sweep(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev))
     fns = {"direct": bound_direct, "holder": bound_holder, "power-mean": bound_power_mean}
-    assert rows[0] == ("classical", GenParams(), PROOF_FORM, bound_classical(s, RECT01, dev=dev))
+    classical = _bound_or_none(lambda: bound_classical(s, RECT01, dev=dev))
+    assert rows[0] == ("classical", GenParams(), PROOF_FORM, classical)
     # per cell: direct or holder, and power-mean, each in two variants
     assert len(rows) == 1 + 4 * len(BOUND_GRID)
     for kind, p, variant, rep in rows[1:]:
-        try:
-            want = fns[kind](s, RECT01, p, variant=variant, dev=dev)
-        except OutOfDomainError:
-            want = None
+        want = _bound_or_none(lambda: fns[kind](s, RECT01, p, variant=variant, dev=dev))
         assert rep == want, (kind, p, variant)
     skipped = {p for _, p, _, rep in rows if rep is None}
     if s is NARROW:
         assert skipped == {p for p in BOUND_GRID if min(p.m1, p.m2) < 1.0}
+    elif s is FD_ON_RECT:
+        assert skipped == {GenParams(), *BOUND_GRID}
     else:
         assert not skipped
 
@@ -334,7 +346,7 @@ def test_verify_integrates_at_most_six_times_per_surface(tmp_path, monkeypatch):
         assert sum(calls.values()) == expected, (surface, calls)
 
 
-def _rigged_direct(s, r, p, variant=PROOF_FORM, tol=None, dev=None, mags=None):
+def _rigged_direct(s, r, p, variant=PROOF_FORM, dev=None, mags=None):
     """A direct bound that is violated on every input."""
     return BoundReport(
         theorem="direct",
@@ -380,6 +392,27 @@ def test_exit_one_when_proof_form_fails_on_member(tmp_path, monkeypatch):
     assert hunt["proof_form_failures"] and hunt["as_written_findings"]
     for finding in hunt["proof_form_failures"] + hunt["as_written_findings"]:
         assert finding.keys() == failure.keys()
+
+
+def test_overflowing_power_gives_inconclusive_rows(tmp_path):
+    """At q = 1e308 the corner power 4**q of x2y2 overflows: its holder and
+    power-mean rows are inconclusive with a NaN right side, the run ends
+    normally, and worst_slack is the least slack of the other rows."""
+    out = tmp_path / "out"
+    cfgfile = write_config(
+        tmp_path,
+        surfaces=["x2y2"],
+        param_grid={"q": [1e308, 2.0]},
+        checks=["holder", "power-mean"],
+        output_dir=str(out),
+    )
+    assert cli.main(["verify", "--config", str(cfgfile)]) == 0
+    rows = read_rows(out / "bounds.csv")
+    overflowed = [r for r in rows if r["q"] == "1e+308"]
+    assert len(overflowed) == 4
+    assert all(r["rhs"] == "nan" and r["verdict"] == "inconclusive" for r in overflowed)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["worst_slack"] == min(float(r["slack"]) for r in rows if r["q"] == "2.0")
 
 
 def test_determinism_same_seed(tmp_path):

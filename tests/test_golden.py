@@ -1,10 +1,11 @@
 """Golden digests of the CLI's reports.
 
 The sha256 of each CSV that ``verify --config configs/quick.json`` writes,
-and of ``hunt.csv`` from ``configs/hunt.json`` cut to two surfaces.  The
-CSVs are deterministic for a config and seed (README §Reports), so a digest
-moves only when the output does.  Any deliberate output change updates the
-digest here and is listed, with the rows it changes, in CHANGES.md.
+and of ``hunt.csv`` from ``configs/hunt.json`` cut to two surfaces, and the
+two runs' JSON summaries without ``wall_time_s``.  The reports are
+deterministic for a config and seed (README §Reports), so a digest or a
+summary moves only when the output does.  Any deliberate output change
+updates it here and is listed, with the rows it changes, in CHANGES.md.
 """
 
 import hashlib
@@ -22,15 +23,45 @@ QUICK = {
     "membership.csv": "0f5f7b75412d368b69344ad550d8958198468d3519b56fdcfccf1d3ae1ce0049",
 }
 HUNT_TWO_SURFACES = "87a9ae52e3bad4efe18acad6e5adaed35180435f50ee2a7dbbdb03de5ddb4467"
+QUICK_SUMMARY = {
+    "counts": {
+        "bounds": {"holds": 903},
+        "chains": {"monotone": 6, "non-monotone": 1},
+        "identity": {"out-of-budget": 0, "within-budget": 7},
+        "membership": {"no-violation-found": 182, "violated": 273},
+    },
+    "exit_code": 0,
+    "proof_form_failures": [],
+    "rows": 1372,
+    "work": {"batched_evaluations": 140, "membership_reports": 224, "samples_per_report": 34565},
+    "worst_slack": 0.0,
+}
+HUNT_TWO_SURFACES_SUMMARY = {
+    "as_written_findings": [],
+    "degree": 5,
+    "exit_code": 0,
+    "proof_form_failures": [],
+    "rows": 3456,
+    "surfaces_generated": 2,
+    "work": {"batched_evaluations": 40, "membership_reports": 864, "samples_per_report": 12957},
+}
 
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _summary(path: Path) -> dict:
+    """The summary at ``path`` without its one non-deterministic key."""
+    summary = json.loads(path.read_text())
+    del summary["wall_time_s"]
+    return summary
+
+
 def test_quick_verify_digests(tmp_path):
     assert cli.main(["verify", "--config", str(CONFIGS / "quick.json"), "--out", str(tmp_path)]) == 0
     assert {path.name: _digest(path) for path in sorted(tmp_path.glob("*.csv"))} == QUICK
+    assert _summary(tmp_path / "summary.json") == QUICK_SUMMARY
 
 
 def test_two_surface_hunt_digest(tmp_path):
@@ -42,3 +73,4 @@ def test_two_surface_hunt_digest(tmp_path):
     assert cli.main(["hunt", "--config", str(config), "--out", str(out)]) == 0
     assert [path.name for path in out.glob("*.csv")] == ["hunt.csv"]
     assert _digest(out / "hunt.csv") == HUNT_TWO_SURFACES
+    assert _summary(out / "hunt_summary.json") == HUNT_TWO_SURFACES_SUMMARY
