@@ -78,6 +78,9 @@ ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membe
 SKIPPED = "skipped"
 
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
+CONFIG_KEYS = (
+    "surfaces", "rect", "param_grid", "variants", "checks", "plan", "output_dir", "seed", "hunt",
+)
 
 # CSV columns of each report file, which is also the order its rows sort in.
 HEADERS = {
@@ -122,11 +125,27 @@ def _as_list(value, name):
     return value
 
 
+def _object(value, name, known) -> dict:
+    """value as a config object: a JSON object with no key outside known."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return value
+
+
 def _number(kind, value, name, minimum=None):
+    """value as a kind (int or float), from a JSON number that is not a
+    boolean and, for an int, is whole."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be a whole number, not {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number, not {value!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{name} must be a finite number, not {value!r}") from exc
     if minimum is not None and number < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, not {number!r}")
     return number
@@ -136,15 +155,7 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
     """Validate a parsed config mapping for ``command`` and apply CLI
     overrides.  Only ``verify`` reads the corpus surfaces, so only it needs
     the rectangle inside their domains."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {
-        "surfaces", "rect", "param_grid", "variants", "checks", "plan",
-        "output_dir", "seed", "hunt",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _object(raw, "config", CONFIG_KEYS)
 
     registry = corpus()
     names = raw.get("surfaces", ["all"])
@@ -161,8 +172,8 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
     if not (isinstance(rect_raw, list) and len(rect_raw) == 4):
         raise ConfigError("rect must be a list [a, b, c, d]")
     try:
-        rect = Rect(*map(float, rect_raw))
-    except (ParameterError, TypeError, ValueError) as exc:
+        rect = Rect(*(_number(float, v, "rect") for v in rect_raw))
+    except ParameterError as exc:
         raise ConfigError(f"bad rect: {exc}") from exc
     if command == "verify":
         for n in names:
@@ -170,12 +181,7 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
             if not domain.contains_rect(rect):
                 raise ConfigError(f"rect {rect} leaves the domain {domain} of surface {n!r}")
 
-    grid_raw = raw.get("param_grid", {})
-    if not isinstance(grid_raw, dict):
-        raise ConfigError("param_grid must be an object of value lists")
-    unknown = set(grid_raw) - set(PARAM_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown param_grid keys: {sorted(unknown)}")
+    grid_raw = _object(raw.get("param_grid", {}), "param_grid", PARAM_KEYS)
     grid: dict[str, list[float]] = {}
     for key in PARAM_KEYS:
         values = grid_raw.get(key, [1.0])
@@ -197,9 +203,8 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
 
     run_seed = _number(int, raw.get("seed", 0) if seed is None else seed, "seed", minimum=0)
 
-    plan_raw = raw.get("plan", {})
-    if not isinstance(plan_raw, dict):
-        raise ConfigError("plan must be an object")
+    plan_keys = ("grid_per_axis", "random_trials", "seed", "tolerance")
+    plan_raw = _object(raw.get("plan", {}), "plan", plan_keys)
     try:
         plan = SamplingPlan(
             grid_per_axis=_number(int, plan_raw.get("grid_per_axis", 9), "plan.grid_per_axis"),
@@ -212,9 +217,7 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
 
     out_dir = raw.get("output_dir", "out") if out is None else out
 
-    hunt_raw = raw.get("hunt", {})
-    if not isinstance(hunt_raw, dict):
-        raise ConfigError("hunt must be an object")
+    hunt_raw = _object(raw.get("hunt", {}), "hunt", ("count", "degree"))
 
     cfg = RunConfig(
         surfaces=list(names),

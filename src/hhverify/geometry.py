@@ -10,7 +10,8 @@ from .errors import OutOfDomainError, ParameterError
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned rectangle [a, b] x [c, d] with finite a < b and c < d (strict)."""
+    """Axis-aligned rectangle [a, b] x [c, d] with finite a < b and c < d (strict),
+    whose width, height and area are finite, and the area positive."""
 
     a: float
     b: float
@@ -23,6 +24,11 @@ class Rect:
         if not (self.a < self.b and self.c < self.d):
             raise ParameterError(
                 f"degenerate rectangle [{self.a}, {self.b}] x [{self.c}, {self.d}]"
+            )
+        if not 0.0 < self.area < math.inf:
+            raise ParameterError(
+                f"rectangle {self} has width {self.width}, height {self.height} and area "
+                f"{self.area}; each must be a positive finite float"
             )
 
     @property

@@ -1,10 +1,17 @@
 """Adaptive Gauss-Legendre integration on intervals and rectangles.
 
 The panel rule is a fixed 12-node Gauss-Legendre formula (design degree 23,
-i.e. exact for polynomials up to that degree).  Adaptive bisection compares a
-panel against its two (four, in 2D) children and accepts when the difference
-meets the panel's share of the error budget.  Known kink locations should be
-passed as mandatory split points; adaptivity is a fallback, not a kink finder.
+i.e. exact for polynomials up to that degree), its tensor product in 2D.
+Both integrators run one core.  ``_integrate`` cuts each axis at its splits
+(known kinks must be passed as splits; adaptivity is a fallback, not a kink
+finder), takes one rough panel per cell for the error budget and gives each
+cell the budget times its share of the whole length or area.  ``_refine``
+refines cells in order and sums their results from 0.0.  ``_adapt`` accepts
+a cell when its panel and its children's sum differ by at most its budget,
+else hands the children to ``_refine`` with equal shares of that budget.
+Only the panel rule and the bisection of a cell into its two (four, in 2D)
+children are written per dimension: they run at every bisection step, where
+versions generic over the axes would add per-axis Python loops.
 
 Integrands are evaluated on arrays: ``g`` receives 1-D float arrays of node
 coordinates (one per variable) and must return an array of the same shape; a
@@ -22,7 +29,9 @@ one, so the estimate is conservative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -52,10 +61,6 @@ class QuadratureResult:
     panels: int
 
 
-def _roundoff(value: float) -> float:
-    return 2.0**-50 * (1.0 + abs(value))
-
-
 def _sample(g: Callable, shape: tuple, *coords: np.ndarray) -> np.ndarray:
     """g at the nodes given by the 1-D coordinate arrays, from one call,
     reshaped to ``shape``.  Raises NonFiniteError at the first non-finite
@@ -79,8 +84,9 @@ def _weighted_sum(values: np.ndarray) -> np.ndarray:
     return 0.0 + np.add.accumulate(values * _GL_WEIGHTS, axis=-1)[..., -1]
 
 
-def _panels_1d(g: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """12-node Gauss-Legendre panels on [lo[k], hi[k]], one call of g."""
+def _panels_1d(g: Callable, rows: np.ndarray) -> np.ndarray:
+    """12-node Gauss-Legendre panels on the rows (lo, hi) of rows, one call of g."""
+    lo, hi = rows[:, 0], rows[:, 1]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x = mid[:, None] + half[:, None] * _GL_NODES
@@ -88,27 +94,44 @@ def _panels_1d(g: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return half * _weighted_sum(fx)
 
 
-def _panels_2d(g: Callable, cells: np.ndarray) -> np.ndarray:
-    """Tensor-product panels on the rows (a, b, c, d) of cells, one call of g.
+def _panels_2d(g: Callable, rows: np.ndarray) -> np.ndarray:
+    """Tensor-product panels on the rows (a, b, c, d) of rows, one call of g.
 
     The inner sum over the y nodes runs one column at a time across every
     row of every panel, then the outer sum over the x nodes."""
-    a, b, c, d = cells.T
+    a, b, c, d = rows.T
     hx, mx = 0.5 * (b - a), 0.5 * (a + b)
     hy, my = 0.5 * (d - c), 0.5 * (c + d)
     x = mx[:, None] + hx[:, None] * _GL_NODES
     y = my[:, None] + hy[:, None] * _GL_NODES
     n = len(_GL_NODES)
     # node (i, j) of panel p sits at flat index (p * n + i) * n + j
-    xs = np.repeat(x, n)
-    ys = np.repeat(y[:, None, :], n, axis=1).ravel()
-    fxy = _sample(g, (len(cells), n, n), xs, ys)
+    xs = x.repeat(n)
+    ys = y[:, None, :].repeat(n, axis=1).ravel()
+    fxy = _sample(g, (len(rows), n, n), xs, ys)
     return hx * hy * _weighted_sum(_weighted_sum(fxy))
+
+
+def _halves(lo, hi) -> tuple:
+    """The two halves of [lo, hi], or () when its midpoint is not inside."""
+    mid = 0.5 * (lo + hi)
+    return ((lo, mid), (mid, hi)) if lo < mid < hi else ()
+
+
+def _quarters(a, b, c, d) -> tuple:
+    """The four quarters of [a, b] x [c, d], x fastest, or () if a midpoint is not inside."""
+    mx, my = 0.5 * (a + b), 0.5 * (c + d)
+    inside = a < mx < b and c < my < d
+    return ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)) if inside else ()
+
+
+# (panel rule, bisection of one cell), by number of axes
+_RULES = {1: (_panels_1d, _halves), 2: (_panels_2d, _quarters)}
 
 
 def panel_1d(g: Callable, lo: float, hi: float) -> float:
     """Single 12-node Gauss-Legendre panel on [lo, hi]."""
-    return float(_panels_1d(g, np.array([lo], dtype=float), np.array([hi], dtype=float))[0])
+    return float(_panels_1d(g, np.array([[lo, hi]], dtype=float))[0])
 
 
 def panel_2d(g: Callable, a: float, b: float, c: float, d: float) -> float:
@@ -116,18 +139,54 @@ def panel_2d(g: Callable, a: float, b: float, c: float, d: float) -> float:
     return float(_panels_2d(g, np.array([[a, b, c, d]], dtype=float))[0])
 
 
-def _adapt_1d(g, lo, hi, whole, budget, depth, tol):
-    mid = 0.5 * (lo + hi)
-    if not (lo < mid < hi):
+def _measure(cell) -> float:
+    """Length (area) of a cell (lo, hi) ((a, b, c, d)): the product of its extents."""
+    return math.prod(hi - lo for lo, hi in zip(cell[::2], cell[1::2]))
+
+
+def _refine(g, rule, bisect, cells, wholes, budgets, depth, tol):
+    """(value, error, panels) of the refined cells, each summed in cell order from 0.0."""
+    value = err = 0.0
+    panels = 0
+    for cell, whole, budget in zip(cells, wholes, budgets):
+        v, e, n = _adapt(g, rule, bisect, cell, whole, budget, depth, tol)
+        value, err, panels = value + v, err + e, panels + n
+    return value, err, panels
+
+
+def _adapt(g, rule, bisect, cell, whole, budget, depth, tol):
+    children = bisect(*cell)
+    if not children:
         return whole, 0.0, 1
-    left, right = _panels_1d(g, np.array([lo, mid]), np.array([mid, hi])).tolist()
-    refined = left + right
+    values = rule(g, np.array(children)).tolist()
+    refined = sum(values)
     err = abs(refined - whole)
     if err <= budget or depth >= tol.max_depth:
-        return refined, err, 2
-    lv, le, ln = _adapt_1d(g, lo, mid, left, 0.5 * budget, depth + 1, tol)
-    rv, re, rn = _adapt_1d(g, mid, hi, right, 0.5 * budget, depth + 1, tol)
-    return lv + rv, le + re, ln + rn
+        return refined, err, len(children)
+    budgets = [budget / len(children)] * len(children)
+    return _refine(g, rule, bisect, children, values, budgets, depth + 1, tol)
+
+
+def _integrate(g: Callable, axes: tuple, tol: Tolerance | None) -> QuadratureResult:
+    """Integrate g over the box whose axes are the (lo, hi, splits) triples."""
+    tol = DEFAULT_TOL if tol is None else tol
+    rule, bisect = _RULES[len(axes)]
+    cuts = [[lo, *sorted({float(s) for s in splits if lo < s < hi}), hi] for lo, hi, splits in axes]
+    # one cell per combination of axis segments, the last axis fastest
+    cells = [sum(seg, ()) for seg in product(*(list(zip(c[:-1], c[1:])) for c in cuts))]
+    wholes = rule(g, np.array(cells, dtype=float)).tolist()
+    budget = max(tol.abs_floor, tol.rel * abs(sum(wholes)))
+    measure = math.prod(hi - lo for lo, hi, _ in axes)
+    budgets = [budget * (_measure(cell) / measure) for cell in cells]
+    value, err, panels = _refine(g, rule, bisect, cells, wholes, budgets, 0, tol)
+    result = QuadratureResult(value, max(err, 2.0**-50 * (1.0 + abs(value))), panels)
+    if err > budget:
+        raise ConvergenceError(
+            f"{len(axes)}d integral did not converge to {budget:.3e} within depth "
+            f"{tol.max_depth} (error estimate {err:.3e})",
+            result,
+        )
+    return result
 
 
 def integrate_1d(
@@ -147,60 +206,9 @@ def integrate_1d(
     (carrying the best-effort result) if the total error estimate still
     exceeds the budget after max_depth bisections.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
     if not lo < hi:
         raise ParameterError(f"empty interval [{lo}, {hi}]")
-    inner = sorted({float(s) for s in splits if lo < s < hi})
-    edges = [lo, *inner, hi]
-    segments = list(zip(edges[:-1], edges[1:]))
-    ends = np.array(edges, dtype=float)
-    wholes = _panels_1d(g, ends[:-1], ends[1:]).tolist()
-    rough = sum(wholes)
-    budget = max(tol.abs_floor, tol.rel * abs(rough))
-    total_width = hi - lo
-    value = 0.0
-    err = 0.0
-    panels = 0
-    for (a, b), whole in zip(segments, wholes):
-        v, e, n = _adapt_1d(g, a, b, whole, budget * (b - a) / total_width, 0, tol)
-        value += v
-        err += e
-        panels += n
-    result = QuadratureResult(value, max(err, _roundoff(value)), panels)
-    if err > budget:
-        raise ConvergenceError(
-            f"1d integral did not converge to {budget:.3e} within depth "
-            f"{tol.max_depth} (error estimate {err:.3e})",
-            result,
-        )
-    return result
-
-
-def _adapt_2d(g, a, b, c, d, whole, budget, depth, tol):
-    mx, my = 0.5 * (a + b), 0.5 * (c + d)
-    if not (a < mx < b and c < my < d):
-        return whole, 0.0, 1
-    quads = (
-        (a, mx, c, my),
-        (mx, b, c, my),
-        (a, mx, my, d),
-        (mx, b, my, d),
-    )
-    children = _panels_2d(g, np.array(quads)).tolist()
-    refined = sum(children)
-    err = abs(refined - whole)
-    if err <= budget or depth >= tol.max_depth:
-        return refined, err, 4
-    value = 0.0
-    total_err = 0.0
-    panels = 0
-    for cell, child in zip(quads, children):
-        v, e, n = _adapt_2d(g, *cell, child, 0.25 * budget, depth + 1, tol)
-        value += v
-        total_err += e
-        panels += n
-    return value, total_err, panels
+    return _integrate(g, ((lo, hi, splits),), tol)
 
 
 def integrate_2d(
@@ -218,32 +226,4 @@ def integrate_2d(
     kink lines, handled like the 1D splits.  Same error contract as
     integrate_1d.
     """
-    if tol is None:
-        tol = DEFAULT_TOL
-    xs = [r.a, *sorted({float(s) for s in x_splits if r.a < s < r.b}), r.b]
-    ys = [r.c, *sorted({float(s) for s in y_splits if r.c < s < r.d}), r.d]
-    cells = [
-        (xa, xb, ya, yb)
-        for xa, xb in zip(xs[:-1], xs[1:])
-        for ya, yb in zip(ys[:-1], ys[1:])
-    ]
-    wholes = _panels_2d(g, np.array(cells, dtype=float)).tolist()
-    rough = sum(wholes)
-    budget = max(tol.abs_floor, tol.rel * abs(rough))
-    value = 0.0
-    err = 0.0
-    panels = 0
-    for (xa, xb, ya, yb), whole in zip(cells, wholes):
-        share = (xb - xa) * (yb - ya) / r.area
-        v, e, n = _adapt_2d(g, xa, xb, ya, yb, whole, budget * share, 0, tol)
-        value += v
-        err += e
-        panels += n
-    result = QuadratureResult(value, max(err, _roundoff(value)), panels)
-    if err > budget:
-        raise ConvergenceError(
-            f"2d integral did not converge to {budget:.3e} within depth "
-            f"{tol.max_depth} (error estimate {err:.3e})",
-            result,
-        )
-    return result
+    return _integrate(g, ((r.a, r.b, x_splits), (r.c, r.d, y_splits)), tol)

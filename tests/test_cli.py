@@ -96,6 +96,14 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
             "verify", {"surfaces": ["xy"], "rect": [0.0, 10.0, 0.0, 1.0]}, [],
             "leaves the domain [-8.0, 8.0] x [-8.0, 8.0] of surface 'xy'",
         ),
+        ("verify", {"plan": {"random_trial": 5}}, [], "unknown plan keys: ['random_trial']"),
+        ("hunt", {"hunt": {"cout": 1}}, [], "unknown hunt keys: ['cout']"),
+        ("verify", {"plan": {"grid_per_axis": 2.7}}, [], "plan.grid_per_axis must be a whole number"),
+        ("verify", {"seed": 1.5}, [], "seed must be a whole number, not 1.5"),
+        ("verify", {"param_grid": {"q": [True]}}, [], "param_grid.q must be a number, not True"),
+        ("verify", {"param_grid": {"q": [10**400]}}, [], "param_grid.q must be a finite number"),
+        ("verify", {"surfaces": ["exp_sum"], "rect": [0.0, 1e-300, 0.0, 1e-300]}, [], "bad rect"),
+        ("hunt", {"rect": [-1e308, 1e308, 0.0, 1.0]}, [], "bad rect"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):

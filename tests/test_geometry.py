@@ -18,6 +18,14 @@ def test_rect_rejects_degenerate():
             Rect(corner, 1.0, 0.0, 1.0)
 
 
+def test_rect_rejects_area_outside_the_positive_finite_floats():
+    # the area underflows to 0.0; the width, and with it the area, overflows to inf
+    for corners in ((0.0, 1e-300, 0.0, 1e-300), (-1e308, 1e308, 0.0, 1.0), (0.0, 1e200, 0.0, 1e200)):
+        with pytest.raises(ParameterError, match="positive finite"):
+            Rect(*corners)
+    assert Rect(0.0, 1e-150, 0.0, 1e-150).area == 1e-300
+
+
 def test_rect_helpers():
     r = Rect(0.0, 2.0, -1.0, 3.0)
     assert r.width == 2.0 and r.height == 4.0 and r.area == 8.0
