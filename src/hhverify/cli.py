@@ -70,7 +70,7 @@ from .convexity import (
     SamplingPlan,
 )
 from .errors import ConfigError, OutOfDomainError, ParameterError
-from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_hull
+from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_edges
 from .oracle import RationalPoly2
 from .surfaces import corpus, poly_surface
 
@@ -498,15 +498,14 @@ def _random_nonneg_poly(rng, degree: int) -> RationalPoly2:
 
 
 def _hunt_domain(rect: Rect, combos) -> Rect:
-    """A domain wide enough for every scaled evaluation hull in the sweep."""
-    hulls = [scaled_eval_hull(rect, p) for p in combos]
+    """A domain wide enough for every scaled evaluation hull in the sweep.
+    ConfigError when no Rect is: an edge or the area overflows."""
+    a, b, c, d = zip(*(scaled_eval_edges(rect, p) for p in combos))
     pad = 1.0
-    return Rect(
-        min(h.a for h in hulls) - pad,
-        max(h.b for h in hulls) + pad,
-        min(h.c for h in hulls) - pad,
-        max(h.d for h in hulls) + pad,
-    )
+    try:
+        return Rect(min(a) - pad, max(b) + pad, min(c) - pad, max(d) + pad)
+    except ParameterError as exc:
+        raise ConfigError(f"bad rect: {rect} scaled by 1/m1, 1/m2 gives no hunt domain: {exc}") from exc
 
 
 def run_hunt(cfg: RunConfig) -> int:
@@ -517,9 +516,10 @@ def run_hunt(cfg: RunConfig) -> int:
     kinds = [c for c in cfg.checks if c in BOUND_KINDS] or list(BOUND_KINDS)
     cfg = replace(cfg, checks=kinds)
 
+    domain = _hunt_domain(cfg.rect, cfg.combos)
+
     def surfaces():
         rng = np.random.default_rng(cfg.seed)
-        domain = _hunt_domain(cfg.rect, cfg.combos)
         for k in range(cfg.hunt_count):
             name = f"hunt-{k:03d}"
             yield name, poly_surface(name, _random_nonneg_poly(rng, cfg.hunt_degree), domain)

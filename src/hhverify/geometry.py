@@ -122,17 +122,24 @@ class GenParams:
 CLASSICAL_PARAMS = GenParams()
 
 
-def scaled_eval_hull(rect: Rect, params: GenParams) -> Rect:
-    """Every point the bounds and the membership refuters evaluate over
-    ``rect`` at ``params``.
+def scaled_eval_edges(rect: Rect, params: GenParams) -> tuple:
+    """The edges (a, b, c, d) of the box holding every point the bounds and
+    the membership refuters evaluate over ``rect`` at ``params``.
 
     The bounds touch the m-scaled corners b/m1 and d/m2; the refuters divide
-    *sampled* coordinates by m, so the hull covers a/m1 and c/m2 too when
+    *sampled* coordinates by m, so the box covers a/m1 and c/m2 too when
     those fall left/below of the rectangle (negative coordinates, m < 1).
+    An edge may overflow to infinity, and the area may too, so the box is
+    not always a Rect.
     """
     xs = (rect.a, rect.b, rect.a / params.m1, rect.b / params.m1)
     ys = (rect.c, rect.d, rect.c / params.m2, rect.d / params.m2)
-    return Rect(min(xs), max(xs), min(ys), max(ys))
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def scaled_eval_hull(rect: Rect, params: GenParams) -> Rect:
+    """The box of scaled_eval_edges as a Rect; ParameterError when it is not one."""
+    return Rect(*scaled_eval_edges(rect, params))
 
 
 def require_inside(domain: Rect, points, context: str) -> None:

@@ -5,13 +5,15 @@ i.e. exact for polynomials up to that degree), its tensor product in 2D.
 Both integrators run one core.  ``_integrate`` cuts each axis at its splits
 (known kinks must be passed as splits; adaptivity is a fallback, not a kink
 finder), takes one rough panel per cell for the error budget and gives each
-cell the budget times its share of the whole length or area.  ``_refine``
-refines cells in order and sums their results from 0.0.  ``_adapt`` accepts
+cell the budget times its share of the whole length or area.  ``_adapt``
+refines a list of cells in order and sums their results from 0.0: it accepts
 a cell when its panel and its children's sum differ by at most its budget,
-else hands the children to ``_refine`` with equal shares of that budget.
-Only the panel rule and the bisection of a cell into its two (four, in 2D)
-children are written per dimension: they run at every bisection step, where
-versions generic over the axes would add per-axis Python loops.
+else recurses on the children with equal shares of that budget, one call
+(one stack frame) per bisection level.  Only the panel rule and the bisection
+of a cell into its two (four, in 2D) children are written per dimension, and
+each integrator hands its own pair to ``_integrate``: they run at every
+bisection step, where versions generic over the axes would add per-axis
+Python loops.
 
 Integrands are evaluated on arrays: ``g`` receives 1-D float arrays of node
 coordinates (one per variable) and must return an array of the same shape; a
@@ -125,10 +127,6 @@ def _quarters(a, b, c, d) -> tuple:
     return ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)) if inside else ()
 
 
-# (panel rule, bisection of one cell), by number of axes
-_RULES = {1: (_panels_1d, _halves), 2: (_panels_2d, _quarters)}
-
-
 def panel_1d(g: Callable, lo: float, hi: float) -> float:
     """Single 12-node Gauss-Legendre panel on [lo, hi]."""
     return float(_panels_1d(g, np.array([[lo, hi]], dtype=float))[0])
@@ -144,41 +142,38 @@ def _measure(cell) -> float:
     return math.prod(hi - lo for lo, hi in zip(cell[::2], cell[1::2]))
 
 
-def _refine(g, rule, bisect, cells, wholes, budgets, depth, tol):
-    """(value, error, panels) of the refined cells, each summed in cell order from 0.0."""
+def _adapt(g, rule, bisect, cells, wholes, budgets, depth, tol):
+    """(value, error, panels) of the cells, each refined to its budget and
+    summed in cell order from 0.0.  ``wholes`` holds each cell's panel."""
     value = err = 0.0
     panels = 0
     for cell, whole, budget in zip(cells, wholes, budgets):
-        v, e, n = _adapt(g, rule, bisect, cell, whole, budget, depth, tol)
+        children = bisect(*cell)
+        if not children:
+            v, e, n = whole, 0.0, 1
+        else:
+            values = rule(g, np.array(children)).tolist()
+            v = sum(values)
+            e, n = abs(v - whole), len(children)
+            if e > budget and depth < tol.max_depth:
+                shares = [budget / n] * n
+                v, e, n = _adapt(g, rule, bisect, children, values, shares, depth + 1, tol)
         value, err, panels = value + v, err + e, panels + n
     return value, err, panels
 
 
-def _adapt(g, rule, bisect, cell, whole, budget, depth, tol):
-    children = bisect(*cell)
-    if not children:
-        return whole, 0.0, 1
-    values = rule(g, np.array(children)).tolist()
-    refined = sum(values)
-    err = abs(refined - whole)
-    if err <= budget or depth >= tol.max_depth:
-        return refined, err, len(children)
-    budgets = [budget / len(children)] * len(children)
-    return _refine(g, rule, bisect, children, values, budgets, depth + 1, tol)
-
-
-def _integrate(g: Callable, axes: tuple, tol: Tolerance | None) -> QuadratureResult:
-    """Integrate g over the box whose axes are the (lo, hi, splits) triples."""
+def _integrate(g: Callable, rule, bisect, axes: tuple, tol: Tolerance | None) -> QuadratureResult:
+    """Integrate g over the box whose axes are the (lo, hi, splits) triples,
+    with the panel rule and cell bisection of that many axes."""
     tol = DEFAULT_TOL if tol is None else tol
-    rule, bisect = _RULES[len(axes)]
     cuts = [[lo, *sorted({float(s) for s in splits if lo < s < hi}), hi] for lo, hi, splits in axes]
     # one cell per combination of axis segments, the last axis fastest
     cells = [sum(seg, ()) for seg in product(*(list(zip(c[:-1], c[1:])) for c in cuts))]
     wholes = rule(g, np.array(cells, dtype=float)).tolist()
     budget = max(tol.abs_floor, tol.rel * abs(sum(wholes)))
-    measure = math.prod(hi - lo for lo, hi, _ in axes)
+    measure = _measure(tuple(x for lo, hi, _ in axes for x in (lo, hi)))
     budgets = [budget * (_measure(cell) / measure) for cell in cells]
-    value, err, panels = _refine(g, rule, bisect, cells, wholes, budgets, 0, tol)
+    value, err, panels = _adapt(g, rule, bisect, cells, wholes, budgets, 0, tol)
     result = QuadratureResult(value, max(err, 2.0**-50 * (1.0 + abs(value))), panels)
     if err > budget:
         raise ConvergenceError(
@@ -208,7 +203,7 @@ def integrate_1d(
     """
     if not lo < hi:
         raise ParameterError(f"empty interval [{lo}, {hi}]")
-    return _integrate(g, ((lo, hi, splits),), tol)
+    return _integrate(g, _panels_1d, _halves, ((lo, hi, splits),), tol)
 
 
 def integrate_2d(
@@ -226,4 +221,4 @@ def integrate_2d(
     kink lines, handled like the 1D splits.  Same error contract as
     integrate_1d.
     """
-    return _integrate(g, ((r.a, r.b, x_splits), (r.c, r.d, y_splits)), tol)
+    return _integrate(g, _panels_2d, _quarters, ((r.a, r.b, x_splits), (r.c, r.d, y_splits)), tol)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteError
-from .geometry import GenParams, Rect, require_inside, scaled_eval_hull
+from .geometry import GenParams, Rect, require_inside, scaled_eval_edges
 from .oracle import RationalPoly2
 
 # Optimal step exponent for a second-order cross difference.
@@ -122,11 +122,12 @@ def crosscheck_mixed_partial(
 
 
 def require_hull_inside(s: Surface, rect: Rect, params: GenParams) -> None:
-    """Raise OutOfDomainError naming the first corner of the evaluation hull
-    (scaled_eval_hull) that lies outside the surface's declared domain."""
-    hull = scaled_eval_hull(rect, params)
-    if not s.domain.contains_rect(hull):
-        require_inside(s.domain, hull.corners(), f"{s.name}: m-scaled evaluation corner")
+    """Raise OutOfDomainError naming the first corner, in Rect.corners order,
+    of the evaluation hull (scaled_eval_edges) that lies outside the surface's
+    declared domain.  A hull too large for a Rect lies outside every domain."""
+    a, b, c, d = scaled_eval_edges(rect, params)
+    corners = ((a, c), (a, d), (b, c), (b, d))
+    require_inside(s.domain, corners, f"{s.name}: m-scaled evaluation corner")
 
 
 def poly_surface(name: str, poly: RationalPoly2, domain: Rect) -> Surface:

@@ -104,6 +104,9 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
         ("verify", {"param_grid": {"q": [10**400]}}, [], "param_grid.q must be a finite number"),
         ("verify", {"surfaces": ["exp_sum"], "rect": [0.0, 1e-300, 0.0, 1e-300]}, [], "bad rect"),
         ("hunt", {"rect": [-1e308, 1e308, 0.0, 1.0]}, [], "bad rect"),
+        # finite rectangles whose m-scaled hunt domain has an infinite edge or area
+        ("hunt", {"rect": [0.0, 1e308, 0.0, 1.0], "param_grid": {"m1": [0.5]}}, [], "bad rect"),
+        ("hunt", {"param_grid": {"m1": [1e-160], "m2": [1e-160]}}, [], "bad rect"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):
@@ -222,6 +225,19 @@ def test_hull_violations_become_skipped_rows(tmp_path):
     assert evaluated and all(r["m1"] == "1.0" for r in evaluated)
     member_rows = read_rows(out / "membership.csv")
     assert any(r["verdict"] == "skipped" for r in member_rows if r["m1"] == "0.5")
+
+
+def test_hull_too_large_for_a_rect_gives_skipped_rows(tmp_path):
+    """At m1 = m2 = 1e-160 the evaluation hull of the unit square has an
+    infinite area; it leaves the surface's domain, and every row at those m is skipped."""
+    out = tmp_path / "out"
+    cfgfile = write_config(
+        tmp_path, surfaces=["xy"], param_grid={"m1": [1e-160], "m2": [1e-160]}, output_dir=str(out)
+    )
+    assert cli.main(["verify", "--config", str(cfgfile)]) == 0
+    for name in ("bounds.csv", "membership.csv"):
+        rows = [r for r in read_rows(out / name) if r["m1"] == "1e-160"]
+        assert rows and all(r["verdict"] == "skipped" for r in rows)
 
 
 def test_report_rows_have_header_shape_and_sorted_order(tmp_path):

@@ -98,6 +98,15 @@ def test_convergence_failure_carries_best_value():
     assert best.value > 0.0 and best.error_estimate > 0.0
 
 
+def test_one_stack_frame_per_bisection_level():
+    # 1 on [2^-(j+1), 2^-j] for even j, else 0: the integral is 2/3 * 1/2 = 1/3.
+    # Every level bisects only the cell next to 0, so 800 levels need about
+    # 800 frames of the default recursion limit of 1000.
+    g = lambda x: np.where(np.floor(np.log2(x)) % 2 == 0, 1.0, 0.0)
+    res = integrate_1d(g, 0.0, 1.0, Tolerance(rel=1e-10, abs_floor=0.0, max_depth=800))
+    assert res.value == 1.0 / 3.0 and res.panels == 2 * 800 + 2
+
+
 def test_2d_separable():
     q = integrate_2d(lambda x, y: x * y, RECT01)
     assert abs(q.value - 0.25) <= 1e-13

@@ -123,6 +123,11 @@ def test_hull_violation_names_a_hull_corner_outside_the_domain():
     assert exc_info.value.point == (-2.0, 0.0)
     assert str(exc_info.value).startswith("mid: m-scaled evaluation corner: point (-2.0, 0.0)")
     require_hull_inside(s, Rect(-1, 1, 0, 1), GenParams())
+    # a hull with an infinite edge, or a finite one with an infinite area, is no Rect
+    for b, m, point in ((1e308, 0.5, (math.inf, 0.0)), (1.0, 1e-160, (0.0, 1e160))):
+        with pytest.raises(OutOfDomainError) as exc_info:
+            require_hull_inside(s, Rect(0.0, b, 0.0, 1.0), GenParams(m1=m, m2=m))
+        assert exc_info.value.point == point
 
 
 def test_surface_str():
