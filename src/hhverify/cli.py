@@ -78,6 +78,7 @@ ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membe
 SKIPPED = "skipped"
 
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
+PLAN_KEYS = {"grid_per_axis": int, "random_trials": int, "seed": int, "tolerance": float}
 CONFIG_KEYS = (
     "surfaces", "rect", "param_grid", "variants", "checks", "plan", "output_dir", "seed", "hunt",
 )
@@ -122,7 +123,15 @@ class RunConfig:
 def _as_list(value, name):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{name} must be a non-empty list")
-    return value
+    return _distinct(value, name)
+
+
+def _distinct(values: list, name) -> list:
+    """values, unless one of them is listed twice (1 and 1.0 are one value)."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{name} lists {v!r} twice")
+    return values
 
 
 def _object(value, name, known) -> dict:
@@ -187,7 +196,7 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
         values = grid_raw.get(key, [1.0])
         if not isinstance(values, list) or not values:
             raise ConfigError(f"no parameters to sweep: param_grid.{key} is empty")
-        grid[key] = [_number(float, v, f"param_grid.{key}") for v in values]
+        grid[key] = _distinct([_number(float, v, f"param_grid.{key}") for v in values], f"param_grid.{key}")
 
     variants = raw.get("variants", [PROOF_FORM] if command == "verify" else list(VARIANTS))
     variants = _as_list(variants, "variants")
@@ -203,15 +212,10 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
 
     run_seed = _number(int, raw.get("seed", 0) if seed is None else seed, "seed", minimum=0)
 
-    plan_keys = ("grid_per_axis", "random_trials", "seed", "tolerance")
-    plan_raw = _object(raw.get("plan", {}), "plan", plan_keys)
+    plan_raw = _object(raw.get("plan", {}), "plan", PLAN_KEYS)
+    plan_args = {k: _number(kind, plan_raw[k], f"plan.{k}") for k, kind in PLAN_KEYS.items() if k in plan_raw}
     try:
-        plan = SamplingPlan(
-            grid_per_axis=_number(int, plan_raw.get("grid_per_axis", 9), "plan.grid_per_axis"),
-            random_trials=_number(int, plan_raw.get("random_trials", 10000), "plan.random_trials"),
-            seed=_number(int, plan_raw.get("seed", run_seed), "plan.seed"),
-            tolerance=_number(float, plan_raw.get("tolerance", 1e-9), "plan.tolerance"),
-        )
+        plan = SamplingPlan(**{"seed": run_seed, **plan_args})  # a key left out takes the plan's default
     except ValueError as exc:
         raise ConfigError(f"bad plan: {exc}") from exc
 
@@ -219,7 +223,7 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
 
     hunt_raw = _object(raw.get("hunt", {}), "hunt", ("count", "degree"))
 
-    cfg = RunConfig(
+    return RunConfig(
         surfaces=list(names),
         rect=rect,
         combos=param_combos(grid),
@@ -231,7 +235,6 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
         hunt_count=_number(int, hunt_raw.get("count", 20), "hunt.count", minimum=0),
         hunt_degree=_number(int, hunt_raw.get("degree", 4), "hunt.degree", minimum=0),
     )
-    return cfg
 
 
 def load_config(path, **overrides) -> RunConfig:
@@ -371,7 +374,7 @@ def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
 NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-def _sweep_surface(name, s, cfg, param_cols, sweep, work, files, bound_file) -> list:
+def _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file) -> list:
     """Append the rows of one surface to ``files`` and return its findings:
     the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
     A ``bound_file`` with a ``hypothesis`` column refutes every evaluated
@@ -390,7 +393,7 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, work, files, bound_file) -> 
     if "membership" in checks:
         cells = [(FIRST, CLASSICAL_PARAMS)] + [(sense, p) for p in combos for sense in NOTIONS]
         notions = ["coordinated"] + [NOTIONS[sense] for sense, _ in cells[1:]]
-        for (_, p), notion, rep in zip(cells, notions, sweep.reports(s, cells, work=work)):
+        for (_, p), notion, rep in zip(cells, notions, sweep.reports(s, cells)):
             files["membership"].append(_membership_row(name, "f", notion, param_cols[p], rep))
 
     swept = list(_bound_sweep(s, rect, combos, checks, cfg.variants, dev))
@@ -402,7 +405,7 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, work, files, bound_file) -> 
         for kind, p, variant, rep in swept
     ]
     params = [p for p in dict.fromkeys(keys) if p is not None]
-    hyps = dict(zip(params, sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True, work=work)))
+    hyps = dict(zip(params, sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True)))
     findings = []
     for (kind, p, variant, rep), key in zip(swept, keys):
         hyp = hyps.get(key)
@@ -424,11 +427,10 @@ def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     files = {bound_file: [], "membership": [], "chains": [], "identity": []}
-    work = Counter()
     param_cols = _param_cols(cfg.combos)
     findings = []
     for name, s in surfaces:
-        findings += _sweep_surface(name, s, cfg, param_cols, sweep, work, files, bound_file)
+        findings += _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file)
 
     failing = [f for f in findings if f["variant"] == PROOF_FORM]
     exit_code = 1 if failing else 0
@@ -437,8 +439,8 @@ def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys)
         "proof_form_failures": failing,
         "rows": sum(len(v) for v in files.values()),
         "work": {  # deterministic counts of the refuter work, no timings
-            "membership_reports": work["membership_reports"],
-            "batched_evaluations": work["batched_evaluations"],
+            "membership_reports": sweep.work["membership_reports"],
+            "batched_evaluations": sweep.work["batched_evaluations"],
             "samples_per_report": len(sweep.samples[0]),
         },
         "wall_time_s": round(time.time() - t0, 3),

@@ -14,6 +14,7 @@ actually consume), grid_per_axis^2 random pairs, each crossed with a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,46 +153,23 @@ def _batch_eval(f, xs, ys):
 
 
 def _samples(rect: Rect, plan: SamplingPlan):
+    """The sample table, column i holding sample i (x, y, z, w, lam, mu): the
+    corner and random pairs crossed with the (lam, mu) grid, then the random
+    trials.  Filled in place, its six C-contiguous rows are the columns."""
     rng = np.random.default_rng(plan.seed)
-    npairs = plan.grid_per_axis**2
-    corner_pairs = np.array(
-        [
-            (rect.a, rect.c, rect.b, rect.d),
-            (rect.b, rect.d, rect.a, rect.c),
-            (rect.a, rect.d, rect.b, rect.c),
-            (rect.b, rect.c, rect.a, rect.d),
-        ]
-    )
-    rand_pairs = np.column_stack(
-        [
-            rng.uniform(rect.a, rect.b, npairs),
-            rng.uniform(rect.c, rect.d, npairs),
-            rng.uniform(rect.a, rect.b, npairs),
-            rng.uniform(rect.c, rect.d, npairs),
-        ]
-    )
-    pairs = np.vstack([corner_pairs, rand_pairs])
-
-    n_grid = 2 * plan.grid_per_axis - 1
-    axis = np.linspace(0.0, 1.0, n_grid)
-    gl, gm = np.meshgrid(axis, axis, indexing="ij")
-    gl, gm = gl.ravel(), gm.ravel()
-
-    x = np.repeat(pairs[:, 0], gl.size)
-    y = np.repeat(pairs[:, 1], gl.size)
-    z = np.repeat(pairs[:, 2], gl.size)
-    w = np.repeat(pairs[:, 3], gl.size)
-    lam = np.tile(gl, len(pairs))
-    mu = np.tile(gm, len(pairs))
-
-    if plan.random_trials:
-        x = np.concatenate([x, rng.uniform(rect.a, rect.b, plan.random_trials)])
-        y = np.concatenate([y, rng.uniform(rect.c, rect.d, plan.random_trials)])
-        z = np.concatenate([z, rng.uniform(rect.a, rect.b, plan.random_trials)])
-        w = np.concatenate([w, rng.uniform(rect.c, rect.d, plan.random_trials)])
-        lam = np.concatenate([lam, rng.uniform(0.0, 1.0, plan.random_trials)])
-        mu = np.concatenate([mu, rng.uniform(0.0, 1.0, plan.random_trials)])
-    return x, y, z, w, lam, mu
+    a, b, c, d = rect.a, rect.b, rect.c, rect.d
+    lo = np.array([a, c, a, c, 0.0, 0.0])[:, None]
+    hi = np.array([b, d, b, d, 1.0, 1.0])[:, None]
+    corner_pairs = np.array([(a, c, b, d), (b, d, a, c), (a, d, b, c), (b, c, a, d)]).T
+    pairs = np.hstack([corner_pairs, rng.uniform(lo[:4], hi[:4], (4, plan.grid_per_axis**2))])
+    axis = np.linspace(0.0, 1.0, 2 * plan.grid_per_axis - 1)
+    grid = np.array(np.meshgrid(axis, axis, indexing="ij")).reshape(2, -1)
+    n = pairs.shape[1] * grid.shape[1]
+    table = np.empty((6, n + plan.random_trials))
+    table[:4, :n] = np.repeat(pairs, grid.shape[1], axis=1)
+    table[4:, :n] = np.tile(grid, pairs.shape[1])
+    table[:, n:] = rng.uniform(lo, hi, (6, plan.random_trials))
+    return tuple(table)
 
 
 class MembershipSweep:
@@ -213,6 +191,7 @@ class MembershipSweep:
         self.plan = plan
         self.samples = _samples(rect, plan)
         self._powers: dict = {}  # (axis, e) -> lam^e or mu^e
+        self.work = Counter()  # membership_reports, batched_evaluations
 
     def _sample_power(self, axis: int, e: float):
         """lam^e (axis 0) or mu^e (axis 1) over the samples, once per sweep."""
@@ -221,42 +200,42 @@ class MembershipSweep:
             self._powers[key] = np.power(self.samples[4 + axis], e)
         return self._powers[key]
 
-    def reports(self, s: Surface, cells, hypothesis: bool = False, work=None) -> list:
+    def reports(self, s: Surface, cells, hypothesis: bool = False) -> list:
         """One MembershipReport per (sense, p) cell of s, None where the
         evaluation hull leaves the domain.
 
         With ``hypothesis`` a cell refutes membership of |d2f|^(p.q) (see
         abs_mixed_surface) instead of f, whose cells do not depend on q.
-        ``work``, a Counter, gains the cells reported and the batched
-        surface evaluations made.  A non-finite margin raises the
-        NonFiniteError of the first failing cell, visiting the (m1, m2)
-        pairs, within a pair its q values, and within a q its cells, each
-        in order of first appearance.
+        The evaluation hull is checked once per (m1, m2) group, and
+        ``self.work`` counts the cells reported and the batched surface
+        evaluations.  A non-finite margin raises the NonFiniteError of the
+        first failing cell, visiting the (m1, m2) pairs, within a pair its
+        q values, and within a q its cells, each in order of first
+        appearance.  The loops visit weights outside and q inside, so only
+        one (sense, weight parameters) unit's four weight arrays live at a
+        time, and collect the errors to raise them in q order: visiting q
+        first keeps every unit's weights alive, +17 % peak memory on hunt.
         """
         keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
-        groups: dict = {}  # (m1, m2) -> its cells, in order
-        results: dict = {}
+        groups: dict = {}  # (m1, m2) -> its distinct cells, in order
         for key in dict.fromkeys(keys):
-            sense, p = key
-            try:
-                require_hull_inside(s, self.rect, p)
-            except OutOfDomainError:
-                results[key] = None
-                continue
-            groups.setdefault((p.m1, p.m2), []).append(key)
-
+            groups.setdefault((key[1].m1, key[1].m2), []).append(key)
         fn = mixed_partial_func(s) if hypothesis else s.f
         batched = lambda xs, ys: _batch_eval(fn, xs, ys)
+        results: dict = {}
         for (m1, m2), members in groups.items():
+            try:
+                require_hull_inside(s, self.rect, members[0][1])
+            except OutOfDomainError:
+                results.update(dict.fromkeys(members))
+                continue
             alike: dict = {}  # (sense, weight parameters) -> (first p, q -> cells)
-            for key in members:
-                sense, p = key
+            for sense, p in members:
                 by_q = alike.setdefault((sense, _SENSES[sense][1](p)), (p, {}))[1]
-                by_q.setdefault(p.q, []).append(key)
+                by_q.setdefault(p.q, []).append((sense, p))
             qs = list(dict.fromkeys(p.q for _, p in members))
             raw = _points(batched, m1, m2, *self.samples)
-            if work is not None:
-                work["batched_evaluations"] += len(raw)
+            self.work["batched_evaluations"] += len(raw)
             if hypothesis:
                 raw = tuple(np.abs(v) for v in raw)
             points = {q: tuple(_power(v, q) for v in raw) for q in qs}
@@ -273,8 +252,7 @@ class MembershipSweep:
                     results.update(dict.fromkeys(same, rep))
             if errors:
                 raise min(errors, key=lambda e: e[0])[1]
-        if work is not None:
-            work["membership_reports"] += sum(rep is not None for rep in results.values())
+        self.work["membership_reports"] += sum(rep is not None for rep in results.values())
         return [results[key] for key in keys]
 
     def _report(self, key, weights, target: Surface, points) -> MembershipReport:
@@ -298,12 +276,7 @@ class MembershipSweep:
         # is reproducible from the witness alone.
         worst_margin = float(_SENSES[sense][2](target.f, p, *witness))
         verdict = VIOLATED if worst_margin < -self.plan.tolerance else NO_VIOLATION
-        return MembershipReport(
-            verdict=verdict,
-            worst_margin=worst_margin,
-            witness=witness,
-            samples_checked=int(margins.size),
-        )
+        return MembershipReport(verdict, worst_margin, witness, int(margins.size))
 
 
 def _check_one(s: Surface, r: Rect, plan: SamplingPlan, sense: str, p: GenParams) -> MembershipReport:

@@ -107,6 +107,10 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
         # finite rectangles whose m-scaled hunt domain has an infinite edge or area
         ("hunt", {"rect": [0.0, 1e308, 0.0, 1.0], "param_grid": {"m1": [0.5]}}, [], "bad rect"),
         ("hunt", {"param_grid": {"m1": [1e-160], "m2": [1e-160]}}, [], "bad rect"),
+        # a list that repeats a value would write its rows twice
+        ("verify", {"surfaces": ["xy", "xy"]}, [], "surfaces lists 'xy' twice"),
+        ("hunt", {"variants": ["as-written", "proof-form", "as-written"]}, [], "variants lists 'as-written' twice"),
+        ("verify", {"param_grid": {"q": [1.0, 1]}}, [], "param_grid.q lists 1.0 twice"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):

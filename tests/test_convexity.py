@@ -1,4 +1,3 @@
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +23,7 @@ from hhverify import (
     poly_surface,
     RationalPoly2,
 )
+from hhverify import convexity
 from hhverify.convexity import (
     FIRST,
     SECOND,
@@ -173,6 +173,62 @@ def test_samples_checked_matches_plan():
     pairs = 9 * 9 + 4  # random pairs plus the four corner pairs
     grid = (2 * 9 - 1) ** 2
     assert rep.samples_checked == pairs * grid + 10000
+
+
+def reference_samples(rect, plan):
+    """The samples built column by column, as the refuter once built them."""
+    rng = np.random.default_rng(plan.seed)
+    npairs = plan.grid_per_axis**2
+    corner_pairs = np.array(
+        [
+            (rect.a, rect.c, rect.b, rect.d),
+            (rect.b, rect.d, rect.a, rect.c),
+            (rect.a, rect.d, rect.b, rect.c),
+            (rect.b, rect.c, rect.a, rect.d),
+        ]
+    )
+    rand_pairs = np.column_stack(
+        [
+            rng.uniform(rect.a, rect.b, npairs),
+            rng.uniform(rect.c, rect.d, npairs),
+            rng.uniform(rect.a, rect.b, npairs),
+            rng.uniform(rect.c, rect.d, npairs),
+        ]
+    )
+    pairs = np.vstack([corner_pairs, rand_pairs])
+
+    n_grid = 2 * plan.grid_per_axis - 1
+    axis = np.linspace(0.0, 1.0, n_grid)
+    gl, gm = np.meshgrid(axis, axis, indexing="ij")
+    gl, gm = gl.ravel(), gm.ravel()
+
+    x = np.repeat(pairs[:, 0], gl.size)
+    y = np.repeat(pairs[:, 1], gl.size)
+    z = np.repeat(pairs[:, 2], gl.size)
+    w = np.repeat(pairs[:, 3], gl.size)
+    lam = np.tile(gl, len(pairs))
+    mu = np.tile(gm, len(pairs))
+
+    if plan.random_trials:
+        x = np.concatenate([x, rng.uniform(rect.a, rect.b, plan.random_trials)])
+        y = np.concatenate([y, rng.uniform(rect.c, rect.d, plan.random_trials)])
+        z = np.concatenate([z, rng.uniform(rect.a, rect.b, plan.random_trials)])
+        w = np.concatenate([w, rng.uniform(rect.c, rect.d, plan.random_trials)])
+        lam = np.concatenate([lam, rng.uniform(0.0, 1.0, plan.random_trials)])
+        mu = np.concatenate([mu, rng.uniform(0.0, 1.0, plan.random_trials)])
+    return x, y, z, w, lam, mu
+
+
+@pytest.mark.parametrize("grid_per_axis, random_trials", [(2, 0), (3, 7), (9, 10000)])
+def test_samples_match_column_by_column_reference(grid_per_axis, random_trials):
+    rect = Rect(-3.5, -0.25, -2.0, 1.5)
+    plan = SamplingPlan(grid_per_axis=grid_per_axis, random_trials=random_trials, seed=11)
+    got = _samples(rect, plan)
+    want = reference_samples(rect, plan)
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.flags.c_contiguous
+        assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_zero_power_convention():
@@ -327,20 +383,38 @@ def test_sweep_evaluates_once_per_m_pair():
     base = get_surface("x2y2")
     s = Surface("counted", base.domain, f=counting(base.f, f_calls), d2f=counting(base.d2f, d2f_calls))
     sweep = MembershipSweep(RECT01, PLAN)
-    work = Counter()
     cells = [(sense, p) for p in SWEEP_GRID for sense in (FIRST, SECOND)]
-    sweep.reports(s, cells, work=work)
+    sweep.reports(s, cells)
     assert len(f_calls) == 5 * len(pairs) < len(cells)
     assert not d2f_calls
-    sweep.reports(s, [(FIRST, p) for p in SWEEP_GRID], hypothesis=True, work=work)
+    sweep.reports(s, [(FIRST, p) for p in SWEEP_GRID], hypothesis=True)
     assert len(d2f_calls) == 5 * len(pairs) < len(SWEEP_GRID)
     assert len(f_calls) == 5 * len(pairs)
     assert set(f_calls + d2f_calls) == {len(sweep.samples[0])}
     # f does not depend on q (its cells are shared across q); |d2f|^q does
-    assert work == {
+    assert sweep.work == {
         "batched_evaluations": 2 * 5 * len(pairs),
         "membership_reports": len(cells) // 3 + len(SWEEP_GRID),
     }
+
+
+def test_sweep_checks_the_hull_once_per_m_pair(monkeypatch):
+    calls = []
+    check = convexity.require_hull_inside
+
+    def counted(s, r, p):
+        calls.append((p.m1, p.m2))
+        return check(s, r, p)
+
+    monkeypatch.setattr(convexity, "require_hull_inside", counted)
+    pairs = list(dict.fromkeys((p.m1, p.m2) for p in SWEEP_GRID))
+    sweep = MembershipSweep(RECT01, PLAN)
+    for hypothesis in (False, True):
+        cells = [(sense, p) for p in SWEEP_GRID for sense in (FIRST, SECOND)]
+        reports = sweep.reports(SWEEP_SURFACES["narrow"], cells, hypothesis=hypothesis)
+        assert calls == pairs
+        assert [rep is None for rep in reports] == [out_of_domain("narrow", p) for _, p in cells]
+        calls.clear()
 
 
 # Cells whose theta = alpha * s collide (alpha, s = 0.5, 1 against 1, 0.5 on
@@ -402,13 +476,13 @@ def test_sweep_reports_once_per_distinct_margin(hypothesis):
     base = get_surface("x2y2")
     s = Surface("counted", base.domain, f=counting_scalars(base.f, calls), d2f=counting_scalars(base.d2f, calls))
     cells = [(sense, p) for p in COLLIDING_GRID for sense in (FIRST, SECOND)]
-    work = Counter()
-    MembershipSweep(RECT01, SMALL_PLAN).reports(s, cells, hypothesis=hypothesis, work=work)
+    sweep = MembershipSweep(RECT01, SMALL_PLAN)
+    sweep.reports(s, cells, hypothesis=hypothesis)
     distinct = distinct_margins(cells, hypothesis)
     assert len(calls) == 5 * len(distinct)
     # first-sense cells collide in theta; f cells also across q
     assert len(distinct) < len({(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells})
-    assert work["membership_reports"] == len(cells) // (1 if hypothesis else 3)
+    assert sweep.work["membership_reports"] == len(cells) // (1 if hypothesis else 3)
 
 
 def test_sweep_raises_the_first_non_finite_cell_q_by_q():
