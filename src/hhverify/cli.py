@@ -172,6 +172,8 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
     if names == ["all"]:
         names = list(registry)
     for n in names:
+        if not isinstance(n, str):
+            raise ConfigError(f"surfaces must list surface names, not {n!r}")
         if n not in registry:
             raise ConfigError(
                 f"unknown surface {n!r}; registered: {', '.join(registry)}"
@@ -405,11 +407,10 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file) -> list:
         for kind, p, variant, rep in swept
     ]
     params = [p for p in dict.fromkeys(keys) if p is not None]
-    hyps = dict(zip(params, sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True)))
+    hyps = dict(zip(params, sweep.verdicts(s, params)))
     findings = []
     for (kind, p, variant, rep), key in zip(swept, keys):
-        hyp = hyps.get(key)
-        hypothesis = SKIPPED if hyp is None else hyp.verdict
+        hypothesis = hyps.get(key) or SKIPPED
         row = _bound_row(name, kind, variant, param_cols[p], rep)
         files[bound_file].append(row + (hypothesis,) if every else row)
         if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
@@ -441,6 +442,7 @@ def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys)
         "work": {  # deterministic counts of the refuter work, no timings
             "membership_reports": sweep.work["membership_reports"],
             "batched_evaluations": sweep.work["batched_evaluations"],
+            "sample_margins": sweep.work["sample_margins"],
             "samples_per_report": len(sweep.samples[0]),
         },
         "wall_time_s": round(time.time() - t0, 3),

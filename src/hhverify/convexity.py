@@ -172,6 +172,29 @@ def _samples(rect: Rect, plan: SamplingPlan):
     return tuple(table)
 
 
+# verdicts scans the sample table in blocks: BLOCK samples, then each block
+# twice the one before.  The corner pairs come first in the table, and most
+# refuted hypotheses have a violating sample within the first few thousand.
+BLOCK = 512
+
+
+def _blocks(n: int):
+    """The slices of an n-sample table that verdicts scans, in order."""
+    start, size = 0, BLOCK
+    while start < n:
+        yield slice(start, min(start + size, n))
+        start, size = start + size, 2 * size
+
+
+def _raise_first(errors, members):
+    """Raise the NonFiniteError of the first failing (cell, error) in
+    ``errors``: in q order, then cell order, each by first appearance among
+    the group's ``members``."""
+    if errors:
+        qs = list(dict.fromkeys(p.q for _, p in members))
+        raise min(errors, key=lambda e: (qs.index(e[0][1].q), members.index(e[0])))[1]
+
+
 class MembershipSweep:
     """The refuters over one rectangle and plan, for many parameter cells.
 
@@ -184,6 +207,8 @@ class MembershipSweep:
     (sense, weight parameters) it computes the corner weights once, and
     per q it makes one report, which every cell alike in sense, weight
     parameters, m and q shares: their margins are bitwise equal.
+    ``verdicts`` does the same for hypothesis verdicts alone, block by
+    block, and stops a cell at its first violating block.
     """
 
     def __init__(self, rect: Rect, plan: SamplingPlan = DEFAULT_PLAN):
@@ -191,7 +216,7 @@ class MembershipSweep:
         self.plan = plan
         self.samples = _samples(rect, plan)
         self._powers: dict = {}  # (axis, e) -> lam^e or mu^e
-        self.work = Counter()  # membership_reports, batched_evaluations
+        self.work = Counter()  # membership_reports, batched_evaluations, sample_margins
 
     def _sample_power(self, axis: int, e: float):
         """lam^e (axis 0) or mu^e (axis 1) over the samples, once per sweep."""
@@ -200,65 +225,34 @@ class MembershipSweep:
             self._powers[key] = np.power(self.samples[4 + axis], e)
         return self._powers[key]
 
-    def reports(self, s: Surface, cells, hypothesis: bool = False) -> list:
-        """One MembershipReport per (sense, p) cell of s, None where the
-        evaluation hull leaves the domain.
-
-        With ``hypothesis`` a cell refutes membership of |d2f|^(p.q) (see
-        abs_mixed_surface) instead of f, whose cells do not depend on q.
-        The evaluation hull is checked once per (m1, m2) group, and
-        ``self.work`` counts the cells reported and the batched surface
-        evaluations.  A non-finite margin raises the NonFiniteError of the
-        first failing cell, visiting the (m1, m2) pairs, within a pair its
-        q values, and within a q its cells, each in order of first
-        appearance.  The loops visit weights outside and q inside, so only
-        one (sense, weight parameters) unit's four weight arrays live at a
-        time, and collect the errors to raise them in q order: visiting q
-        first keeps every unit's weights alive, +17 % peak memory on hunt.
-        """
-        keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
-        groups: dict = {}  # (m1, m2) -> its distinct cells, in order
+    def _groups(self, s: Surface, keys, results: dict):
+        """The distinct keys grouped by (m1, m2), in order of first
+        appearance, each yielded as ((m1, m2), members, units) with units
+        (sense, weight parameters) -> (first p, q -> its cells).  The
+        evaluation hull is checked once per group; a group whose hull leaves
+        the domain is not yielded, and its cells get None in ``results``."""
+        groups: dict = {}
         for key in dict.fromkeys(keys):
             groups.setdefault((key[1].m1, key[1].m2), []).append(key)
-        fn = mixed_partial_func(s) if hypothesis else s.f
-        batched = lambda xs, ys: _batch_eval(fn, xs, ys)
-        results: dict = {}
-        for (m1, m2), members in groups.items():
+        for m, members in groups.items():
             try:
                 require_hull_inside(s, self.rect, members[0][1])
             except OutOfDomainError:
                 results.update(dict.fromkeys(members))
                 continue
-            alike: dict = {}  # (sense, weight parameters) -> (first p, q -> cells)
+            units: dict = {}
             for sense, p in members:
-                by_q = alike.setdefault((sense, _SENSES[sense][1](p)), (p, {}))[1]
+                by_q = units.setdefault((sense, _SENSES[sense][1](p)), (p, {}))[1]
                 by_q.setdefault(p.q, []).append((sense, p))
-            qs = list(dict.fromkeys(p.q for _, p in members))
-            raw = _points(batched, m1, m2, *self.samples)
-            self.work["batched_evaluations"] += len(raw)
-            if hypothesis:
-                raw = tuple(np.abs(v) for v in raw)
-            points = {q: tuple(_power(v, q) for v in raw) for q in qs}
-            targets = {q: abs_mixed_surface(s, q) if hypothesis else s for q in qs}
-            errors = []
-            for (sense, _), (p, by_q) in alike.items():
-                weights = _SENSES[sense][0](p, self._sample_power)
-                for q, same in by_q.items():
-                    try:
-                        rep = self._report(same[0], weights, targets[q], points[q])
-                    except NonFiniteError as exc:
-                        errors.append(((qs.index(q), members.index(same[0])), exc))
-                        continue
-                    results.update(dict.fromkeys(same, rep))
-            if errors:
-                raise min(errors, key=lambda e: e[0])[1]
-        self.work["membership_reports"] += sum(rep is not None for rep in results.values())
-        return [results[key] for key in keys]
+            yield m, members, units
 
-    def _report(self, key, weights, target: Surface, points) -> MembershipReport:
-        sense, p = key
-        cols = self.samples
-        margins = _combine(weights, points)
+    def _judge(self, key, target: Surface, margins, cols):
+        """The witness of ``margins`` over the sample columns ``cols``, its
+        margin re-evaluated through the scalar path, and that margin's
+        verdict.  The witness is the lexicographically least (x, y, z, w,
+        lam, mu) among the least margins; a non-finite margin raises the
+        NonFiniteError of its first sample instead."""
+        self.work["sample_margins"] += margins.size
         bad = ~np.isfinite(margins)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
@@ -266,17 +260,116 @@ class MembershipSweep:
                 f"{target.name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
                 float(margins[i]),
             )
-        worst = float(margins.min())
-        ties = np.flatnonzero(margins == worst)
-        # The lexicographically least (x, y, z, w, lam, mu) among the ties;
+        ties = np.flatnonzero(margins == margins.min())
         # lexsort is stable, so equal tuples keep the first index.
         i = ties[np.lexsort([c[ties] for c in reversed(cols)])[0]]
         witness = tuple(float(c[i]) for c in cols)
-        # Re-evaluate the witness through the scalar path so the reported margin
-        # is reproducible from the witness alone.
-        worst_margin = float(_SENSES[sense][2](target.f, p, *witness))
-        verdict = VIOLATED if worst_margin < -self.plan.tolerance else NO_VIOLATION
-        return MembershipReport(verdict, worst_margin, witness, int(margins.size))
+        # The scalar path makes the margin reproducible from the witness alone.
+        sense, p = key
+        margin = float(_SENSES[sense][2](target.f, p, *witness))
+        return witness, margin, VIOLATED if margin < -self.plan.tolerance else NO_VIOLATION
+
+    def reports(self, s: Surface, cells, hypothesis: bool = False) -> list:
+        """One MembershipReport per (sense, p) cell of s, None where the
+        evaluation hull leaves the domain.
+
+        With ``hypothesis`` a cell refutes membership of |d2f|^(p.q) (see
+        abs_mixed_surface) instead of f, whose cells do not depend on q.
+        The evaluation hull is checked once per (m1, m2) group, and
+        ``self.work`` counts the cells reported, the batched surface
+        evaluations and the sample margins.  A non-finite margin raises the
+        NonFiniteError of the first failing cell, visiting the (m1, m2)
+        pairs, within a pair its q values, and within a q its cells, each in
+        order of first appearance.  The loops visit weights outside and q
+        inside, so only one (sense, weight parameters) unit's four weight
+        arrays live at a time, and collect the errors to raise them in q
+        order: visiting q first keeps every unit's weights alive, +17 % peak
+        memory on hunt.
+        """
+        keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
+        fn = mixed_partial_func(s) if hypothesis else s.f
+        batched = lambda xs, ys: _batch_eval(fn, xs, ys)
+        results: dict = {}
+        for (m1, m2), members, units in self._groups(s, keys, results):
+            raw = _points(batched, m1, m2, *self.samples)
+            self.work["batched_evaluations"] += len(raw)
+            if hypothesis:
+                raw = tuple(np.abs(v) for v in raw)
+            qs = dict.fromkeys(p.q for _, p in members)
+            points = {q: tuple(_power(v, q) for v in raw) for q in qs}
+            targets = {q: abs_mixed_surface(s, q) if hypothesis else s for q in qs}
+            errors = []
+            for (sense, _), (p, by_q) in units.items():
+                weights = _SENSES[sense][0](p, self._sample_power)
+                for q, same in by_q.items():
+                    margins = _combine(weights, points[q])
+                    try:
+                        witness, margin, verdict = self._judge(same[0], targets[q], margins, self.samples)
+                    except NonFiniteError as exc:
+                        errors.append((same[0], exc))
+                        continue
+                    rep = MembershipReport(verdict, margin, witness, int(margins.size))
+                    results.update(dict.fromkeys(same, rep))
+            _raise_first(errors, members)
+        self.work["membership_reports"] += sum(rep is not None for rep in results.values())
+        return [results[key] for key in keys]
+
+    def verdicts(self, s: Surface, params) -> list:
+        """The first-sense verdict on the hypothesis |d2f|^(p.q) for each p
+        of params, None where the evaluation hull leaves the domain: the
+        verdicts of ``reports(s, [(FIRST, p) for p in params],
+        hypothesis=True)``, with less work.  (They can part only where the
+        vector and scalar margins both lie within rounding of -tolerance;
+        then this says violated, with a violating witness behind it.)
+
+        Per (m1, m2) group the samples are scanned block by block (see
+        _blocks): d2f is evaluated at a block's five point arrays only while
+        some cell of the group is pending.  Every pending cell judges each
+        block as ``reports`` judges the whole table (its block witness,
+        re-evaluated through the scalar path), and is violated, and no
+        longer pending, at the first block whose witness margin is below
+        -tolerance.  A cell that no block violates is clean: the witness of
+        the whole table is the witness of the block that holds it, so its
+        scalar margin was one of those found clean.  A non-finite margin in
+        a block raises the NonFiniteError of the first cell failing in that
+        block, in q order, then cell order.
+        """
+        keys = [(FIRST, p) for p in params]
+        d2f = mixed_partial_func(s)
+        batched = lambda xs, ys: _batch_eval(d2f, xs, ys)
+        results: dict = {}
+        for (m1, m2), members, units in self._groups(s, keys, results):
+            targets = {p.q: abs_mixed_surface(s, p.q) for _, p in members}
+            for block in _blocks(len(self.samples[0])):
+                live = {q for _, by_q in units.values() for q in by_q}  # q of the pending cells
+                if not live:
+                    break
+                cols = tuple(c[block] for c in self.samples)
+                raw = tuple(np.abs(v) for v in _points(batched, m1, m2, *cols))
+                self.work["batched_evaluations"] += len(raw)
+                points = {q: tuple(_power(v, q) for v in raw) for q in live}
+                power = lambda axis, e: self._sample_power(axis, e)[block]
+                errors = []
+                for p, by_q in units.values():
+                    if not by_q:
+                        continue
+                    weights = _weights_first(p, power)
+                    for q, same in list(by_q.items()):
+                        margins = _combine(weights, points[q])
+                        try:
+                            verdict = self._judge(same[0], targets[q], margins, cols)[2]
+                        except NonFiniteError as exc:
+                            errors.append((same[0], exc))
+                            continue
+                        if verdict == VIOLATED:
+                            results.update(dict.fromkeys(same, VIOLATED))
+                            del by_q[q]
+                _raise_first(errors, members)
+            for _, by_q in units.values():
+                for same in by_q.values():
+                    results.update(dict.fromkeys(same, NO_VIOLATION))
+        self.work["membership_reports"] += sum(v is not None for v in results.values())
+        return [results[key] for key in keys]
 
 
 def _check_one(s: Surface, r: Rect, plan: SamplingPlan, sense: str, p: GenParams) -> MembershipReport:

@@ -111,6 +111,8 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
         ("verify", {"surfaces": ["xy", "xy"]}, [], "surfaces lists 'xy' twice"),
         ("hunt", {"variants": ["as-written", "proof-form", "as-written"]}, [], "variants lists 'as-written' twice"),
         ("verify", {"param_grid": {"q": [1.0, 1]}}, [], "param_grid.q lists 1.0 twice"),
+        # a surface name must be a string
+        ("verify", {"surfaces": [[1]]}, [], "surfaces must list surface names, not [1]"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):
@@ -467,9 +469,17 @@ def test_summary_work_counts(tmp_path):
     # verify: f in the first and second sense on each of two surfaces (its
     # cells do not depend on q, and def1 is the first sense at q = 1), one
     # (m1, m2) group each; no proof-form violation, so no hypothesis report
-    assert verify_work == {"membership_reports": 4, "batched_evaluations": 10, "samples_per_report": samples}
-    # hunt: |d2f|^q at q = 1 (classical and direct share it) and q = 2, two surfaces
-    assert hunt_work == {"membership_reports": 4, "batched_evaluations": 10, "samples_per_report": samples}
+    assert verify_work == {
+        "membership_reports": 4, "batched_evaluations": 10, "sample_margins": 4 * samples,
+        "samples_per_report": samples,
+    }
+    # hunt: |d2f|^q at q = 1 (classical and direct share it) and q = 2, two
+    # surfaces, each verdict clean, so scanned over all three blocks (512,
+    # 1024 and the last 1313 samples) of its surface's one (m1, m2) group
+    assert hunt_work == {
+        "membership_reports": 4, "batched_evaluations": 2 * 3 * 5, "sample_margins": 4 * samples,
+        "samples_per_report": samples,
+    }
 
 
 def test_out_flag_overrides_config_output_dir(tmp_path):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from hhverify import (
     poly_surface,
     RationalPoly2,
 )
-from hhverify import convexity
+from hhverify import cli, convexity
+from hhverify.bounds import THEOREMS
 from hhverify.convexity import (
     FIRST,
     SECOND,
@@ -387,14 +389,17 @@ def test_sweep_evaluates_once_per_m_pair():
     sweep.reports(s, cells)
     assert len(f_calls) == 5 * len(pairs) < len(cells)
     assert not d2f_calls
-    sweep.reports(s, [(FIRST, p) for p in SWEEP_GRID], hypothesis=True)
+    hyp_cells = [(FIRST, p) for p in SWEEP_GRID]
+    sweep.reports(s, hyp_cells, hypothesis=True)
     assert len(d2f_calls) == 5 * len(pairs) < len(SWEEP_GRID)
     assert len(f_calls) == 5 * len(pairs)
     assert set(f_calls + d2f_calls) == {len(sweep.samples[0])}
     # f does not depend on q (its cells are shared across q); |d2f|^q does
+    distinct = len(distinct_margins(cells, False)) + len(distinct_margins(hyp_cells, True))
     assert sweep.work == {
         "batched_evaluations": 2 * 5 * len(pairs),
         "membership_reports": len(cells) // 3 + len(SWEEP_GRID),
+        "sample_margins": distinct * len(sweep.samples[0]),
     }
 
 
@@ -507,6 +512,86 @@ def test_sweep_raises_the_first_non_finite_cell_q_by_q():
         with pytest.raises(NonFiniteError) as info:
             MembershipSweep(RECT01, SMALL_PLAN).reports(s, cells, hypothesis=True)
     assert str(info.value) == expected
+
+
+def test_verdicts_raise_the_first_non_finite_cell_as_reports_do():
+    # The first-sense variant of the case above: its weights sum to at most
+    # 1, so |d2f| = 1.5e308 gives finite margins at q = 1 and none at q >= 2.
+    # The sweep meets unit A's q = 4 cell first, yet both paths raise the
+    # error of the cell first in q order, unit B's q = 2 cell, at its first
+    # sample.
+    big = lambda x, y: np.full(np.shape(x), 1.5e308)
+    s = Surface("huge", Rect(-8, 8, -8, 8), f=lambda x, y: np.zeros(np.shape(x)), d2f=big)
+    unit_a, unit_b, unit_c = GenParams(), GenParams(s1=0.5, s2=0.5), GenParams(alpha1=0.5)
+    params = [unit_a, replace(unit_b, q=2.0), replace(unit_a, q=4.0), replace(unit_c, q=8.0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_class_first(abs_mixed_surface(s, 1.0), RECT01, unit_a, SMALL_PLAN)
+        with pytest.raises(NonFiniteError) as one:
+            check_class_first(abs_mixed_surface(s, 2.0), RECT01, params[1], SMALL_PLAN)
+        with pytest.raises(NonFiniteError) as swept:
+            MembershipSweep(RECT01, SMALL_PLAN).reports(s, [(FIRST, p) for p in params], hypothesis=True)
+        with pytest.raises(NonFiniteError) as judged:
+            MembershipSweep(RECT01, SMALL_PLAN).verdicts(s, params)
+    assert "|^2 margin at sample (0.0, 0.0, 1.0, 1.0, 0.0, 0.0)" in str(one.value)
+    assert str(judged.value) == str(swept.value) == str(one.value)
+
+
+def verdicts_of_reports(sweep, s, params):
+    reports = sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True)
+    return [None if rep is None else rep.verdict for rep in reports]
+
+
+# The block size verdicts starts with: the default, one sample (one block
+# per power of two) and the whole table (a single block).
+BLOCKS = [convexity.BLOCK, 1, 10**9]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("name", sorted(SWEEP_SURFACES))
+def test_verdicts_match_reports(monkeypatch, name, block):
+    monkeypatch.setattr(convexity, "BLOCK", block)
+    s = SWEEP_SURFACES[name]
+    sweep = MembershipSweep(RECT01, SMALL_PLAN)
+    verdicts = sweep.verdicts(s, COLLIDING_GRID)
+    assert verdicts == verdicts_of_reports(sweep, s, COLLIDING_GRID)
+    assert [v is None for v in verdicts] == [out_of_domain(name, p) for p in COLLIDING_GRID]
+    assert {VIOLATED, NO_VIOLATION} <= set(verdicts)
+
+
+def test_verdicts_match_reports_on_hunt_surfaces():
+    # The first 3 surfaces of configs/hunt.json's hunt, with the parameter
+    # cells whose hypotheses the hunt refutes.
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "hunt.json")
+    domain = cli._hunt_domain(cfg.rect, cfg.combos)
+    rng = np.random.default_rng(cfg.seed)
+    params = list(dict.fromkeys(THEOREMS[kind].hypothesis(p) for p in cfg.combos for kind in cfg.checks))
+    sweep = MembershipSweep(cfg.rect, cfg.plan)
+    seen = set()
+    for k in range(3):
+        s = poly_surface(f"hunt-{k:03d}", cli._random_nonneg_poly(rng, cfg.hunt_degree), domain)
+        verdicts = sweep.verdicts(s, params)
+        assert verdicts == verdicts_of_reports(sweep, s, params)
+        seen.update(verdicts)
+    assert seen == {VIOLATED, NO_VIOLATION}
+
+
+def test_verdicts_scan_only_the_blocks_a_group_needs():
+    # |d2f|^q = exp(q (x + y)): every cell of the two m < 1 groups is violated
+    # in the first block, so those groups evaluate d2f on it alone; the m = 1
+    # group has clean cells, which scan both blocks.
+    calls = []
+    exp = lambda x, y: np.exp(x + y)
+    s = Surface("exp", Rect(-8, 8, -8, 8), f=exp, d2f=counting(exp, calls))
+    sweep = MembershipSweep(RECT01, SMALL_PLAN)
+    verdicts = sweep.verdicts(s, COLLIDING_GRID)
+    n = len(sweep.samples[0])
+    assert [len(range(n)[block]) for block in convexity._blocks(n)] == [512, n - 512]
+    by_m = {}
+    for p, verdict in zip(COLLIDING_GRID, verdicts):
+        by_m.setdefault((p.m1, p.m2), set()).add(verdict)
+    assert by_m == {(0.5, 1.0): {VIOLATED}, (1.0, 0.5): {VIOLATED}, (1.0, 1.0): {VIOLATED, NO_VIOLATION}}
+    assert calls == 3 * 5 * [512] + 5 * [n - 512]
+    assert sweep.work["batched_evaluations"] == len(calls)
 
 
 def test_sweep_caches_sample_powers_per_exponent():

@@ -33,7 +33,10 @@ QUICK_SUMMARY = {
     "exit_code": 0,
     "proof_form_failures": [],
     "rows": 1372,
-    "work": {"batched_evaluations": 140, "membership_reports": 224, "samples_per_report": 34565},
+    "work": {
+        "batched_evaluations": 140, "membership_reports": 224, "sample_margins": 7742560,
+        "samples_per_report": 34565,
+    },
     "worst_slack": 0.0,
 }
 HUNT_TWO_SURFACES_SUMMARY = {
@@ -43,7 +46,10 @@ HUNT_TWO_SURFACES_SUMMARY = {
     "proof_form_failures": [],
     "rows": 3456,
     "surfaces_generated": 2,
-    "work": {"batched_evaluations": 40, "membership_reports": 864, "samples_per_report": 12957},
+    "work": {
+        "batched_evaluations": 120, "membership_reports": 864, "sample_margins": 875267,
+        "samples_per_report": 12957,
+    },
 }
 
 
