@@ -35,7 +35,7 @@ from typing import Callable
 from .errors import ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, require_inside
 from .oracle import deviation_parts
-from .quadrature import Tolerance, integrate_1d, integrate_2d
+from .quadrature import Tolerance, integrate_1d, integrate_2d, left_sum
 from .surfaces import Surface, eval_mixed_partial, mixed_partial_func
 
 PROOF_FORM = "proof-form"
@@ -134,7 +134,7 @@ def deviation_terms(s: Surface, r: Rect, tol: Tolerance | None = None) -> Deviat
             marginal_budget=max(math.ulp(marginal), math.ulp(signed)) / 2.0,
         )
     f = s.f
-    corner_avg = sum(float(f(x, y)) for x, y in r.corners()) / 4.0
+    corner_avg = left_sum(float(f(x, y)) for x, y in r.corners()) / 4.0
     dbl = integrate_2d(f, r, tol)
     integral_mean = dbl.value / r.area
     qx = integrate_1d(lambda x: f(x, r.c) + f(x, r.d), r.a, r.b, tol)
@@ -289,7 +289,7 @@ class Theorem:
 THEOREMS = {
     CLASSICAL: Theorem(
         "q = 1", lambda q: q == 1.0, lambda p: CLASSICAL_PARAMS,
-        lambda r, p, variant, mags: r.area / 16.0 * (sum(mags) / 4.0),
+        lambda r, p, variant, mags: r.area / 16.0 * (left_sum(mags) / 4.0),
     ),
     DIRECT: Theorem("q = 1", lambda q: q == 1.0, lambda p: p, partial(_kink_rhs, 0.5)),
     HOLDER: Theorem("q > 1", lambda q: q > 1.0, lambda p: p, _holder_rhs),
@@ -405,5 +405,5 @@ def hh_chain_2d(
         values=tuple(values),
         monotone=monotone,
         worst_gap=min(gaps),
-        error_budget=sum(budgets),
+        error_budget=left_sum(budgets),
     )

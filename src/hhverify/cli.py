@@ -288,15 +288,16 @@ def _param_cols(combos) -> dict:
     }
 
 
-def _bound_row(surface, kind, variant, cols: tuple, rep: BoundReport | None) -> tuple:
+def _bound_row(
+    surface, kind, variant, cols: tuple, rep: BoundReport | None, lhs: str, budget: str
+) -> tuple:
     """One bounds row with parameter columns ``cols``; ``rep`` None is a
-    cell skipped for leaving the domain."""
+    cell skipped for leaving the domain.  ``lhs`` and ``budget`` are the
+    surface's formatted lhs and error_budget, which every report of one
+    surface shares."""
     if rep is None:
         return (surface, kind, variant, *cols, "", "", "", "", SKIPPED)
-    return (
-        surface, kind, variant, *cols,
-        _fmt(rep.lhs), _fmt(rep.rhs), _fmt(rep.slack), _fmt(rep.error_budget), rep.verdict,
-    )
+    return (surface, kind, variant, *cols, lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
 
 
 def _membership_row(surface, target, notion, cols: tuple, rep: MembershipReport | None) -> tuple:
@@ -408,10 +409,12 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file) -> list:
     ]
     params = [p for p in dict.fromkeys(keys) if p is not None]
     hyps = dict(zip(params, sweep.verdicts(s, params)))
+    # every bound report of the surface has dev's lhs and error_budget
+    lhs, budget = (_fmt(dev.abs_deviation), _fmt(dev.error_budget)) if swept else ("", "")
     findings = []
     for (kind, p, variant, rep), key in zip(swept, keys):
         hypothesis = hyps.get(key) or SKIPPED
-        row = _bound_row(name, kind, variant, param_cols[p], rep)
+        row = _bound_row(name, kind, variant, param_cols[p], rep, lhs, budget)
         files[bound_file].append(row + (hypothesis,) if every else row)
         if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
             finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)

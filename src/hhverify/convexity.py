@@ -339,7 +339,7 @@ class MembershipSweep:
         batched = lambda xs, ys: _batch_eval(d2f, xs, ys)
         results: dict = {}
         for (m1, m2), members, units in self._groups(s, keys, results):
-            targets = {p.q: abs_mixed_surface(s, p.q) for _, p in members}
+            targets = {q: abs_mixed_surface(s, q) for q in dict.fromkeys(p.q for _, p in members)}
             for block in _blocks(len(self.samples[0])):
                 live = {q for _, by_q in units.values() for q in by_q}  # q of the pending cells
                 if not live:

@@ -6,23 +6,26 @@ Both integrators run one core.  ``_integrate`` cuts each axis at its splits
 (known kinks must be passed as splits; adaptivity is a fallback, not a kink
 finder), takes one rough panel per cell for the error budget and gives each
 cell the budget times its share of the whole length or area.  ``_adapt``
-refines a list of cells in order and sums their results from 0.0: it accepts
-a cell when its panel and its children's sum differ by at most its budget,
-else recurses on the children with equal shares of that budget, one call
-(one stack frame) per bisection level.  Only the panel rule and the bisection
-of a cell into its two (four, in 2D) children are written per dimension, and
-each integrator hands its own pair to ``_integrate``: they run at every
-bisection step, where versions generic over the axes would add per-axis
-Python loops.
+refines a list of cells and returns each cell's result: it accepts a cell
+when its panel and its children's sum differ by at most its budget, else
+refines the children with equal shares of that budget, one call (one stack
+frame) per bisection level.  Only the panel rule and the bisection of a cell
+into its two (four, in 2D) children are written per dimension, and each
+integrator hands its own pair to ``_integrate``: they run at every bisection
+step, where versions generic over the axes would add per-axis Python loops.
 
 Integrands are evaluated on arrays: ``g`` receives 1-D float arrays of node
 coordinates (one per variable) and must return an array of the same shape; a
-scalar return is broadcast.  Each bisection step evaluates all of its child
-panels in one call of ``g``, and each child's value is handed down as the
-next level's coarse value, so no panel is evaluated twice.  The weighted sums
-run in the order of the nested one-node-at-a-time loops (the inner sum one
-node at a time, the outer sum over its results), so every value is the one
-those loops give, bit for bit.
+scalar return is broadcast.  One call of ``g`` evaluates the child panels of
+up to ``CHUNK`` cells of a bisection level, and each child's value is handed
+down as the next level's coarse value, so no panel is evaluated twice.  The
+weighted sums run in the order of the nested one-node-at-a-time loops (the
+inner sum one node at a time, the outer sum over its results), and a refined
+cell sums its children's results in order from 0.0, so every value, error
+estimate and panel count is the one the depth-first recursion over single
+panels gives, bit for bit.  A non-finite value raises at the first node that
+recursion reaches.  Float sums are left folds from 0.0 (``left_sum``), not
+``sum()``, which compensates its float sums from Python 3.12 on.
 
 Error estimates are the accumulated coarse-vs-refined differences, floored at
 the roundoff scale of the result; the reported value is always the refined
@@ -142,24 +145,80 @@ def _measure(cell) -> float:
     return math.prod(hi - lo for lo, hi in zip(cell[::2], cell[1::2]))
 
 
-def _adapt(g, rule, bisect, cells, wholes, budgets, depth, tol):
-    """(value, error, panels) of the cells, each refined to its budget and
-    summed in cell order from 0.0.  ``wholes`` holds each cell's panel."""
+def left_sum(values) -> float:
+    """The floats of values added one at a time in order, from 0.0: the
+    rounding of every step kept, as ``sum()`` of floats gives it up to
+    Python 3.11."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _total(results) -> tuple:
+    """(value, error, panels) of a run of (value, error, panels) results,
+    summed in order from 0.0."""
     value = err = 0.0
     panels = 0
-    for cell, whole, budget in zip(cells, wholes, budgets):
-        children = bisect(*cell)
-        if not children:
-            v, e, n = whole, 0.0, 1
-        else:
-            values = rule(g, np.array(children)).tolist()
-            v = sum(values)
-            e, n = abs(v - whole), len(children)
-            if e > budget and depth < tol.max_depth:
-                shares = [budget / n] * n
-                v, e, n = _adapt(g, rule, bisect, children, values, shares, depth + 1, tol)
+    for v, e, n in results:
         value, err, panels = value + v, err + e, panels + n
     return value, err, panels
+
+
+# _adapt evaluates the children of this many cells in one call of the rule:
+# 32 panels, 4 608 nodes, in 2D.  The chunk bounds what a bisection level
+# holds; a whole level at once grows fourfold per level.
+CHUNK = 8
+
+
+def _adapt(g, rule, bisect, cells, wholes, budgets, depth, tol) -> list:
+    """One (value, error, panels) per cell, each refined to its budget;
+    ``wholes`` holds each cell's panel.
+
+    Chunk by chunk, the children of the chunk's cells are evaluated in one
+    call of the rule, then the children of the cells that miss their budget
+    are refined in one recursive call, and each of those cells gets its
+    children's results summed.  If the call raises NonFiniteError, the
+    chunk's cells are refined one at a time instead, which raises the error
+    that comes first in depth-first order: one in the subtree of a cell
+    before the failing one, if there is one.  Only this error path evaluates
+    a node twice."""
+    results = []
+    for start in range(0, len(cells), CHUNK):
+        chunk = slice(start, start + CHUNK)
+        kids = [bisect(*cell) for cell in cells[chunk]]
+        rows = [kid for ks in kids for kid in ks]
+        try:
+            values = rule(g, np.array(rows)).tolist() if rows else []
+        except NonFiniteError:
+            if len(kids) > 1:
+                for i in range(start, start + len(kids)):
+                    one = slice(i, i + 1)
+                    _adapt(g, rule, bisect, cells[one], wholes[one], budgets[one], depth, tol)
+            raise
+        next_cells, next_wholes, next_budgets = [], [], []
+        refined = []  # (index in results, number of children) of each refined cell
+        at = 0
+        for ks, whole, budget in zip(kids, wholes[chunk], budgets[chunk]):
+            n = len(ks)
+            if not n:
+                results.append((whole, 0.0, 1))
+                continue
+            children, at = values[at:at + n], at + n
+            v = left_sum(children)
+            e = abs(v - whole)
+            if e > budget and depth < tol.max_depth:
+                refined.append((len(results), n))
+                next_cells.extend(ks)
+                next_wholes.extend(children)
+                next_budgets.extend([budget / n] * n)
+            results.append((v, e, n))
+        if refined:
+            sub = _adapt(g, rule, bisect, next_cells, next_wholes, next_budgets, depth + 1, tol)
+            at = 0
+            for i, n in refined:
+                results[i], at = _total(sub[at:at + n]), at + n
+    return results
 
 
 def _integrate(g: Callable, rule, bisect, axes: tuple, tol: Tolerance | None) -> QuadratureResult:
@@ -170,10 +229,10 @@ def _integrate(g: Callable, rule, bisect, axes: tuple, tol: Tolerance | None) ->
     # one cell per combination of axis segments, the last axis fastest
     cells = [sum(seg, ()) for seg in product(*(list(zip(c[:-1], c[1:])) for c in cuts))]
     wholes = rule(g, np.array(cells, dtype=float)).tolist()
-    budget = max(tol.abs_floor, tol.rel * abs(sum(wholes)))
+    budget = max(tol.abs_floor, tol.rel * abs(left_sum(wholes)))
     measure = _measure(tuple(x for lo, hi, _ in axes for x in (lo, hi)))
     budgets = [budget * (_measure(cell) / measure) for cell in cells]
-    value, err, panels = _adapt(g, rule, bisect, cells, wholes, budgets, 0, tol)
+    value, err, panels = _total(_adapt(g, rule, bisect, cells, wholes, budgets, 0, tol))
     result = QuadratureResult(value, max(err, 2.0**-50 * (1.0 + abs(value))), panels)
     if err > budget:
         raise ConvergenceError(
