@@ -9,13 +9,14 @@ convexity-class refuters.
 
 from .bounds import (
     AS_WRITTEN,
+    CLASSICAL,
+    DIRECT,
+    HOLDER,
     HOLDS,
+    POWER_MEAN,
     PROOF_FORM,
     BoundReport,
-    bound_classical,
-    bound_direct,
-    bound_holder,
-    bound_power_mean,
+    bound,
     deviation_terms,
     hh_chain_2d,
     identity_report,
@@ -24,10 +25,8 @@ from .bounds import (
 from .convexity import (
     NO_VIOLATION,
     VIOLATED,
+    MembershipSweep,
     SamplingPlan,
-    check_class_first,
-    check_class_second,
-    check_def1_coordinated,
     margin_class_first,
     margin_class_second,
 )
@@ -37,28 +36,21 @@ from .errors import (
     OutOfDomainError,
     ParameterError,
 )
-from .geometry import GenParams, Rect, scaled_eval_hull
+from .geometry import GenParams, Rect
 from .oracle import (
     RationalPoly1,
     RationalPoly2,
-    deviation_exact,
-    identity_residual_exact,
     poly_integral_2d_exact,
 )
 from .quadrature import (
     Tolerance,
     integrate_1d,
     integrate_2d,
-    panel_1d,
-    panel_2d,
 )
 from .surfaces import (
     Surface,
-    constant_surface,
     corpus,
-    crosscheck_mixed_partial,
     eval_mixed_partial,
-    get_surface,
     poly_surface,
 )
 

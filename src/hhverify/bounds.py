@@ -22,7 +22,7 @@ kept so the discrepancy can be measured and hunted.
 Each theorem is written once, as its entry in ``THEOREMS``: its q range,
 the parameter cell at which its hypothesis (|d2f|^q first-sense
 s-(alpha, m)-convex on the co-ordinates) is refuted, and its right side.
-The ``bound_*`` functions and the CLI's bound sweep read them from there.
+``bound`` and the CLI's bound sweep read them from there.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def _corner_mags(s: Surface, r: Rect, p: GenParams):
     leaves the surface's declared domain.
 
     They depend on p only through (m1, m2): a caller sweeping many cells
-    passes them to the bound functions as ``mags``, like ``dev``."""
+    passes them to ``bound`` as ``mags``, like ``dev``."""
     return (
         abs(eval_mixed_partial(s, r.a, r.c)),
         abs(eval_mixed_partial(s, r.a, r.d / p.m2)),
@@ -297,13 +297,25 @@ THEOREMS = {
 }
 
 
-def _bound(kind, s: Surface, r: Rect, p: GenParams, variant: str, dev, mags) -> BoundReport:
-    """Every bound's one path: check the variant and q, compute ``dev`` and
-    ``mags`` where the caller passes None, and report.  A right side whose
-    power |d2f|^q overflows is NaN, so inconclusive."""
+def bound(
+    kind: str, s: Surface, r: Rect, p: GenParams = CLASSICAL_PARAMS, variant: str = PROOF_FORM,
+    dev: DeviationTerms | None = None, mags: tuple | None = None,
+) -> BoundReport:
+    """The ``kind`` bound (one of BOUND_KINDS) of s over r at p, the one path
+    of every bound: check kind, variant and q, compute ``dev`` and ``mags``
+    (_corner_mags) where the caller passes None, and report.  The classical
+    bound takes only the classical parameters and the proof-form variant.
+    A right side whose power |d2f|^q overflows is NaN, so inconclusive."""
+    if kind not in THEOREMS:
+        raise ParameterError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
     theorem = THEOREMS[kind]
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if kind == CLASSICAL and (p != CLASSICAL_PARAMS or variant != PROOF_FORM):
+        raise ParameterError(
+            f"{kind} bound takes only the classical parameters and the {PROOF_FORM} variant, "
+            f"got {p} and {variant}"
+        )
     if not theorem.applies(p.q):
         raise ParameterError(f"{kind} bound requires {theorem.q_range}, got q = {p.q}")
     if dev is None:
@@ -317,53 +329,6 @@ def _bound(kind, s: Surface, r: Rect, p: GenParams, variant: str, dev, mags) -> 
     lhs, budget = dev.abs_deviation, dev.error_budget
     slack = rhs - lhs
     return BoundReport(kind, variant, lhs, rhs, slack, budget, _verdict(slack, budget, rhs))
-
-
-def bound_classical(
-    s: Surface,
-    r: Rect,
-    dev: DeviationTerms | None = None,
-    mags: tuple | None = None,
-) -> BoundReport:
-    """Trapezoid bound for co-ordinated-convex |d2f| (``mags``: _corner_mags
-    at m1 = m2 = 1)."""
-    return _bound(CLASSICAL, s, r, CLASSICAL_PARAMS, PROOF_FORM, dev, mags)
-
-
-def bound_direct(
-    s: Surface,
-    r: Rect,
-    p: GenParams,
-    variant: str = PROOF_FORM,
-    dev: DeviationTerms | None = None,
-    mags: tuple | None = None,
-) -> BoundReport:
-    """First-sense class bound at q = 1, built from the two kink moments."""
-    return _bound(DIRECT, s, r, p, variant, dev, mags)
-
-
-def bound_holder(
-    s: Surface,
-    r: Rect,
-    p: GenParams,
-    variant: str = PROOF_FORM,
-    dev: DeviationTerms | None = None,
-    mags: tuple | None = None,
-) -> BoundReport:
-    """Holder-route bound for q > 1."""
-    return _bound(HOLDER, s, r, p, variant, dev, mags)
-
-
-def bound_power_mean(
-    s: Surface,
-    r: Rect,
-    p: GenParams,
-    variant: str = PROOF_FORM,
-    dev: DeviationTerms | None = None,
-    mags: tuple | None = None,
-) -> BoundReport:
-    """Power-mean-route bound for q >= 1; at q = 1 it is the direct bound."""
-    return _bound(POWER_MEAN, s, r, p, variant, dev, mags)
 
 
 def hh_chain_2d(

@@ -52,10 +52,7 @@ from .bounds import (
     BoundReport,
     DeviationTerms,
     _corner_mags,
-    bound_classical,
-    bound_direct,
-    bound_holder,
-    bound_power_mean,
+    bound,
     deviation_terms,
     hh_chain_2d,
     identity_report,
@@ -336,9 +333,6 @@ def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) 
 # the bound sweep
 
 
-_BOUND_FNS = {DIRECT: bound_direct, HOLDER: bound_holder, POWER_MEAN: bound_power_mean}
-
-
 def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
     """Yield (kind, params, variant, report) for every bound row of s: the
     classical bound first, then each grid cell x applicable kind x variant.
@@ -357,16 +351,16 @@ def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
 
     if CLASSICAL in kinds:
         m = corner_mags(CLASSICAL_PARAMS)
-        rep = None if m is None else bound_classical(s, rect, dev=dev, mags=m)
+        rep = None if m is None else bound(CLASSICAL, s, rect, dev=dev, mags=m)
         yield CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM, rep
-    grid_kinds = [kind for kind in _BOUND_FNS if kind in kinds]
+    grid_kinds = [kind for kind in (DIRECT, HOLDER, POWER_MEAN) if kind in kinds]
     for p in combos:
         for kind in grid_kinds:
             if not THEOREMS[kind].applies(p.q):
                 continue
             m = corner_mags(p)
             for variant in variants:
-                rep = None if m is None else _BOUND_FNS[kind](s, rect, p, variant=variant, dev=dev, mags=m)
+                rep = None if m is None else bound(kind, s, rect, p, variant, dev=dev, mags=m)
                 yield kind, p, variant, rep
 
 

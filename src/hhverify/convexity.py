@@ -1,10 +1,11 @@
 """Sampling-based membership refuters for the co-ordinated convexity notions.
 
-Each checker evaluates margin = RHS - LHS of the defining inequality over a
-deterministic sample set and reports the worst margin with its witness.  A
-negative margin beyond the tolerance is a concrete violation; "no violation
-found" is exactly that - these are refuters, not certifiers, because the
-conditions quantify over a continuum.
+A MembershipSweep evaluates margin = RHS - LHS of the defining inequality
+over a deterministic sample set, for each parameter cell it is given, and
+reports the worst margin with its witness.  A negative margin beyond the
+tolerance is a concrete violation; "no violation found" is exactly that -
+these are refuters, not certifiers, because the conditions quantify over a
+continuum.
 
 The sample set couples the pair of base points with a dense (lam, mu) grid:
 the four rectangle corner pairs (the degenerate instances the integral bounds
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteError, OutOfDomainError
-from .geometry import CLASSICAL_PARAMS, GenParams, Rect
+from .geometry import GenParams, Rect
 from .surfaces import Surface, mixed_partial_func, require_hull_inside
 
 NO_VIOLATION = "no-violation-found"
@@ -29,6 +30,10 @@ VIOLATED = "violated"
 # first sense at trivial parameters.
 FIRST = "first"
 SECOND = "second"
+
+# The most samples a plan may ask for: its table holds six floats per sample.
+MAX_SAMPLES = 2**20
+
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -48,6 +53,10 @@ class SamplingPlan:
             raise ValueError("seed must be >= 0")
         if not 0 <= self.tolerance < float("inf"):  # NaN or inf would pass every margin
             raise ValueError("tolerance must be finite and >= 0")
+        g = self.grid_per_axis
+        samples = (4 + g * g) * (2 * g - 1) ** 2 + self.random_trials
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"{samples} samples; at most {MAX_SAMPLES} are allowed")
 
 
 DEFAULT_PLAN = SamplingPlan()
@@ -370,29 +379,3 @@ class MembershipSweep:
                     results.update(dict.fromkeys(same, NO_VIOLATION))
         self.work["membership_reports"] += sum(v is not None for v in results.values())
         return [results[key] for key in keys]
-
-
-def _check_one(s: Surface, r: Rect, plan: SamplingPlan, sense: str, p: GenParams) -> MembershipReport:
-    require_hull_inside(s, r, p)  # one cell raises where a sweep reports None
-    return MembershipSweep(r, plan).reports(s, [(sense, p)])[0]
-
-
-def check_def1_coordinated(
-    s: Surface, r: Rect, plan: SamplingPlan = DEFAULT_PLAN
-) -> MembershipReport:
-    """Refute (or fail to refute) plain co-ordinated convexity of s over r."""
-    return _check_one(s, r, plan, FIRST, CLASSICAL_PARAMS)
-
-
-def check_class_first(
-    g: Surface, r: Rect, p: GenParams, plan: SamplingPlan = DEFAULT_PLAN
-) -> MembershipReport:
-    """Refute first-sense class membership of g over r at parameters p."""
-    return _check_one(g, r, plan, FIRST, p)
-
-
-def check_class_second(
-    g: Surface, r: Rect, p: GenParams, plan: SamplingPlan = DEFAULT_PLAN
-) -> MembershipReport:
-    """Refute second-sense class membership of g over r at parameters p."""
-    return _check_one(g, r, plan, SECOND, p)

@@ -137,11 +137,6 @@ def scaled_eval_edges(rect: Rect, params: GenParams) -> tuple:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def scaled_eval_hull(rect: Rect, params: GenParams) -> Rect:
-    """The box of scaled_eval_edges as a Rect; ParameterError when it is not one."""
-    return Rect(*scaled_eval_edges(rect, params))
-
-
 def require_inside(domain: Rect, points, context: str) -> None:
     """Raise OutOfDomainError, with ``context``, at the first of ``points``
     that lies outside ``domain``."""

@@ -100,10 +100,6 @@ class RationalPoly2:
                 out[k] = out.get(k, Fraction(0)) + c1 * c2
         return RationalPoly2(out)
 
-    def scale(self, factor) -> "RationalPoly2":
-        f = Fraction(factor)
-        return RationalPoly2({k: f * v for k, v in self.terms.items()})
-
     def eval_exact(self, x, y) -> Fraction:
         x, y = Fraction(x), Fraction(y)
         return sum((c * x**i * y**j for (i, j), c in self.terms.items()), Fraction(0))
@@ -201,33 +197,3 @@ def deviation_parts(p: RationalPoly2, r: Rect) -> tuple[Fraction, Fraction, Frac
     gy = p.substitute_x(a) + p.substitute_x(b)
     marginal = (gx.integral(a, b) / (b - a) + gy.integral(c, d) / (d - c)) / 2
     return corner, mean, marginal
-
-
-def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:
-    """Exact corner average + double-integral mean - A (deviation_parts).
-
-    This is the signed trapezoid deviation the identity and all the bounds
-    are about, computed without any floating point.
-    """
-    corner, mean, marginal = deviation_parts(p, r)
-    return corner + mean - marginal
-
-
-_UNIT = Rect(0.0, 1.0, 0.0, 1.0)
-
-
-def identity_residual_exact(p: RationalPoly2, r: Rect) -> Fraction:
-    """Both sides of the trapezoid-deviation identity, exactly, as a difference.
-
-    The right side substitutes the affine reparameterization
-    x = u*a + (1-u)*b, y = v*c + (1-v)*d into the mixed partial (a polynomial
-    composition), multiplies by (1-2u)(1-2v) and integrates over the unit
-    square; no absolute values appear, so the integrand stays polynomial.
-    Returns deviation - rhs, which is exactly 0 for every polynomial.
-    """
-    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
-    deviation = deviation_exact(p, r)
-    composed = p.mixed_partial().compose_affine(b, a - b, d, c - d)
-    kernel = RationalPoly2({(0, 0): 1, (1, 0): -2}) * RationalPoly2({(0, 0): 1, (0, 1): -2})
-    rhs = (b - a) * (d - c) / 4 * poly_integral_2d_exact(composed * kernel, _UNIT)
-    return deviation - rhs

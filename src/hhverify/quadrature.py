@@ -130,16 +130,6 @@ def _quarters(a, b, c, d) -> tuple:
     return ((a, mx, c, my), (mx, b, c, my), (a, mx, my, d), (mx, b, my, d)) if inside else ()
 
 
-def panel_1d(g: Callable, lo: float, hi: float) -> float:
-    """Single 12-node Gauss-Legendre panel on [lo, hi]."""
-    return float(_panels_1d(g, np.array([[lo, hi]], dtype=float))[0])
-
-
-def panel_2d(g: Callable, a: float, b: float, c: float, d: float) -> float:
-    """Single tensor-product Gauss-Legendre panel on [a, b] x [c, d]."""
-    return float(_panels_2d(g, np.array([[a, b, c, d]], dtype=float))[0])
-
-
 def _measure(cell) -> float:
     """Length (area) of a cell (lo, hi) ((a, b, c, d)): the product of its extents."""
     return math.prod(hi - lo for lo, hi in zip(cell[::2], cell[1::2]))

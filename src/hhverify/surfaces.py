@@ -91,36 +91,6 @@ def mixed_partial_func(s: Surface) -> Callable:
     return lambda x, y: fd_mixed_partial(s.f, x, y)
 
 
-def crosscheck_mixed_partial(
-    s: Surface, n_points: int = 5, seed: int = 0, rtol: float = 1e-5
-) -> float:
-    """Compare the analytic mixed partial against the stencil at random interior
-    points; returns the worst normalized deviation |fd - exact| / (1 + |exact|).
-
-    Raises if the surface has no analytic derivative or the deviation exceeds
-    rtol (a wrong hand-supplied derivative is a corpus bug).
-    """
-    if s.d2f is None:
-        raise ValueError(f"{s.name} has no analytic mixed partial to cross-check")
-    rng = np.random.default_rng(seed)
-    dom = s.domain
-    margin_x = 2.0 * _FD_STEP * (1.0 + max(abs(dom.a), abs(dom.b)))
-    margin_y = 2.0 * _FD_STEP * (1.0 + max(abs(dom.c), abs(dom.d)))
-    worst = 0.0
-    for _ in range(n_points):
-        x = rng.uniform(dom.a + margin_x, dom.b - margin_x)
-        y = rng.uniform(dom.c + margin_y, dom.d - margin_y)
-        exact = float(s.d2f(x, y))
-        approx = float(fd_mixed_partial(s.f, x, y))
-        dev = abs(approx - exact) / (1.0 + abs(exact))
-        worst = max(worst, dev)
-        if dev > rtol:
-            raise AssertionError(
-                f"{s.name}: analytic/finite-difference mismatch {dev:.3e} at ({x}, {y})"
-            )
-    return worst
-
-
 def require_hull_inside(s: Surface, rect: Rect, params: GenParams) -> None:
     """Raise OutOfDomainError naming the first corner, in Rect.corners order,
     of the evaluation hull (scaled_eval_edges) that lies outside the surface's
@@ -180,22 +150,3 @@ _CORPUS = _build_corpus()
 def corpus() -> dict[str, CorpusEntry]:
     """The registered test surfaces, keyed by name (insertion order stable)."""
     return dict(_CORPUS)
-
-
-def get_surface(name: str) -> Surface:
-    try:
-        return _CORPUS[name].surface
-    except KeyError:
-        raise KeyError(
-            f"unknown surface {name!r}; registered: {', '.join(_CORPUS)}"
-        ) from None
-
-
-def constant_surface(value: float, domain: Rect = _WIDE) -> Surface:
-    """A constant surface (zero mixed partial), for ad-hoc checks."""
-    return Surface(
-        name=f"constant({value})",
-        domain=domain,
-        f=lambda x, y: value + 0.0 * (x + y),
-        d2f=lambda x, y: 0.0 * (x + y),
-    )

@@ -1,6 +1,6 @@
-"""Shared test helpers.
+"""Shared test helpers, and the oracle and corpus checks that only tests use.
 
-The cross-check integrators here are deliberately independent of the
+The tanh-sinh cross-check integrator is deliberately independent of the
 package's Gauss-Legendre machinery (different rule family), so agreement is
 meaningful evidence rather than a tautology.
 """
@@ -8,8 +8,89 @@ meaningful evidence rather than a tautology.
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
-from hhverify import RationalPoly2
+from hhverify import MembershipSweep, RationalPoly2, Rect, Surface, poly_integral_2d_exact
+from hhverify.convexity import DEFAULT_PLAN
+from hhverify.oracle import deviation_parts
+from hhverify.surfaces import _FD_STEP, _WIDE, fd_mixed_partial, require_hull_inside
+
+
+def check_cell(s, r, sense, p, plan=DEFAULT_PLAN):
+    """The MembershipReport of one (sense, p) cell of s over r.  Raises
+    OutOfDomainError where a sweep reports None."""
+    require_hull_inside(s, r, p)
+    return MembershipSweep(r, plan).reports(s, [(sense, p)])[0]
+
+
+def constant_surface(value: float, domain: Rect = _WIDE) -> Surface:
+    """A constant surface (zero mixed partial), for ad-hoc checks."""
+    return Surface(
+        name=f"constant({value})",
+        domain=domain,
+        f=lambda x, y: value + 0.0 * (x + y),
+        d2f=lambda x, y: 0.0 * (x + y),
+    )
+
+
+def crosscheck_mixed_partial(
+    s: Surface, n_points: int = 5, seed: int = 0, rtol: float = 1e-5
+) -> float:
+    """Compare the analytic mixed partial against the stencil at random interior
+    points; returns the worst normalized deviation |fd - exact| / (1 + |exact|).
+
+    Raises if the surface has no analytic derivative or the deviation exceeds
+    rtol (a wrong hand-supplied derivative is a corpus bug).
+    """
+    if s.d2f is None:
+        raise ValueError(f"{s.name} has no analytic mixed partial to cross-check")
+    rng = np.random.default_rng(seed)
+    dom = s.domain
+    margin_x = 2.0 * _FD_STEP * (1.0 + max(abs(dom.a), abs(dom.b)))
+    margin_y = 2.0 * _FD_STEP * (1.0 + max(abs(dom.c), abs(dom.d)))
+    worst = 0.0
+    for _ in range(n_points):
+        x = rng.uniform(dom.a + margin_x, dom.b - margin_x)
+        y = rng.uniform(dom.c + margin_y, dom.d - margin_y)
+        exact = float(s.d2f(x, y))
+        approx = float(fd_mixed_partial(s.f, x, y))
+        dev = abs(approx - exact) / (1.0 + abs(exact))
+        worst = max(worst, dev)
+        if dev > rtol:
+            raise AssertionError(
+                f"{s.name}: analytic/finite-difference mismatch {dev:.3e} at ({x}, {y})"
+            )
+    return worst
+
+
+def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:
+    """Exact corner average + double-integral mean - A (deviation_parts).
+
+    This is the signed trapezoid deviation the identity and all the bounds
+    are about, computed without any floating point.
+    """
+    corner, mean, marginal = deviation_parts(p, r)
+    return corner + mean - marginal
+
+
+_UNIT = Rect(0.0, 1.0, 0.0, 1.0)
+
+
+def identity_residual_exact(p: RationalPoly2, r: Rect) -> Fraction:
+    """Both sides of the trapezoid-deviation identity, exactly, as a difference.
+
+    The right side substitutes the affine reparameterization
+    x = u*a + (1-u)*b, y = v*c + (1-v)*d into the mixed partial (a polynomial
+    composition), multiplies by (1-2u)(1-2v) and integrates over the unit
+    square; no absolute values appear, so the integrand stays polynomial.
+    Returns deviation - rhs, which is exactly 0 for every polynomial.
+    """
+    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
+    deviation = deviation_exact(p, r)
+    composed = p.mixed_partial().compose_affine(b, a - b, d, c - d)
+    kernel = RationalPoly2({(0, 0): 1, (1, 0): -2}) * RationalPoly2({(0, 0): 1, (0, 1): -2})
+    rhs = (b - a) * (d - c) / 4 * poly_integral_2d_exact(composed * kernel, _UNIT)
+    return deviation - rhs
 
 
 def random_poly(rng, degree=6):
@@ -31,22 +112,6 @@ def tanh_sinh_1d(g, lo, hi, dps=30, splits=()):
     points = [lo, *sorted(s for s in splits if lo < s < hi), hi]
     with mpmath.workdps(dps):
         return float(mpmath.quad(g, points))
-
-
-def simpson_1d(g, lo, hi, n=4001):
-    """Plain composite Simpson for smooth integrands."""
-    if n % 2 == 0:
-        n += 1
-    h = (hi - lo) / (n - 1)
-    total = g(lo) + g(hi)
-    for i in range(1, n - 1):
-        total += g(lo + i * h) * (4 if i % 2 else 2)
-    return total * h / 3.0
-
-
-def simpson_2d(g, a, b, c, d, n=201):
-    """Composite Simpson tensor rule for smooth bivariate integrands."""
-    return simpson_1d(lambda x: simpson_1d(lambda y: g(x, y), c, d, n), a, b, n)
 
 
 def rel_close(x, y, rtol):

@@ -9,10 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from support import check_cell, constant_surface, identity_residual_exact
+
 from hhverify import (
     AS_WRITTEN,
+    CLASSICAL,
+    DIRECT,
+    HOLDER,
     HOLDS,
     NO_VIOLATION,
+    POWER_MEAN,
     PROOF_FORM,
     VIOLATED,
     GenParams,
@@ -20,25 +26,19 @@ from hhverify import (
     Rect,
     SamplingPlan,
     Tolerance,
-    bound_classical,
-    bound_direct,
-    bound_holder,
-    bound_power_mean,
-    check_class_first,
-    check_def1_coordinated,
-    constant_surface,
+    bound,
     corpus,
     deviation_terms,
     eval_mixed_partial,
     hh_chain_2d,
     identity_report,
-    identity_residual_exact,
     integrate_1d,
     kink_moment,
     margin_class_first,
 )
 from hhverify import cli
-from hhverify.convexity import abs_mixed_surface
+from hhverify.convexity import FIRST, abs_mixed_surface
+from hhverify.geometry import CLASSICAL_PARAMS
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 PLAN = SamplingPlan()  # the default 9 / 10000 plan
@@ -112,9 +112,9 @@ def test_criterion_03_kink_moment_constant():
 def test_criterion_04_direct_reduces_to_classical():
     ok = True
     for name, entry in corpus().items():
-        base = bound_classical(entry.surface, RECT01)
+        base = bound(CLASSICAL, entry.surface, RECT01)
         for variant in (PROOF_FORM, AS_WRITTEN):
-            rep = bound_direct(entry.surface, RECT01, GenParams(), variant=variant)
+            rep = bound(DIRECT, entry.surface, RECT01, GenParams(), variant=variant)
             ok = ok and _rel_ok(rep.rhs, base.rhs, 1e-12)
     report(4, ok, "direct bound (both variants) equals classical bound at s=alpha=m=1")
 
@@ -136,8 +136,8 @@ def test_criterion_05_holder_classical_reduction():
                 / (4.0 * (conj + 1.0) ** (2.0 / conj))
                 * (s_term / 4.0) ** (1.0 / q)
             )
-            proof = bound_holder(entry.surface, RECT01, p, variant=PROOF_FORM)
-            written = bound_holder(entry.surface, RECT01, p, variant=AS_WRITTEN)
+            proof = bound(HOLDER, entry.surface, RECT01, p, variant=PROOF_FORM)
+            written = bound(HOLDER, entry.surface, RECT01, p, variant=AS_WRITTEN)
             ok = ok and _rel_ok(proof.rhs, target, 1e-12)
             ok = ok and _rel_ok(written.rhs * factor, target, 1e-12)
             if s_term > 0.0:
@@ -157,7 +157,7 @@ def test_criterion_06_power_mean_classical_reduction():
         for name, entry in corpus().items():
             s_term = _corner_sum_q(entry.surface, q)
             target = RECT01.area / 16.0 * (s_term / 4.0) ** (1.0 / q)
-            proof = bound_power_mean(entry.surface, RECT01, p, variant=PROOF_FORM)
+            proof = bound(POWER_MEAN, entry.surface, RECT01, p, variant=PROOF_FORM)
             ok = ok and _rel_ok(proof.rhs, target, 1e-12)
     report(6, ok, "power-mean proof-form hits the classical target for q in {1, 2, 3}")
 
@@ -166,10 +166,10 @@ def test_criterion_07_golden_instance():
     entry = corpus()["x2y2"]
     dev = deviation_terms(entry.surface, RECT01)
     reports = {
-        "classical": bound_classical(entry.surface, RECT01, dev=dev),
-        "direct": bound_direct(entry.surface, RECT01, GenParams(), dev=dev),
-        "holder": bound_holder(entry.surface, RECT01, GenParams(q=2.0), dev=dev),
-        "power-mean": bound_power_mean(entry.surface, RECT01, GenParams(q=2.0), dev=dev),
+        "classical": bound(CLASSICAL, entry.surface, RECT01, dev=dev),
+        "direct": bound(DIRECT, entry.surface, RECT01, GenParams(), dev=dev),
+        "holder": bound(HOLDER, entry.surface, RECT01, GenParams(q=2.0), dev=dev),
+        "power-mean": bound(POWER_MEAN, entry.surface, RECT01, GenParams(q=2.0), dev=dev),
     }
     golden = {
         "classical": 1.0 / 16.0,
@@ -204,15 +204,15 @@ def test_criterion_08_bound_validity_sweep():
         dev = deviation_terms(s, RECT01)
         for p in combos:
             hyp = abs_mixed_surface(s, p.q)
-            if check_class_first(hyp, RECT01, p, PLAN).verdict != NO_VIOLATION:
+            if check_cell(hyp, RECT01, FIRST, p, PLAN).verdict != NO_VIOLATION:
                 continue
             members += 1
             bound_reports = []
             if p.q == 1.0:
-                bound_reports.append(bound_direct(s, RECT01, p, dev=dev))
+                bound_reports.append(bound(DIRECT, s, RECT01, p, dev=dev))
             else:
-                bound_reports.append(bound_holder(s, RECT01, p, dev=dev))
-            bound_reports.append(bound_power_mean(s, RECT01, p, dev=dev))
+                bound_reports.append(bound(HOLDER, s, RECT01, p, dev=dev))
+            bound_reports.append(bound(POWER_MEAN, s, RECT01, p, dev=dev))
             for rep in bound_reports:
                 checked += 1
                 if rep.verdict != HOLDS:
@@ -229,7 +229,7 @@ def test_criterion_09_chain_monotone():
     ok = True
     convex_count = 0
     for name, entry in corpus().items():
-        if check_def1_coordinated(entry.surface, RECT01, PLAN).verdict != NO_VIOLATION:
+        if check_cell(entry.surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN).verdict != NO_VIOLATION:
             continue  # the deliberately non-convex corpus entry
         convex_count += 1
         chain = hh_chain_2d(entry.surface, RECT01)
@@ -248,7 +248,7 @@ def test_criterion_09_chain_monotone():
 def test_criterion_10_refuter_soundness():
     one = constant_surface(1.0)
     p = GenParams(m2=0.5)
-    rep = check_class_first(one, RECT01, p, PLAN)
+    rep = check_cell(one, RECT01, FIRST, p, PLAN)
     witness_margin = float(margin_class_first(one.f, p, *rep.witness))
     const_ok = (
         rep.verdict == VIOLATED
@@ -256,8 +256,8 @@ def test_criterion_10_refuter_soundness():
     )
     bilinear_ok = True
     for surface in (corpus()["xy"].surface,):
-        d1 = check_def1_coordinated(surface, RECT01, PLAN)
-        c1 = check_class_first(surface, RECT01, GenParams(), PLAN)
+        d1 = check_cell(surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
+        c1 = check_cell(surface, RECT01, FIRST, GenParams(), PLAN)
         bilinear_ok = bilinear_ok and d1.worst_margin >= -1e-9 and c1.worst_margin >= -1e-9
     report(
         10,

@@ -6,11 +6,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from support import random_poly, rel_close, tanh_sinh_1d
+from support import (
+    check_cell,
+    constant_surface,
+    deviation_exact,
+    random_poly,
+    rel_close,
+    tanh_sinh_1d,
+)
 
 from hhverify import (
     AS_WRITTEN,
+    CLASSICAL,
+    DIRECT,
+    HOLDER,
     HOLDS,
+    POWER_MEAN,
     PROOF_FORM,
     GenParams,
     OutOfDomainError,
@@ -19,15 +30,9 @@ from hhverify import (
     Rect,
     Surface,
     Tolerance,
-    bound_classical,
-    bound_direct,
-    bound_holder,
-    bound_power_mean,
-    constant_surface,
+    bound,
     corpus,
-    deviation_exact,
     deviation_terms,
-    get_surface,
     hh_chain_2d,
     identity_report,
     integrate_1d,
@@ -83,7 +88,7 @@ def test_kink_moment_rejects_out_of_range():
 
 
 def test_deviation_xy():
-    dev = deviation_terms(get_surface("xy"), RECT01)
+    dev = deviation_terms(corpus()["xy"].surface, RECT01)
     assert abs(dev.corner_avg - 0.25) <= 1e-14
     assert abs(dev.integral_mean - 0.25) <= 1e-12
     assert abs(dev.marginal_a - 0.5) <= 1e-12
@@ -91,7 +96,7 @@ def test_deviation_xy():
 
 
 def test_deviation_x2y2():
-    dev = deviation_terms(get_surface("x2y2"), RECT01)
+    dev = deviation_terms(corpus()["x2y2"].surface, RECT01)
     assert abs(dev.corner_avg - 0.25) <= 1e-14
     assert abs(dev.integral_mean - 1.0 / 9.0) <= 1e-12
     assert abs(dev.marginal_a - 1.0 / 3.0) <= 1e-12
@@ -168,8 +173,8 @@ def test_budgets_cover_the_deviation_rounding_when_the_means_are_exact():
 
 
 def test_identity_rhs_examples():
-    assert abs(identity_report(get_surface("xy"), RECT01).rhs) <= 1e-12
-    assert abs(identity_report(get_surface("x2y2"), RECT01).rhs - 1.0 / 36.0) <= 1e-12
+    assert abs(identity_report(corpus()["xy"].surface, RECT01).rhs) <= 1e-12
+    assert abs(identity_report(corpus()["x2y2"].surface, RECT01).rhs - 1.0 / 36.0) <= 1e-12
     assert abs(identity_report(constant_surface(3.0), RECT01).rhs) <= 1e-13
 
 
@@ -181,7 +186,7 @@ def test_identity_residual_corpus():
 
 
 def test_identity_residual_exp():
-    assert abs(identity_report(get_surface("exp_sum"), RECT01).residual) <= 1e-9
+    assert abs(identity_report(corpus()["exp_sum"].surface, RECT01).residual) <= 1e-9
 
 
 def test_identity_with_finite_difference_surface():
@@ -195,7 +200,7 @@ def test_identity_with_finite_difference_surface():
 
 
 def test_classical_x2y2():
-    rep = bound_classical(get_surface("x2y2"), RECT01)
+    rep = bound(CLASSICAL, corpus()["x2y2"].surface, RECT01)
     assert abs(rep.rhs - 1.0 / 16.0) <= 1e-14
     assert abs(rep.lhs - 1.0 / 36.0) <= 1e-12
     assert rep.verdict == HOLDS
@@ -203,33 +208,33 @@ def test_classical_x2y2():
 
 
 def test_classical_xy():
-    rep = bound_classical(get_surface("xy"), RECT01)
+    rep = bound(CLASSICAL, corpus()["xy"].surface, RECT01)
     assert abs(rep.rhs - 1.0 / 16.0) <= 1e-14
     assert abs(rep.lhs) <= 1e-12
     assert rep.verdict == HOLDS
 
 
 def test_classical_constant():
-    rep = bound_classical(constant_surface(2.0), RECT01)
+    rep = bound(CLASSICAL, constant_surface(2.0), RECT01)
     assert rep.rhs == 0.0 and abs(rep.slack) <= 1e-12
     assert rep.verdict == HOLDS
 
 
 def test_direct_requires_q_one():
     with pytest.raises(ParameterError):
-        bound_direct(get_surface("xy"), RECT01, GenParams(q=2.0))
+        bound(DIRECT, corpus()["xy"].surface, RECT01, GenParams(q=2.0))
 
 
 def test_direct_classical_params_equals_classical_bound():
     for name, entry in corpus().items():
-        base = bound_classical(entry.surface, RECT01)
+        base = bound(CLASSICAL, entry.surface, RECT01)
         for variant in (PROOF_FORM, AS_WRITTEN):
-            rep = bound_direct(entry.surface, RECT01, CLASSICAL_P, variant=variant)
+            rep = bound(DIRECT, entry.surface, RECT01, CLASSICAL_P, variant=variant)
             assert rel_close(rep.rhs, base.rhs, 1e-12), (name, variant)
 
 
 def test_direct_x2y2_golden():
-    rep = bound_direct(get_surface("x2y2"), RECT01, CLASSICAL_P)
+    rep = bound(DIRECT, corpus()["x2y2"].surface, RECT01, CLASSICAL_P)
     assert abs(rep.rhs - 1.0 / 16.0) <= 1e-13
     assert abs(rep.slack - 5.0 / 144.0) <= 1e-12
     assert rep.verdict == HOLDS
@@ -237,42 +242,42 @@ def test_direct_x2y2_golden():
 
 def test_holder_requires_q_above_one():
     with pytest.raises(ParameterError):
-        bound_holder(get_surface("xy"), RECT01, GenParams(q=1.0))
+        bound(HOLDER, corpus()["xy"].surface, RECT01, GenParams(q=1.0))
 
 
 def test_holder_x2y2_both_variants():
     p = GenParams(q=2.0)
-    proof = bound_holder(get_surface("x2y2"), RECT01, p, variant=PROOF_FORM)
-    written = bound_holder(get_surface("x2y2"), RECT01, p, variant=AS_WRITTEN)
+    proof = bound(HOLDER, corpus()["x2y2"].surface, RECT01, p, variant=PROOF_FORM)
+    written = bound(HOLDER, corpus()["x2y2"].surface, RECT01, p, variant=AS_WRITTEN)
     assert abs(proof.rhs - 1.0 / 6.0) <= 1e-13
     assert abs(written.rhs - 1.0 / 12.0) <= 1e-13
     assert proof.verdict == HOLDS and written.verdict == HOLDS
 
 
 def test_holder_constant_is_zero():
-    rep = bound_holder(constant_surface(4.0), RECT01, GenParams(q=3.0))
+    rep = bound(HOLDER, constant_surface(4.0), RECT01, GenParams(q=3.0))
     assert rep.rhs == 0.0 and rep.verdict == HOLDS
 
 
 def test_power_mean_x2y2_golden():
-    rep = bound_power_mean(get_surface("x2y2"), RECT01, GenParams(q=2.0))
+    rep = bound(POWER_MEAN, corpus()["x2y2"].surface, RECT01, GenParams(q=2.0))
     assert abs(rep.rhs - 0.125) <= 1e-13
     assert rep.verdict == HOLDS
 
 
 def test_power_mean_q1_degenerates_to_direct():
     for name, entry in corpus().items():
-        pm = bound_power_mean(entry.surface, RECT01, CLASSICAL_P)
-        direct = bound_direct(entry.surface, RECT01, CLASSICAL_P)
+        pm = bound(POWER_MEAN, entry.surface, RECT01, CLASSICAL_P)
+        direct = bound(DIRECT, entry.surface, RECT01, CLASSICAL_P)
         assert pm.rhs == direct.rhs, name
     p = GenParams(s1=0.5, s2=0.75, alpha1=0.5, m1=0.5, m2=0.75)
-    pm = bound_power_mean(get_surface("x2y2"), RECT01, p)
-    direct = bound_direct(get_surface("x2y2"), RECT01, p)
+    pm = bound(POWER_MEAN, corpus()["x2y2"].surface, RECT01, p)
+    direct = bound(DIRECT, corpus()["x2y2"].surface, RECT01, p)
     assert pm.rhs == direct.rhs
 
 
 def test_power_mean_xy_q2():
-    rep = bound_power_mean(get_surface("xy"), RECT01, GenParams(q=2.0))
+    rep = bound(POWER_MEAN, corpus()["xy"].surface, RECT01, GenParams(q=2.0))
     assert abs(rep.rhs - 1.0 / 16.0) <= 1e-14
     assert abs(rep.lhs) <= 1e-12
 
@@ -281,23 +286,39 @@ def test_power_mean_as_written_dominates_proof_form():
     # (1-B)(1-C) >= (1/2-B)(1/2-C): the as-written grouping can only inflate
     for name, entry in corpus().items():
         for p in (GenParams(q=2.0), GenParams(s1=0.5, s2=0.8, q=2.0)):
-            pf = bound_power_mean(entry.surface, RECT01, p, variant=PROOF_FORM)
-            aw = bound_power_mean(entry.surface, RECT01, p, variant=AS_WRITTEN)
+            pf = bound(POWER_MEAN, entry.surface, RECT01, p, variant=PROOF_FORM)
+            aw = bound(POWER_MEAN, entry.surface, RECT01, p, variant=AS_WRITTEN)
             assert aw.rhs >= pf.rhs - 1e-14, name
 
 
 def test_non_finite_rhs_is_inconclusive():
     """A right side that is not a finite number bounds nothing: the corner sum
     of the classical bound overflowing to inf must not read as holding."""
-    rep = bound_classical(get_surface("x2y2"), RECT01, mags=(1e308,) * 4)
+    rep = bound(CLASSICAL, corpus()["x2y2"].surface, RECT01, mags=(1e308,) * 4)
     assert rep.rhs == math.inf and rep.verdict == "inconclusive"
-    rep = bound_holder(get_surface("x2y2"), RECT01, GenParams(q=1e308))
+    rep = bound(HOLDER, corpus()["x2y2"].surface, RECT01, GenParams(q=1e308))
     assert math.isnan(rep.rhs) and rep.verdict == "inconclusive"
 
 
 def test_unknown_variant_rejected():
     with pytest.raises(ParameterError):
-        bound_direct(get_surface("xy"), RECT01, CLASSICAL_P, variant="mystery")
+        bound(DIRECT, corpus()["xy"].surface, RECT01, CLASSICAL_P, variant="mystery")
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ParameterError, match="expected one of"):
+        bound("mystery", corpus()["xy"].surface, RECT01)
+
+
+@pytest.mark.parametrize(
+    "p, variant",
+    [(GenParams(m1=0.5), PROOF_FORM), (GenParams(s1=0.5), PROOF_FORM), (CLASSICAL_P, AS_WRITTEN)],
+)
+def test_classical_takes_only_classical_params_and_proof_form(p, variant):
+    """The classical right side ignores the parameters: at m < 1 it would
+    silently average |d2f| at the m-scaled corners."""
+    with pytest.raises(ParameterError, match="classical"):
+        bound(CLASSICAL, corpus()["xy"].surface, RECT01, p, variant)
 
 
 # ----------------------------------------------------------------- reductions
@@ -321,8 +342,8 @@ def test_holder_classical_reduction(q):
     for name, entry in corpus().items():
         s_term = _corner_sum_q(entry, q)
         target = RECT01.area / (4.0 * (conj + 1.0) ** (2.0 / conj)) * (s_term / 4.0) ** (1.0 / q)
-        proof = bound_holder(entry.surface, RECT01, p, variant=PROOF_FORM)
-        written = bound_holder(entry.surface, RECT01, p, variant=AS_WRITTEN)
+        proof = bound(HOLDER, entry.surface, RECT01, p, variant=PROOF_FORM)
+        written = bound(HOLDER, entry.surface, RECT01, p, variant=AS_WRITTEN)
         assert rel_close(proof.rhs, target, 1e-12), name
         assert rel_close(written.rhs * factor, target, 1e-12), name
         if s_term > 0.0:
@@ -335,7 +356,7 @@ def test_power_mean_classical_reduction(q):
     for name, entry in corpus().items():
         s_term = _corner_sum_q(entry, q)
         target = RECT01.area / 16.0 * (s_term / 4.0) ** (1.0 / q)
-        proof = bound_power_mean(entry.surface, RECT01, p, variant=PROOF_FORM)
+        proof = bound(POWER_MEAN, entry.surface, RECT01, p, variant=PROOF_FORM)
         assert rel_close(proof.rhs, target, 1e-12), name
 
 
@@ -343,8 +364,8 @@ def test_power_mean_classical_reduction(q):
 def test_power_mean_refines_holder_at_classical(q):
     p = GenParams(q=q)
     for name, entry in corpus().items():
-        pm = bound_power_mean(entry.surface, RECT01, p)
-        ho = bound_holder(entry.surface, RECT01, p)
+        pm = bound(POWER_MEAN, entry.surface, RECT01, p)
+        ho = bound(HOLDER, entry.surface, RECT01, p)
         assert pm.rhs <= ho.rhs + 1e-12, name
 
 
@@ -386,10 +407,10 @@ def test_scaling_equivariance(t):
             identity_report(scaled, RECT01).rhs, t * identity_report(entry.surface, RECT01).rhs, 1e-12
         ), name
         for make in (
-            lambda s, dev: bound_classical(s, RECT01, dev=dev),
-            lambda s, dev: bound_direct(s, RECT01, p1, dev=dev),
-            lambda s, dev: bound_holder(s, RECT01, p2, dev=dev),
-            lambda s, dev: bound_power_mean(s, RECT01, p2, dev=dev),
+            lambda s, dev: bound(CLASSICAL, s, RECT01, dev=dev),
+            lambda s, dev: bound(DIRECT, s, RECT01, p1, dev=dev),
+            lambda s, dev: bound(HOLDER, s, RECT01, p2, dev=dev),
+            lambda s, dev: bound(POWER_MEAN, s, RECT01, p2, dev=dev),
         ):
             r0 = make(entry.surface, dev0)
             r1 = make(scaled, dev1)
@@ -411,7 +432,7 @@ def test_constant_shift_leaves_deviation_unchanged():
 
 
 def test_chain_2d_x2y2():
-    chain = hh_chain_2d(get_surface("x2y2"), RECT01)
+    chain = hh_chain_2d(corpus()["x2y2"].surface, RECT01)
     expected = (1.0 / 16.0, 1.0 / 12.0, 1.0 / 9.0, 1.0 / 6.0, 1.0 / 4.0)
     for got, want in zip(chain.values, expected):
         assert abs(got - want) <= 1e-12
@@ -427,7 +448,7 @@ def test_chain_2d_constant_flat():
 
 
 def test_chain_2d_bilinear_equality():
-    chain = hh_chain_2d(get_surface("xy"), RECT01)
+    chain = hh_chain_2d(corpus()["xy"].surface, RECT01)
     assert all(abs(v - 0.25) <= 1e-12 for v in chain.values)
     assert chain.monotone
 
@@ -467,7 +488,7 @@ def test_chain_2d_reads_the_deviation(name):
 def test_marginal_a_is_twice_the_edge_mean():
     """marginal_a is half the sum of the four edge means: 0.5 for xy on
     [0, 1]^2, whose edge means 0, 0.5, 0 and 0.5 average to the chain's 0.25."""
-    s = get_surface("xy")
+    s = corpus()["xy"].surface
     dev = deviation_terms(s, RECT01)
     assert abs(dev.marginal_a - 0.5) <= 1e-15
     assert abs(hh_chain_2d(s, RECT01, dev=dev).values[3] - 0.25) <= 1e-15
@@ -492,7 +513,7 @@ def test_chain_2d_with_dev_integrates_only_the_mid_lines(monkeypatch):
 
         return counted
 
-    s = get_surface("exp_sum")
+    s = corpus()["exp_sum"].surface
     dev = deviation_terms(s, RECT01)
     monkeypatch.setattr(bounds, "integrate_1d", counting("1d", bounds.integrate_1d))
     monkeypatch.setattr(bounds, "integrate_2d", counting("2d", bounds.integrate_2d))
@@ -506,8 +527,8 @@ def test_chain_2d_with_dev_integrates_only_the_mid_lines(monkeypatch):
 def test_bound_validity_smoke():
     """Membership-passing (surface, params) pairs must satisfy the proof-form
     bounds.  The acceptance suite runs the full grid; this is a spot check."""
-    from hhverify import NO_VIOLATION, SamplingPlan, check_class_first
-    from hhverify.convexity import abs_mixed_surface
+    from hhverify import NO_VIOLATION, SamplingPlan
+    from hhverify.convexity import FIRST, abs_mixed_surface
 
     plan = SamplingPlan(grid_per_axis=5, random_trials=2000, seed=0)
     cases = [
@@ -518,7 +539,7 @@ def test_bound_validity_smoke():
     for name, p in cases:
         entry = corpus()[name]
         hyp = abs_mixed_surface(entry.surface, p.q)
-        rep = check_class_first(hyp, RECT01, p, plan)
+        rep = check_cell(hyp, RECT01, FIRST, p, plan)
         assert rep.verdict == NO_VIOLATION, name
-        assert bound_direct(entry.surface, RECT01, p).verdict == HOLDS, name
-        assert bound_power_mean(entry.surface, RECT01, p).verdict == HOLDS, name
+        assert bound(DIRECT, entry.surface, RECT01, p).verdict == HOLDS, name
+        assert bound(POWER_MEAN, entry.surface, RECT01, p).verdict == HOLDS, name

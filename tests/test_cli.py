@@ -14,16 +14,13 @@ from hhverify import (
     PROOF_FORM,
     Rect,
     Surface,
-    bound_classical,
-    bound_direct,
-    bound_holder,
-    bound_power_mean,
+    bound,
     corpus,
     deviation_terms,
-    get_surface,
 )
 from hhverify import bounds, cli
-from hhverify.convexity import MembershipSweep
+from hhverify.convexity import MAX_SAMPLES, MembershipSweep
+from hhverify.errors import ConfigError
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -113,6 +110,9 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
         ("verify", {"param_grid": {"q": [1.0, 1]}}, [], "param_grid.q lists 1.0 twice"),
         # a surface name must be a string
         ("verify", {"surfaces": [[1]]}, [], "surfaces must list surface names, not [1]"),
+        # a sample table above MAX_SAMPLES is refused before it is built
+        ("verify", {"plan": {"grid_per_axis": 100}}, [], "bad plan: 396178404 samples; at most"),
+        ("hunt", {"plan": {"random_trials": 10**12}}, [], f"at most {MAX_SAMPLES} are allowed"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):
@@ -124,6 +124,15 @@ def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert not out.exists()
+
+
+def test_plan_may_ask_for_max_samples():
+    """The default grid of 9 per axis takes (4 + 81) * 17**2 samples before
+    the random trials."""
+    trials = MAX_SAMPLES - 85 * 17**2
+    assert cli.build_config({"plan": {"random_trials": trials}}).plan.random_trials == trials
+    with pytest.raises(ConfigError, match="bad plan"):
+        cli.build_config({"plan": {"random_trials": trials + 1}})
 
 
 def test_hunt_rect_may_leave_the_corpus_domains(tmp_path):
@@ -192,21 +201,11 @@ def test_csv_rows_round_trip(tmp_path):
     )
     assert cli.main(["verify", "--config", str(cfgfile)]) == 0
     registry = corpus()
-    fns = {
-        "direct": bound_direct,
-        "holder": bound_holder,
-        "power-mean": bound_power_mean,
-    }
     rect = Rect(0.0, 1.0, 0.0, 1.0)
     for row in read_rows(out / "bounds.csv"):
         surface = registry[row["surface"]].surface
-        if row["theorem"] == "classical":
-            rep = bound_classical(surface, rect)
-        else:
-            params = GenParams(
-                **{k: float(row[k]) for k in ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")}
-            )
-            rep = fns[row["theorem"]](surface, rect, params, variant=row["variant"])
+        params = GenParams(**{k: float(row[k]) for k in ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")})
+        rep = bound(row["theorem"], surface, rect, params, variant=row["variant"])
         assert abs(rep.lhs - float(row["lhs"])) <= 1e-12 * (1 + abs(rep.lhs))
         assert abs(rep.rhs - float(row["rhs"])) <= 1e-12 * (1 + abs(rep.rhs))
 
@@ -310,13 +309,12 @@ def _bound_or_none(make):
 def test_bound_sweep_matches_bound_functions(s):
     dev = deviation_terms(s, RECT01)
     rows = list(cli._bound_sweep(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev))
-    fns = {"direct": bound_direct, "holder": bound_holder, "power-mean": bound_power_mean}
-    classical = _bound_or_none(lambda: bound_classical(s, RECT01, dev=dev))
+    classical = _bound_or_none(lambda: bound("classical", s, RECT01, dev=dev))
     assert rows[0] == ("classical", GenParams(), PROOF_FORM, classical)
     # per cell: direct or holder, and power-mean, each in two variants
     assert len(rows) == 1 + 4 * len(BOUND_GRID)
     for kind, p, variant, rep in rows[1:]:
-        want = _bound_or_none(lambda: fns[kind](s, RECT01, p, variant=variant, dev=dev))
+        want = _bound_or_none(lambda: bound(kind, s, RECT01, p, variant=variant, dev=dev))
         assert rep == want, (kind, p, variant)
     skipped = {p for _, p, _, rep in rows if rep is None}
     if s is NARROW:
@@ -367,7 +365,7 @@ def test_verify_integrates_at_most_six_times_per_surface(tmp_path, monkeypatch):
 
     for name in ("integrate_1d", "integrate_2d"):
         monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
-    deviation_terms(get_surface("x2y2"), Rect(0.0, 1.0, 0.0, 1.0))
+    deviation_terms(corpus()["x2y2"].surface, Rect(0.0, 1.0, 0.0, 1.0))
     assert sum(calls.values()) == 0, calls
     for surface, expected in (("x2y2", 3), ("exp_sum", 6)):
         calls.clear()
@@ -376,8 +374,10 @@ def test_verify_integrates_at_most_six_times_per_surface(tmp_path, monkeypatch):
         assert sum(calls.values()) == expected, (surface, calls)
 
 
-def _rigged_direct(s, r, p, variant=PROOF_FORM, dev=None, mags=None):
-    """A direct bound that is violated on every input."""
+def _rigged_direct(kind, s, r, p=GenParams(), variant=PROOF_FORM, dev=None, mags=None):
+    """bounds.bound, except that the direct bound is violated on every input."""
+    if kind != "direct":
+        return bounds.bound(kind, s, r, p, variant, dev, mags)
     return BoundReport(
         theorem="direct",
         variant=variant,
@@ -394,7 +394,7 @@ def test_exit_one_when_proof_form_fails_on_member(tmp_path, monkeypatch):
     exit code to 1 (simulated by rigging the direct bound).  verify refutes
     only the hypotheses of violated proof-form rows, and lists a failure in
     the same record as a hunt finding."""
-    monkeypatch.setitem(cli._BOUND_FNS, "direct", _rigged_direct)
+    monkeypatch.setattr(cli, "bound", _rigged_direct)
     out = tmp_path / "out"
     cfgfile = write_config(
         tmp_path,
@@ -538,7 +538,7 @@ def test_hunt_reports_violations_under_clean_hypothesis(tmp_path, monkeypatch):
     """A violated bound whose |d2f|^q hypothesis found no violation is a
     finding: a proof-form one fails the run, an as-written one is listed.
     At s1 = 0.5 the hypothesis is refuted, and those rows are no finding."""
-    monkeypatch.setitem(cli._BOUND_FNS, "direct", _rigged_direct)
+    monkeypatch.setattr(cli, "bound", _rigged_direct)
     out = tmp_path / "out"
     cfgfile = write_config(
         tmp_path,

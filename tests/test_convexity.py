@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from support import check_cell, constant_surface
+
 from hhverify import (
     NO_VIOLATION,
     VIOLATED,
@@ -13,12 +15,7 @@ from hhverify import (
     Rect,
     SamplingPlan,
     Surface,
-    check_class_first,
-    check_class_second,
-    check_def1_coordinated,
-    constant_surface,
     corpus,
-    get_surface,
     margin_class_first,
     margin_class_second,
     poly_surface,
@@ -26,6 +23,7 @@ from hhverify import (
 )
 from hhverify import cli, convexity
 from hhverify.bounds import THEOREMS
+from hhverify.geometry import CLASSICAL_PARAMS
 from hhverify.convexity import (
     FIRST,
     SECOND,
@@ -49,34 +47,34 @@ def margin_fn_for(notion):
 
 
 def test_bilinear_is_coordinated_convex():
-    rep = check_def1_coordinated(get_surface("xy"), RECT01, PLAN)
+    rep = check_cell(corpus()["xy"].surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
     assert rep.verdict == NO_VIOLATION
     # bilinear attains exact equality; only roundoff noise remains
     assert rep.worst_margin >= -1e-12
 
 
 def test_concave_surface_violates_def1():
-    rep = check_def1_coordinated(get_surface("neg_squares"), RECT01, PLAN)
+    rep = check_cell(corpus()["neg_squares"].surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
     assert rep.verdict == VIOLATED
     assert rep.worst_margin <= -0.1
     x, y, z, w, lam, mu = rep.witness
-    re_eval = margin_class_first(get_surface("neg_squares").f, GenParams(), x, y, z, w, lam, mu)
+    re_eval = margin_class_first(corpus()["neg_squares"].surface.f, GenParams(), x, y, z, w, lam, mu)
     assert abs(re_eval - rep.worst_margin) <= 1e-12
 
 
 def test_x2y2_is_coordinated_convex():
-    rep = check_def1_coordinated(get_surface("x2y2"), RECT01, PLAN)
+    rep = check_cell(corpus()["x2y2"].surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
     assert rep.verdict == NO_VIOLATION
 
 
 def test_constant_first_sense_trivial_params():
-    rep = check_class_first(constant_surface(1.0), RECT01, GenParams(), PLAN)
+    rep = check_cell(constant_surface(1.0), RECT01, FIRST, GenParams(), PLAN)
     assert rep.verdict == NO_VIOLATION
     assert rep.worst_margin >= -1e-12
 
 
 def test_constant_first_sense_m_below_one_violates():
-    rep = check_class_first(constant_surface(1.0), RECT01, GenParams(m2=0.5), PLAN)
+    rep = check_cell(constant_surface(1.0), RECT01, FIRST, GenParams(m2=0.5), PLAN)
     assert rep.verdict == VIOLATED
     # RHS - LHS = (mu - 1)/2 at these parameters; worst at mu = 0
     assert abs(rep.worst_margin - (-0.5)) <= 1e-12
@@ -84,16 +82,16 @@ def test_constant_first_sense_m_below_one_violates():
 
 def test_4xy_first_sense_classical():
     s = poly_surface("4xy", RationalPoly2({(1, 1): 4}), Rect(-8, 8, -8, 8))
-    rep = check_class_first(s, RECT01, GenParams(), PLAN)
+    rep = check_cell(s, RECT01, FIRST, GenParams(), PLAN)
     assert rep.verdict == NO_VIOLATION
 
 
 def test_second_sense_examples():
     one = constant_surface(1.0)
-    assert check_class_second(one, RECT01, GenParams(), PLAN).verdict == NO_VIOLATION
-    assert check_class_second(one, RECT01, GenParams(m1=0.5), PLAN).verdict == VIOLATED
+    assert check_cell(one, RECT01, SECOND, GenParams(), PLAN).verdict == NO_VIOLATION
+    assert check_cell(one, RECT01, SECOND, GenParams(m1=0.5), PLAN).verdict == VIOLATED
     s = poly_surface("4xy", RationalPoly2({(1, 1): 4}), Rect(-8, 8, -8, 8))
-    assert check_class_second(s, RECT01, GenParams(), PLAN).verdict == NO_VIOLATION
+    assert check_cell(s, RECT01, SECOND, GenParams(), PLAN).verdict == NO_VIOLATION
 
 
 @pytest.mark.parametrize(
@@ -108,35 +106,31 @@ def test_senses_coincide_at_s_equal_one(params):
     """(1 - lam^alpha)^1 == 1 - lam^(alpha*1): identical margins, same plan."""
     for name in ("xy", "x2y2", "exp_sum"):
         s = corpus()[name].surface
-        first = check_class_first(s, RECT01, params, PLAN)
-        second = check_class_second(s, RECT01, params, PLAN)
+        first = check_cell(s, RECT01, FIRST, params, PLAN)
+        second = check_cell(s, RECT01, SECOND, params, PLAN)
         assert first.worst_margin == second.worst_margin
         assert first.verdict == second.verdict
 
 
 def test_determinism():
     plan = SamplingPlan(grid_per_axis=4, random_trials=1500, seed=123)
-    a = check_class_first(get_surface("exp_sum"), RECT01, GenParams(s1=0.5), plan)
-    b = check_class_first(get_surface("exp_sum"), RECT01, GenParams(s1=0.5), plan)
+    a = check_cell(corpus()["exp_sum"].surface, RECT01, FIRST, GenParams(s1=0.5), plan)
+    b = check_cell(corpus()["exp_sum"].surface, RECT01, FIRST, GenParams(s1=0.5), plan)
     assert a == b
 
 
 def test_seed_changes_samples():
     p = GenParams(s1=0.5)
-    a = check_class_first(get_surface("exp_sum"), RECT01, p, SamplingPlan(seed=1, random_trials=500))
-    b = check_class_first(get_surface("exp_sum"), RECT01, p, SamplingPlan(seed=2, random_trials=500))
+    a = check_cell(corpus()["exp_sum"].surface, RECT01, FIRST, p, SamplingPlan(seed=1, random_trials=500))
+    b = check_cell(corpus()["exp_sum"].surface, RECT01, FIRST, p, SamplingPlan(seed=2, random_trials=500))
     # both find violations; the witnesses may differ but verdicts agree
     assert a.verdict == b.verdict == VIOLATED
 
 
 def test_witness_reproduces_margin_across_corpus():
     for name, entry in corpus().items():
-        for notion, check in (
-            ("coordinated", check_def1_coordinated),
-            ("first", lambda s, r, plan: check_class_first(s, r, GenParams(s1=0.75, s2=0.75), plan)),
-        ):
-            rep = check(entry.surface, RECT01, PLAN)
-            p = GenParams() if notion == "coordinated" else GenParams(s1=0.75, s2=0.75)
+        for notion, p in (("coordinated", GenParams()), ("first", GenParams(s1=0.75, s2=0.75))):
+            rep = check_cell(entry.surface, RECT01, FIRST, p, PLAN)
             re_eval = float(margin_class_first(entry.surface.f, p, *rep.witness))
             assert abs(re_eval - rep.worst_margin) <= 1e-12, (name, notion)
 
@@ -144,8 +138,8 @@ def test_witness_reproduces_margin_across_corpus():
 def test_def1_matches_first_sense_at_trivial_params():
     trivial = GenParams()
     for name, entry in corpus().items():
-        a = check_def1_coordinated(entry.surface, RECT01, PLAN)
-        b = check_class_first(entry.surface, RECT01, trivial, PLAN)
+        a = check_cell(entry.surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
+        b = check_cell(entry.surface, RECT01, FIRST, trivial, PLAN)
         assert a.verdict == b.verdict, name
         assert a.worst_margin == b.worst_margin, name
 
@@ -153,7 +147,7 @@ def test_def1_matches_first_sense_at_trivial_params():
 def test_hull_violation_names_scaled_corner():
     s = Surface("unit-only", RECT01, f=lambda x, y: x * y)
     with pytest.raises(OutOfDomainError) as exc_info:
-        check_class_first(s, RECT01, GenParams(m1=0.5), SamplingPlan(random_trials=10))
+        check_cell(s, RECT01, FIRST, GenParams(m1=0.5), SamplingPlan(random_trials=10))
     assert "scaled" in str(exc_info.value)
     assert exc_info.value.point == (2.0, 0.0)  # b / m1 at y = c
 
@@ -161,17 +155,17 @@ def test_hull_violation_names_scaled_corner():
 def test_scalar_valued_f_is_broadcast():
     """f returning a plain float gives the report of the equal constant
     surface; an f that cannot take arrays raises, as it does in quadrature."""
-    one = Surface("one", get_surface("xy").domain, f=lambda x, y: 1.0)
+    one = Surface("one", corpus()["xy"].surface.domain, f=lambda x, y: 1.0)
     want = MembershipSweep(RECT01, PLAN).reports(constant_surface(1.0), [(FIRST, GenParams(m1=0.5))])
     assert MembershipSweep(RECT01, PLAN).reports(one, [(FIRST, GenParams(m1=0.5))]) == want
     scalar_only = Surface("scalar-only", one.domain, f=lambda x, y: float(x) * float(y))
     with pytest.raises(TypeError):
-        check_def1_coordinated(scalar_only, RECT01, PLAN)
+        check_cell(scalar_only, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
 
 
 def test_samples_checked_matches_plan():
     plan = SamplingPlan(grid_per_axis=9, random_trials=10000, seed=0)
-    rep = check_def1_coordinated(get_surface("xy"), RECT01, plan)
+    rep = check_cell(corpus()["xy"].surface, RECT01, FIRST, CLASSICAL_PARAMS, plan)
     pairs = 9 * 9 + 4  # random pairs plus the four corner pairs
     grid = (2 * 9 - 1) ** 2
     assert rep.samples_checked == pairs * grid + 10000
@@ -255,7 +249,7 @@ SWEEP_GRID = [
 # Domain too narrow for the m = 0.5 hulls (b / m1 = d / m2 = 2): those cells are out.
 NARROW = Rect(-1.0, 1.5, -1.0, 1.5)
 SWEEP_SURFACES = {
-    "x2y2": get_surface("x2y2"),
+    "x2y2": corpus()["x2y2"].surface,
     "expfd": Surface("expfd", Rect(-8, 8, -8, 8), f=lambda x, y: np.exp(x + y)),  # d2f by stencil
     "narrow": Surface("narrow", NARROW, f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y),
 }
@@ -320,15 +314,14 @@ def test_sweep_matches_one_cell_checks_on_f(name):
     reports = MembershipSweep(RECT01, PLAN).reports(s, cells)
     skipped = 0
     for (sense, p), rep in zip(cells, reports):
-        check = check_class_first if sense == FIRST else check_class_second
         if out_of_domain(name, p):
             assert rep is None
             with pytest.raises(OutOfDomainError):
-                check(s, RECT01, p, PLAN)
+                check_cell(s, RECT01, sense, p, PLAN)
             skipped += 1
             continue
-        assert_same_report(rep, check(s, RECT01, p, PLAN))
-    assert_same_report(reports[0], check_def1_coordinated(s, RECT01, PLAN))
+        assert_same_report(rep, check_cell(s, RECT01, sense, p, PLAN))
+    assert_same_report(reports[0], check_cell(s, RECT01, FIRST, CLASSICAL_PARAMS, PLAN))
     assert skipped == (3 * (len(cells) - 1) // 4 if name == "narrow" else 0)
 
 
@@ -342,8 +335,8 @@ def test_sweep_matches_one_cell_checks_on_hypotheses(name):
         if out_of_domain(name, p):
             assert rep is None
             continue
-        assert_same_report(rep, check_class_first(hyp, RECT01, p, PLAN))
-    assert_same_report(reports[0], check_def1_coordinated(abs_mixed_surface(s, 1.0), RECT01, PLAN))
+        assert_same_report(rep, check_cell(hyp, RECT01, FIRST, p, PLAN))
+    assert_same_report(reports[0], check_cell(abs_mixed_surface(s, 1.0), RECT01, FIRST, CLASSICAL_PARAMS, PLAN))
 
 
 @pytest.mark.parametrize(
@@ -366,7 +359,7 @@ def test_tie_break_picks_least_witness():
     # The constant surface at trivial parameters has margin 0 at every sample:
     # every sample ties, and the witness is the least tuple of all of them.
     plan = SamplingPlan(grid_per_axis=3, random_trials=50, seed=5)
-    rep = check_def1_coordinated(constant_surface(2.0), RECT01, plan)
+    rep = check_cell(constant_surface(2.0), RECT01, FIRST, CLASSICAL_PARAMS, plan)
     assert_same_report(rep, reference_report(constant_surface(2.0).f, written_first, GenParams(), plan))
 
 
@@ -382,7 +375,7 @@ def counting(fn, calls):
 def test_sweep_evaluates_once_per_m_pair():
     pairs = {(p.m1, p.m2) for p in SWEEP_GRID}
     f_calls, d2f_calls = [], []
-    base = get_surface("x2y2")
+    base = corpus()["x2y2"].surface
     s = Surface("counted", base.domain, f=counting(base.f, f_calls), d2f=counting(base.d2f, d2f_calls))
     sweep = MembershipSweep(RECT01, PLAN)
     cells = [(sense, p) for p in SWEEP_GRID for sense in (FIRST, SECOND)]
@@ -454,13 +447,12 @@ def test_sweep_shares_reports_of_equal_margins(name, hypothesis):
     reports = MembershipSweep(RECT01, SMALL_PLAN).reports(s, cells, hypothesis=hypothesis)
     for (sense, p), rep in zip(cells, reports):
         target = abs_mixed_surface(s, p.q) if hypothesis else s
-        check = check_class_first if sense == FIRST else check_class_second
         if out_of_domain(name, p):
             assert rep is None
             with pytest.raises(OutOfDomainError):
-                check(target, RECT01, p, SMALL_PLAN)
+                check_cell(target, RECT01, sense, p, SMALL_PLAN)
             continue
-        assert rep == check(target, RECT01, p, SMALL_PLAN)
+        assert rep == check_cell(target, RECT01, sense, p, SMALL_PLAN)
     assert {rep is None for rep in reports} == ({True, False} if name == "narrow" else {False})
 
 
@@ -478,7 +470,7 @@ def test_sweep_reports_once_per_distinct_margin(hypothesis):
     # Each report re-evaluates its witness at five scalar points; nothing
     # else in the sweep evaluates a scalar.
     calls = []
-    base = get_surface("x2y2")
+    base = corpus()["x2y2"].surface
     s = Surface("counted", base.domain, f=counting_scalars(base.f, calls), d2f=counting_scalars(base.d2f, calls))
     cells = [(sense, p) for p in COLLIDING_GRID for sense in (FIRST, SECOND)]
     sweep = MembershipSweep(RECT01, SMALL_PLAN)
@@ -504,7 +496,7 @@ def test_sweep_raises_the_first_non_finite_cell_q_by_q():
     with np.errstate(over="ignore", invalid="ignore"):
         for sense, p in sorted(cells, key=lambda cell: cell[1].q):
             try:
-                check_class_second(abs_mixed_surface(s, p.q), RECT01, p, SMALL_PLAN)
+                check_cell(abs_mixed_surface(s, p.q), RECT01, SECOND, p, SMALL_PLAN)
             except NonFiniteError as exc:
                 expected = str(exc)
                 break
@@ -525,9 +517,9 @@ def test_verdicts_raise_the_first_non_finite_cell_as_reports_do():
     unit_a, unit_b, unit_c = GenParams(), GenParams(s1=0.5, s2=0.5), GenParams(alpha1=0.5)
     params = [unit_a, replace(unit_b, q=2.0), replace(unit_a, q=4.0), replace(unit_c, q=8.0)]
     with np.errstate(over="ignore", invalid="ignore"):
-        check_class_first(abs_mixed_surface(s, 1.0), RECT01, unit_a, SMALL_PLAN)
+        check_cell(abs_mixed_surface(s, 1.0), RECT01, FIRST, unit_a, SMALL_PLAN)
         with pytest.raises(NonFiniteError) as one:
-            check_class_first(abs_mixed_surface(s, 2.0), RECT01, params[1], SMALL_PLAN)
+            check_cell(abs_mixed_surface(s, 2.0), RECT01, FIRST, params[1], SMALL_PLAN)
         with pytest.raises(NonFiniteError) as swept:
             MembershipSweep(RECT01, SMALL_PLAN).reports(s, [(FIRST, p) for p in params], hypothesis=True)
         with pytest.raises(NonFiniteError) as judged:
@@ -601,5 +593,5 @@ def test_sweep_caches_sample_powers_per_exponent():
     thetas = {p.theta1 for p in COLLIDING_GRID}
     assert set(sweep._powers) == {(axis, t) for axis in (0, 1) for t in thetas}
     # powers cached for one surface serve the next
-    reports = sweep.reports(get_surface("x2y2"), cells, hypothesis=True)
-    assert reports == MembershipSweep(RECT01, SMALL_PLAN).reports(get_surface("x2y2"), cells, hypothesis=True)
+    reports = sweep.reports(corpus()["x2y2"].surface, cells, hypothesis=True)
+    assert reports == MembershipSweep(RECT01, SMALL_PLAN).reports(corpus()["x2y2"].surface, cells, hypothesis=True)

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhverify import GenParams, OutOfDomainError, ParameterError, Rect, scaled_eval_hull
-from hhverify.geometry import require_inside
+from hhverify import GenParams, OutOfDomainError, ParameterError, Rect
+from hhverify.geometry import require_inside, scaled_eval_edges
 
 
 def test_rect_rejects_degenerate():
@@ -60,16 +60,16 @@ def test_genparams_conjugate():
 
 
 def test_scaled_eval_hull_identity_scaling():
-    assert scaled_eval_hull(Rect(0, 1, 0, 1), GenParams()) == Rect(0, 1, 0, 1)
+    assert Rect(*scaled_eval_edges(Rect(0, 1, 0, 1), GenParams())) == Rect(0, 1, 0, 1)
 
 
 def test_scaled_eval_hull_scales_upper_corner():
-    assert scaled_eval_hull(Rect(0, 1, 0, 1), GenParams(m1=0.5)) == Rect(0, 2, 0, 1)
+    assert Rect(*scaled_eval_edges(Rect(0, 1, 0, 1), GenParams(m1=0.5))) == Rect(0, 2, 0, 1)
 
 
 def test_scaled_eval_hull_negative_left_edge():
     # b/m1 = 2, and sampled x = a = -1 scales to a/m1 = -2: hull of {-2, -1, 1, 2}
-    assert scaled_eval_hull(Rect(-1, 1, 0, 1), GenParams(m1=0.5)) == Rect(-2, 2, 0, 1)
+    assert Rect(*scaled_eval_edges(Rect(-1, 1, 0, 1), GenParams(m1=0.5))) == Rect(-2, 2, 0, 1)
 
 
 def test_require_inside_names_the_first_point_outside():
@@ -91,6 +91,6 @@ def test_hull_monotone_in_m(m_small, m_large, b):
     """Shrinking m never shrinks the hull."""
     lo, hi = sorted((m_small, m_large))
     r = Rect(b - 1.0, b + 1.0, 0.0, 1.0)
-    h_small = scaled_eval_hull(r, GenParams(m1=lo, m2=lo))
-    h_large = scaled_eval_hull(r, GenParams(m1=hi, m2=hi))
+    h_small = Rect(*scaled_eval_edges(r, GenParams(m1=lo, m2=lo)))
+    h_large = Rect(*scaled_eval_edges(r, GenParams(m1=hi, m2=hi)))
     assert h_small.contains_rect(h_large)

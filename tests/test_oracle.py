@@ -4,14 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import random_poly
+from support import deviation_exact, identity_residual_exact, random_poly
 
 from hhverify import (
     RationalPoly1,
     RationalPoly2,
     Rect,
-    deviation_exact,
-    identity_residual_exact,
     integrate_2d,
     poly_integral_2d_exact,
 )

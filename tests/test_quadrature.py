@@ -13,10 +13,8 @@ from hhverify import (
     Tolerance,
     integrate_1d,
     integrate_2d,
-    panel_1d,
-    panel_2d,
 )
-from hhverify.quadrature import QuadratureResult, left_sum
+from hhverify.quadrature import QuadratureResult, _panels_1d, _panels_2d, left_sum
 from hhverify.surfaces import fd_mixed_partial
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
@@ -44,13 +42,13 @@ def test_single_panel_exactness(degree):
     """One panel must integrate monomials up to the design degree exactly."""
     for lo, hi in ((0.0, 1.0), (-1.0, 2.0)):
         exact = (hi ** (degree + 1) - lo ** (degree + 1)) / (degree + 1)
-        got = panel_1d(lambda x: x**degree, lo, hi)
+        got = float(_panels_1d(lambda x: x**degree, np.array([[lo, hi]]))[0])
         assert abs(got - exact) <= 1e-13 * (1.0 + abs(exact))
 
 
 def test_single_panel_design_degree_23():
     exact = 1.0 / 24.0
-    assert abs(panel_1d(lambda x: x**23, 0.0, 1.0) - exact) <= 1e-13
+    assert abs(float(_panels_1d(lambda x: x**23, np.array([[0.0, 1.0]]))[0]) - exact) <= 1e-13
 
 
 def test_kink_robustness():
@@ -156,7 +154,7 @@ def test_2d_matches_product_of_1d():
 def test_2d_panel_exactness():
     for i, j in ((0, 0), (3, 2), (7, 7), (15, 15)):
         exact = 1.0 / ((i + 1) * (j + 1))
-        got = panel_2d(lambda x, y: x**i * y**j, 0.0, 1.0, 0.0, 1.0)
+        got = float(_panels_2d(lambda x, y: x**i * y**j, np.array([[0.0, 1.0, 0.0, 1.0]]))[0])
         assert abs(got - exact) <= 1e-13 * (1.0 + exact)
 
 
@@ -339,9 +337,11 @@ def test_one_panel_calls_equal_scalar_reference():
     # -0.0 terms: a sum started at 0.0 gives +0.0, which only the one-panel
     # calls expose; the integrators add every panel into a 0.0 total.
     for g in [c[1] for c in CASES_1D] + [lambda x: -0.0 * x]:
-        assert repr(panel_1d(g, 0.25, 1.0)) == repr(_ref_panel_1d(g, 0.25, 1.0))
+        one = _panels_1d(g, np.array([[0.25, 1.0]]))[0]
+        assert repr(float(one)) == repr(_ref_panel_1d(g, 0.25, 1.0))
     for g in [c[1] for c in CASES_2D] + [lambda x, y: -0.0 * x * y]:
-        assert repr(panel_2d(g, 0.25, 1.0, 0.0, 0.5)) == repr(_ref_panel_2d(g, 0.25, 1.0, 0.0, 0.5))
+        one = _panels_2d(g, np.array([[0.25, 1.0, 0.0, 0.5]]))[0]
+        assert repr(float(one)) == repr(_ref_panel_2d(g, 0.25, 1.0, 0.0, 0.5))
 
 
 def test_fd_convergence_failure_is_unchanged():

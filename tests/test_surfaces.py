@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from support import constant_surface, crosscheck_mixed_partial
+
 from hhverify import (
     GenParams,
     NonFiniteError,
@@ -11,22 +13,19 @@ from hhverify import (
     RationalPoly2,
     Rect,
     Surface,
-    constant_surface,
     corpus,
-    crosscheck_mixed_partial,
     eval_mixed_partial,
-    get_surface,
     poly_surface,
-    scaled_eval_hull,
 )
+from hhverify.geometry import scaled_eval_edges
 from hhverify.surfaces import _FD_STEP, require_hull_inside
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 
 
 def test_eval_examples():
-    assert get_surface("xy").f(0.5, 0.5) == 0.25
-    assert get_surface("x2y2").f(1.0, 1.0) == 1.0
+    assert corpus()["xy"].surface.f(0.5, 0.5) == 0.25
+    assert corpus()["x2y2"].surface.f(1.0, 1.0) == 1.0
 
 
 def test_eval_out_of_domain():
@@ -38,7 +37,7 @@ def test_eval_out_of_domain():
 
 
 def test_mixed_partial_analytic():
-    assert eval_mixed_partial(get_surface("x2y2"), 1.0, 1.0) == 4.0
+    assert eval_mixed_partial(corpus()["x2y2"].surface, 1.0, 1.0) == 4.0
 
 
 def test_mixed_partial_finite_difference_bilinear():
@@ -109,7 +108,7 @@ def test_poly_surface_constructor():
 
 def test_scaled_eval_hull_covers_sampling():
     p = GenParams(m1=0.5, m2=0.5)
-    hull = scaled_eval_hull(Rect(-1, 1, 0, 1), p)
+    hull = Rect(*scaled_eval_edges(Rect(-1, 1, 0, 1), p))
     # sampled z in [-1, 1] lands in [-2, 2] after scaling
     assert hull == Rect(-2, 2, 0, 2)
 
@@ -131,4 +130,4 @@ def test_hull_violation_names_a_hull_corner_outside_the_domain():
 
 
 def test_surface_str():
-    assert "xy" in str(get_surface("xy"))
+    assert "xy" in str(corpus()["xy"].surface)
