@@ -19,10 +19,11 @@ that disagree except at classical parameters (s = alpha = m = 1): the
 because only it reduces to the classical bounds; the as-written variants are
 kept so the discrepancy can be measured and hunted.
 
-Each theorem is written once, as its entry in ``THEOREMS``: its q range,
-the parameter cell at which its hypothesis (|d2f|^q first-sense
-s-(alpha, m)-convex on the co-ordinates) is refuted, and its right side.
-``bound`` and the CLI's bound sweep read them from there.
+Each theorem is written once, as its entry in ``THEOREMS``: its q range
+and its right side.  Every theorem assumes one hypothesis, |d2f|^q
+first-sense s-(alpha, m)-convex on the co-ordinates at its own parameters
+(the classical bound takes only the classical ones).  ``bound`` and the
+CLI's bound sweep read them from there.
 """
 
 from __future__ import annotations
@@ -273,13 +274,11 @@ def _holder_rhs(r: Rect, p: GenParams, variant: str, mags) -> float:
 
 @dataclass(frozen=True)
 class Theorem:
-    """One bound: its q range (``applies``; ``q_range`` in words), the cell
-    ``hypothesis(p)`` at which |d2f|^q must be first-sense s-(alpha, m)-convex
-    on the co-ordinates, and its right side ``rhs(r, p, variant, mags)``."""
+    """One bound: its q range (``applies``; ``q_range`` in words) and its
+    right side ``rhs(r, p, variant, mags)``."""
 
     q_range: str
     applies: Callable[[float], bool]
-    hypothesis: Callable[[GenParams], GenParams]
     rhs: Callable[..., float]
 
 
@@ -288,12 +287,11 @@ class Theorem:
 # average of |d2f|.
 THEOREMS = {
     CLASSICAL: Theorem(
-        "q = 1", lambda q: q == 1.0, lambda p: CLASSICAL_PARAMS,
-        lambda r, p, variant, mags: r.area / 16.0 * (left_sum(mags) / 4.0),
+        "q = 1", lambda q: q == 1.0, lambda r, p, variant, mags: r.area / 16.0 * (left_sum(mags) / 4.0)
     ),
-    DIRECT: Theorem("q = 1", lambda q: q == 1.0, lambda p: p, partial(_kink_rhs, 0.5)),
-    HOLDER: Theorem("q > 1", lambda q: q > 1.0, lambda p: p, _holder_rhs),
-    POWER_MEAN: Theorem("q >= 1", lambda q: q >= 1.0, lambda p: p, partial(_kink_rhs, 1.0)),
+    DIRECT: Theorem("q = 1", lambda q: q == 1.0, partial(_kink_rhs, 0.5)),
+    HOLDER: Theorem("q > 1", lambda q: q > 1.0, _holder_rhs),
+    POWER_MEAN: Theorem("q >= 1", lambda q: q >= 1.0, partial(_kink_rhs, 1.0)),
 }
 
 

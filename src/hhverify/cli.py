@@ -219,6 +219,8 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
         raise ConfigError(f"bad plan: {exc}") from exc
 
     out_dir = raw.get("output_dir", "out") if out is None else out
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir must be a path string, not {out_dir!r}")
 
     hunt_raw = _object(raw.get("hunt", {}), "hunt", ("count", "degree"))
 
@@ -395,11 +397,11 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file) -> list:
 
     swept = list(_bound_sweep(s, rect, combos, checks, cfg.variants, dev))
     every = "hypothesis" in HEADERS[bound_file]
-    keys = [  # where each row's hypothesis is refuted, None where it is not
-        THEOREMS[kind].hypothesis(p)
+    keys = [  # the row's own cell, where its hypothesis is refuted; None where it is not
+        p
         if rep is not None and (every or (variant == PROOF_FORM and rep.verdict == BOUND_VIOLATED))
         else None
-        for kind, p, variant, rep in swept
+        for _, p, variant, rep in swept
     ]
     params = [p for p in dict.fromkeys(keys) if p is not None]
     hyps = dict(zip(params, sweep.verdicts(s, params)))
@@ -422,7 +424,10 @@ def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys)
     ``own_keys(files, findings)`` returns.  Returns the exit code, 1 when a
     proof-form row is a finding."""
     t0 = time.time()
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     files = {bound_file: [], "membership": [], "chains": [], "identity": []}
     param_cols = _param_cols(cfg.combos)

@@ -5,7 +5,9 @@ over a deterministic sample set, for each parameter cell it is given, and
 reports the worst margin with its witness.  A negative margin beyond the
 tolerance is a concrete violation; "no violation found" is exactly that -
 these are refuters, not certifiers, because the conditions quantify over a
-continuum.
+continuum.  One loop scans the set in blocks and stops a cell at its first
+violated block: a full report scans the whole set as one block, a
+hypothesis verdict blocks of doubling size.
 
 The sample set couples the pair of base points with a dense (lam, mu) grid:
 the four rectangle corner pairs (the degenerate instances the integral bounds
@@ -210,14 +212,14 @@ class MembershipSweep:
     The samples are built once, here, and so are the powers lam^e and mu^e
     of the sample columns, once per distinct exponent e (theta = alpha*s,
     and alpha in the second sense); they do not depend on the surface.
-    ``reports`` visits the cells of one surface grouped by (m1, m2): per
-    group it evaluates the five point arrays once (for hypotheses raw d2f
-    once, then |d2f|^q once per q, all q of the group live together), per
-    (sense, weight parameters) it computes the corner weights once, and
-    per q it makes one report, which every cell alike in sense, weight
-    parameters, m and q shares: their margins are bitwise equal.
-    ``verdicts`` does the same for hypothesis verdicts alone, block by
-    block, and stops a cell at its first violating block.
+    ``reports`` and ``verdicts`` run one loop, ``_scan``, over the cells of
+    one surface grouped by (m1, m2): per group and block it evaluates the
+    five point arrays once (for hypotheses raw d2f once, then |d2f|^q once
+    per q), per (sense, weight parameters) it computes the corner weights
+    once, and per q it judges once for every cell alike in sense, weight
+    parameters, m and q: their margins are bitwise equal.  ``reports``
+    scans the whole table as one block, ``verdicts`` the doubling blocks of
+    _blocks.
     """
 
     def __init__(self, rect: Rect, plan: SamplingPlan = DEFAULT_PLAN):
@@ -278,104 +280,79 @@ class MembershipSweep:
         margin = float(_SENSES[sense][2](target.f, p, *witness))
         return witness, margin, VIOLATED if margin < -self.plan.tolerance else NO_VIOLATION
 
-    def reports(self, s: Surface, cells, hypothesis: bool = False) -> list:
-        """One MembershipReport per (sense, p) cell of s, None where the
-        evaluation hull leaves the domain.
-
-        With ``hypothesis`` a cell refutes membership of |d2f|^(p.q) (see
-        abs_mixed_surface) instead of f, whose cells do not depend on q.
-        The evaluation hull is checked once per (m1, m2) group, and
-        ``self.work`` counts the cells reported, the batched surface
-        evaluations and the sample margins.  A non-finite margin raises the
-        NonFiniteError of the first failing cell, visiting the (m1, m2)
-        pairs, within a pair its q values, and within a q its cells, each in
-        order of first appearance.  The loops visit weights outside and q
-        inside, so only one (sense, weight parameters) unit's four weight
-        arrays live at a time, and collect the errors to raise them in q
-        order: visiting q first keeps every unit's weights alive, +17 % peak
-        memory on hunt.
-        """
-        keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
+    def _scan(self, s: Surface, keys, hypothesis: bool, blocks) -> list:
+        """The MembershipReport of each key, None off the domain.  Per (m1,
+        m2) group the sample blocks are scanned in order, evaluating the
+        five point arrays of a block only while some cell of the group is
+        pending.  A pending cell judges each block; its report is that of
+        its first violated block, or else of the last, with samples_checked
+        the end of that block.  Weights are computed outside and q inside, so
+        one unit's four weight arrays live at a time (q outside costs +17 %
+        peak memory on hunt), and the errors of a block are raised in q
+        order (see _raise_first)."""
         fn = mixed_partial_func(s) if hypothesis else s.f
         batched = lambda xs, ys: _batch_eval(fn, xs, ys)
         results: dict = {}
         for (m1, m2), members, units in self._groups(s, keys, results):
-            raw = _points(batched, m1, m2, *self.samples)
-            self.work["batched_evaluations"] += len(raw)
-            if hypothesis:
-                raw = tuple(np.abs(v) for v in raw)
             qs = dict.fromkeys(p.q for _, p in members)
-            points = {q: tuple(_power(v, q) for v in raw) for q in qs}
             targets = {q: abs_mixed_surface(s, q) if hypothesis else s for q in qs}
-            errors = []
-            for (sense, _), (p, by_q) in units.items():
-                weights = _SENSES[sense][0](p, self._sample_power)
-                for q, same in by_q.items():
-                    margins = _combine(weights, points[q])
-                    try:
-                        witness, margin, verdict = self._judge(same[0], targets[q], margins, self.samples)
-                    except NonFiniteError as exc:
-                        errors.append((same[0], exc))
+            for block in blocks:
+                live = {q for _, by_q in units.values() for q in by_q}  # q of the pending cells
+                if not live:
+                    break
+                cols = tuple(c[block] for c in self.samples)
+                raw = _points(batched, m1, m2, *cols)
+                self.work["batched_evaluations"] += len(raw)
+                if hypothesis:
+                    raw = tuple(np.abs(v) for v in raw)
+                points = {q: tuple(_power(v, q) for v in raw) for q in live}
+                power = lambda axis, e: self._sample_power(axis, e)[block]
+                errors = []
+                for (sense, _), (p, by_q) in units.items():
+                    if not by_q:
                         continue
-                    rep = MembershipReport(verdict, margin, witness, int(margins.size))
-                    results.update(dict.fromkeys(same, rep))
-            _raise_first(errors, members)
+                    weights = _SENSES[sense][0](p, power)
+                    for q, same in list(by_q.items()):
+                        margins = _combine(weights, points[q])
+                        try:
+                            witness, margin, verdict = self._judge(same[0], targets[q], margins, cols)
+                        except NonFiniteError as exc:
+                            errors.append((same[0], exc))
+                            continue
+                        rep = MembershipReport(verdict, margin, witness, block.stop)
+                        results.update(dict.fromkeys(same, rep))
+                        if verdict == VIOLATED:
+                            del by_q[q]
+                _raise_first(errors, members)
         self.work["membership_reports"] += sum(rep is not None for rep in results.values())
         return [results[key] for key in keys]
+
+    def reports(self, s: Surface, cells, hypothesis: bool = False) -> list:
+        """One MembershipReport per (sense, p) cell of s over the whole
+        sample table, None where the evaluation hull leaves the domain.
+
+        With ``hypothesis`` a cell refutes membership of |d2f|^(p.q) (see
+        abs_mixed_surface) instead of f, whose cells do not depend on q.
+        ``self.work`` counts the cells reported, the batched surface
+        evaluations and the sample margins.  A non-finite margin raises the
+        NonFiniteError of the first failing cell, visiting the (m1, m2)
+        pairs, within a pair its q values, and within a q its cells, each in
+        order of first appearance.
+        """
+        keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
+        return self._scan(s, keys, hypothesis, [slice(0, len(self.samples[0]))])
 
     def verdicts(self, s: Surface, params) -> list:
         """The first-sense verdict on the hypothesis |d2f|^(p.q) for each p
         of params, None where the evaluation hull leaves the domain: the
         verdicts of ``reports(s, [(FIRST, p) for p in params],
-        hypothesis=True)``, with less work.  (They can part only where the
-        vector and scalar margins both lie within rounding of -tolerance;
-        then this says violated, with a violating witness behind it.)
-
-        Per (m1, m2) group the samples are scanned block by block (see
-        _blocks): d2f is evaluated at a block's five point arrays only while
-        some cell of the group is pending.  Every pending cell judges each
-        block as ``reports`` judges the whole table (its block witness,
-        re-evaluated through the scalar path), and is violated, and no
-        longer pending, at the first block whose witness margin is below
-        -tolerance.  A cell that no block violates is clean: the witness of
-        the whole table is the witness of the block that holds it, so its
-        scalar margin was one of those found clean.  A non-finite margin in
-        a block raises the NonFiniteError of the first cell failing in that
-        block, in q order, then cell order.
+        hypothesis=True)``, with less work, from the doubling blocks of
+        _blocks.  (They can part only where the vector and scalar margins
+        both lie within rounding of -tolerance; then this says violated, with
+        a violating witness behind it.)  A cell no block violates is clean:
+        the whole table's witness is the witness of the block that holds it,
+        so its scalar margin was found clean.  A non-finite margin raises
+        only in the blocks scanned.
         """
-        keys = [(FIRST, p) for p in params]
-        d2f = mixed_partial_func(s)
-        batched = lambda xs, ys: _batch_eval(d2f, xs, ys)
-        results: dict = {}
-        for (m1, m2), members, units in self._groups(s, keys, results):
-            targets = {q: abs_mixed_surface(s, q) for q in dict.fromkeys(p.q for _, p in members)}
-            for block in _blocks(len(self.samples[0])):
-                live = {q for _, by_q in units.values() for q in by_q}  # q of the pending cells
-                if not live:
-                    break
-                cols = tuple(c[block] for c in self.samples)
-                raw = tuple(np.abs(v) for v in _points(batched, m1, m2, *cols))
-                self.work["batched_evaluations"] += len(raw)
-                points = {q: tuple(_power(v, q) for v in raw) for q in live}
-                power = lambda axis, e: self._sample_power(axis, e)[block]
-                errors = []
-                for p, by_q in units.values():
-                    if not by_q:
-                        continue
-                    weights = _weights_first(p, power)
-                    for q, same in list(by_q.items()):
-                        margins = _combine(weights, points[q])
-                        try:
-                            verdict = self._judge(same[0], targets[q], margins, cols)[2]
-                        except NonFiniteError as exc:
-                            errors.append((same[0], exc))
-                            continue
-                        if verdict == VIOLATED:
-                            results.update(dict.fromkeys(same, VIOLATED))
-                            del by_q[q]
-                _raise_first(errors, members)
-            for _, by_q in units.values():
-                for same in by_q.values():
-                    results.update(dict.fromkeys(same, NO_VIOLATION))
-        self.work["membership_reports"] += sum(v is not None for v in results.values())
-        return [results[key] for key in keys]
+        reports = self._scan(s, [(FIRST, p) for p in params], True, list(_blocks(len(self.samples[0]))))
+        return [rep and rep.verdict for rep in reports]

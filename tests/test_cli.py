@@ -126,6 +126,33 @@ def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "hunt"])
+@pytest.mark.parametrize("value", [5, None, ["o"]])
+def test_non_string_output_dir_exits_two(tmp_path, capsys, command, value):
+    """An output_dir that is no path string ends in exit code 2 and an
+    error line, not a TypeError."""
+    cfgfile = write_config(tmp_path, output_dir=value)
+    assert cli.main([command, "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"output_dir must be a path string, not {value!r}" in err, err
+
+
+@pytest.mark.parametrize("command", ["verify", "hunt"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_exits_two(tmp_path, capsys, command, below):
+    """An --out that is an existing file, or lies below one, cannot be made
+    a directory: exit code 2 and an error line naming it, and the file is
+    left as it was."""
+    taken = tmp_path / "taken.txt"
+    taken.write_text("keep\n")
+    out = taken / "o" if below else taken
+    cfgfile = write_config(tmp_path)
+    assert cli.main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cannot create output directory {out}" in err, err
+    assert taken.read_text() == "keep\n"
+
+
 def test_plan_may_ask_for_max_samples():
     """The default grid of 9 per axis takes (4 + 81) * 17**2 samples before
     the random trials."""

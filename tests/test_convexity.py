@@ -22,7 +22,6 @@ from hhverify import (
     RationalPoly2,
 )
 from hhverify import cli, convexity
-from hhverify.bounds import THEOREMS
 from hhverify.geometry import CLASSICAL_PARAMS
 from hhverify.convexity import (
     FIRST,
@@ -541,12 +540,39 @@ BLOCKS = [convexity.BLOCK, 1, 10**9]
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("name", sorted(SWEEP_SURFACES))
 def test_verdicts_match_reports(monkeypatch, name, block):
-    monkeypatch.setattr(convexity, "BLOCK", block)
     s = SWEEP_SURFACES[name]
+    f_cells = [(sense, p) for p in COLLIDING_GRID for sense in (FIRST, SECOND)]
+    hyp_cells = [(FIRST, p) for p in COLLIDING_GRID]
+    full = MembershipSweep(RECT01, SMALL_PLAN)
+    want = full.reports(s, f_cells), full.reports(s, hyp_cells, hypothesis=True)
+    monkeypatch.setattr(convexity, "BLOCK", block)
     sweep = MembershipSweep(RECT01, SMALL_PLAN)
     verdicts = sweep.verdicts(s, COLLIDING_GRID)
     assert verdicts == verdicts_of_reports(sweep, s, COLLIDING_GRID)
     assert [v is None for v in verdicts] == [out_of_domain(name, p) for p in COLLIDING_GRID]
+    assert {VIOLATED, NO_VIOLATION} <= set(verdicts)
+    # a full report scans the whole table as one block, whatever BLOCK is
+    assert (sweep.reports(s, f_cells), sweep.reports(s, hyp_cells, hypothesis=True)) == want
+
+
+# d2f = 4xy - 1 changes sign on [0, 1]^2, so |d2f|^q is not d2f^q there.
+SADDLE = Surface(
+    "saddle", Rect(-8, 8, -8, 8), f=lambda x, y: x * x * y * y - x * y, d2f=lambda x, y: 4.0 * x * y - 1.0
+)
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_SURFACES) + ["saddle"])
+def test_verdicts_match_reference_refuter(name):
+    # The refuter written out (reference_report), which shares no code with
+    # the sweep's loop, on each cell's hypothesis |d2f|^q.
+    s = SWEEP_SURFACES.get(name, SADDLE)
+    verdicts = MembershipSweep(RECT01, PLAN).verdicts(s, SWEEP_GRID)
+    hyp = lambda p: abs_mixed_surface(s, p.q).f
+    want = [
+        None if out_of_domain(name, p) else reference_report(hyp(p), written_first, p, PLAN).verdict
+        for p in SWEEP_GRID
+    ]
+    assert verdicts == want
     assert {VIOLATED, NO_VIOLATION} <= set(verdicts)
 
 
@@ -556,7 +582,7 @@ def test_verdicts_match_reports_on_hunt_surfaces():
     cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "hunt.json")
     domain = cli._hunt_domain(cfg.rect, cfg.combos)
     rng = np.random.default_rng(cfg.seed)
-    params = list(dict.fromkeys(THEOREMS[kind].hypothesis(p) for p in cfg.combos for kind in cfg.checks))
+    params = list(cfg.combos)
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     seen = set()
     for k in range(3):

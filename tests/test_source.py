@@ -32,3 +32,61 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree) -> list:
+    """(name, node) for each private module-level function, class or
+    constant of a module, and each private method of its classes."""
+    found = []
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        found += [(name, node) for name in names if _private(name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(m.name, m) for m in node.body if isinstance(m, ast.FunctionDef) and _private(m.name)]
+    return found
+
+
+def dead_private_names(sources: dict) -> list:
+    """(file, line, name) of each private definition in ``sources`` (file
+    name -> text) that no source reads outside the definition itself: a
+    name, an attribute or an imported name counts as a read."""
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    reads: dict = {}  # name -> [(file, line)]
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.setdefault(node.id, []).append((file, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((file, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads.setdefault(alias.name, []).append((file, node.lineno))
+    dead = []
+    for file, tree in trees.items():
+        for name, node in private_definitions(tree):
+            span = range(node.lineno, node.end_lineno + 1)
+            if all(f == file and line in span for f, line in reads.get(name, [])):
+                dead.append((file, node.lineno, name))
+    return sorted(dead)
+
+
+def test_dead_private_name_is_found():
+    sources = {
+        "a.py": "_USED = 1\n_UNUSED = 2\n\ndef _rec(n):\n    return _rec(n - 1)\n\n"
+        "class C:\n    def _m(self):\n        return _USED\n    def _dead(self):\n        pass\n",
+        "b.py": "from .a import C\nC()._m()\n",
+    }
+    assert dead_private_names(sources) == [("a.py", 2, "_UNUSED"), ("a.py", 4, "_rec"), ("a.py", 10, "_dead")]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
