@@ -37,11 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .geometry import GenParams, Rect
-from .oracle import (
-    RationalPoly1,
-    RationalPoly2,
-    poly_integral_2d_exact,
-)
+from .oracle import RationalPoly2, poly_integral_2d_exact
 from .quadrature import (
     Tolerance,
     integrate_1d,

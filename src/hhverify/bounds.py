@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .errors import ParameterError
+from .errors import NonFiniteError, ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, require_inside
 from .oracle import deviation_parts
 from .quadrature import Tolerance, integrate_1d, integrate_2d, left_sum
@@ -125,11 +125,15 @@ def deviation_terms(s: Surface, r: Rect, tol: Tolerance | None = None) -> Deviat
     require_inside(s.domain, r.corners(), s.name)
     if s.poly is not None:
         corner, mean, marginal = deviation_parts(s.poly, r)
-        signed = float(corner + mean - marginal)
+        signed = corner + mean - marginal
+        try:
+            corner, mean, marginal, signed = map(float, (corner, mean, marginal, signed))
+        except OverflowError:
+            raise NonFiniteError(f"{s.name} deviation over {r}", math.inf) from None
         return DeviationTerms(
-            corner_avg=float(corner),
-            integral_mean=float(mean),
-            marginal_a=float(marginal),
+            corner_avg=corner,
+            integral_mean=mean,
+            marginal_a=marginal,
             signed_deviation=signed,
             integral_budget=max(math.ulp(mean), math.ulp(signed)) / 2.0,
             marginal_budget=max(math.ulp(marginal), math.ulp(signed)) / 2.0,

@@ -66,7 +66,7 @@ from .convexity import (
     MembershipSweep,
     SamplingPlan,
 )
-from .errors import ConfigError, OutOfDomainError, ParameterError
+from .errors import ConfigError, ConvergenceError, NonFiniteError, OutOfDomainError, ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_edges
 from .oracle import RationalPoly2
 from .surfaces import corpus, poly_surface
@@ -594,7 +594,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return run_verify(cfg)
         return run_hunt(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ConvergenceError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

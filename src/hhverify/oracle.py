@@ -5,6 +5,11 @@ terms), so every integral, derivative and composition here is exact.  Floats
 such as rectangle endpoints convert with ``Fraction(float)``, which is their
 exact binary value.  This is the oracle the floating-point pipeline is tested
 against.
+
+The integral and the deviation's three parts are one form, the sum over terms
+of coeff times a functional of x^i times one of y^j: the endpoint sum
+lo^i + hi^i or the integral of t^i over [lo, hi], taken once per exponent
+that occurs, so a sparse polynomial costs per term, not per degree.
 """
 
 from __future__ import annotations
@@ -13,46 +18,6 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .geometry import Rect
-
-
-class RationalPoly1:
-    """Univariate polynomial with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, object]):
-        clean: dict[int, Fraction] = {}
-        for i, v in dict(coeffs).items():
-            i = int(i)
-            if i < 0:
-                raise ValueError(f"negative exponent {i}")
-            fv = clean.get(i, Fraction(0)) + Fraction(v)
-            if fv:
-                clean[i] = fv
-            elif i in clean:
-                del clean[i]
-        self.coeffs = clean
-
-    def __add__(self, other: "RationalPoly1") -> "RationalPoly1":
-        out = dict(self.coeffs)
-        for i, v in other.coeffs.items():
-            out[i] = out.get(i, Fraction(0)) + v
-        return RationalPoly1(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalPoly1) and self.coeffs == other.coeffs
-
-    def eval_exact(self, t) -> Fraction:
-        t = Fraction(t)
-        return sum((c * t**i for i, c in self.coeffs.items()), Fraction(0))
-
-    def integral(self, lo, hi) -> Fraction:
-        """Exact antiderivative evaluation over [lo, hi]."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        total = Fraction(0)
-        for i, c in self.coeffs.items():
-            total += c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-        return total
 
 
 class RationalPoly2:
@@ -112,22 +77,6 @@ class RationalPoly2:
                 out[(i - 1, j - 1)] = c * i * j
         return RationalPoly2(out)
 
-    def substitute_x(self, value) -> RationalPoly1:
-        """Restrict to the vertical line x = value (polynomial in y)."""
-        v = Fraction(value)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[j] = out.get(j, Fraction(0)) + c * v**i
-        return RationalPoly1(out)
-
-    def substitute_y(self, value) -> RationalPoly1:
-        """Restrict to the horizontal line y = value (polynomial in x)."""
-        v = Fraction(value)
-        out: dict[int, Fraction] = {}
-        for (i, j), c in self.terms.items():
-            out[i] = out.get(i, Fraction(0)) + c * v**j
-        return RationalPoly1(out)
-
     def compose_affine(self, x0, x1, y0, y1) -> "RationalPoly2":
         """Exact substitution x <- x0 + x1*u, y <- y0 + y1*v."""
         x0, x1, y0, y1 = map(Fraction, (x0, x1, y0, y1))
@@ -170,30 +119,37 @@ def _affine_power(c0: Fraction, c1: Fraction, n: int) -> list[Fraction]:
     return out
 
 
+def _moments(p: RationalPoly2, r: Rect) -> list[tuple[dict, dict]]:
+    """Per axis of r, the endpoint sum lo^i + hi^i and the integral of t^i
+    over [lo, hi], for each exponent i that axis has in p.terms."""
+    out = []
+    for k, lo, hi in ((0, r.a, r.b), (1, r.c, r.d)):
+        lo, hi = Fraction(lo), Fraction(hi)
+        exps = {key[k] for key in p.terms}
+        ends = {i: lo**i + hi**i for i in exps}
+        ints = {i: (hi ** (i + 1) - lo ** (i + 1)) / (i + 1) for i in exps}
+        out.append((ends, ints))
+    return out
+
+
+def _form(p: RationalPoly2, xs: dict, ys: dict) -> Fraction:
+    """Sum of coeff * xs[i] * ys[j] over the terms coeff * x^i * y^j of p."""
+    return sum((c * xs[i] * ys[j] for (i, j), c in p.terms.items()), Fraction(0))
+
+
 def poly_integral_2d_exact(p: RationalPoly2, r: Rect) -> Fraction:
-    """Exact iterated integral of p over the rectangle r."""
-    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
-    total = Fraction(0)
-    for (i, j), coeff in p.terms.items():
-        total += (
-            coeff
-            * (b ** (i + 1) - a ** (i + 1))
-            / (i + 1)
-            * (d ** (j + 1) - c ** (j + 1))
-            / (j + 1)
-        )
-    return total
+    """Exact integral of p over the rectangle r."""
+    (_, ix), (_, iy) = _moments(p, r)
+    return _form(p, ix, iy)
 
 
 def deviation_parts(p: RationalPoly2, r: Rect) -> tuple[Fraction, Fraction, Fraction]:
     """Exact corner average, double-integral mean and edge term A over r,
     where A is half the sum of the four edge means (twice their average)."""
-    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
-    corner = (
-        p.eval_exact(a, c) + p.eval_exact(a, d) + p.eval_exact(b, c) + p.eval_exact(b, d)
-    ) / 4
-    mean = poly_integral_2d_exact(p, r) / ((b - a) * (d - c))
-    gx = p.substitute_y(c) + p.substitute_y(d)
-    gy = p.substitute_x(a) + p.substitute_x(b)
-    marginal = (gx.integral(a, b) / (b - a) + gy.integral(c, d) / (d - c)) / 2
+    (sx, ix), (sy, iy) = _moments(p, r)
+    width = Fraction(r.b) - Fraction(r.a)
+    height = Fraction(r.d) - Fraction(r.c)
+    corner = _form(p, sx, sy) / 4
+    mean = _form(p, ix, iy) / (width * height)
+    marginal = (_form(p, ix, sy) / width + _form(p, sx, iy) / height) / 2
     return corner, mean, marginal

@@ -73,6 +73,32 @@ def deviation_exact(p: RationalPoly2, r: Rect) -> Fraction:
     return corner + mean - marginal
 
 
+def _antiderivative(p: RationalPoly2, axis: int) -> RationalPoly2:
+    """The antiderivative of p in x (axis 0) or in y (axis 1), with no
+    constant term."""
+    out = {}
+    for (i, j), c in p.terms.items():
+        if axis == 0:
+            out[(i + 1, j)] = c / (i + 1)
+        else:
+            out[(i, j + 1)] = c / (j + 1)
+    return RationalPoly2(out)
+
+
+def deviation_parts_reference(p: RationalPoly2, r: Rect) -> tuple[Fraction, Fraction, Fraction]:
+    """deviation_parts by another route: the corners by eval_exact, each edge
+    integral from the x- or y-antiderivative at the edge's ends, and the double
+    integral from the double antiderivative at the four corners."""
+    a, b, c, d = map(Fraction, (r.a, r.b, r.c, r.d))
+    corner = sum(p.eval_exact(x, y) for x in (a, b) for y in (c, d)) / 4
+    px, py = _antiderivative(p, 0), _antiderivative(p, 1)
+    pxy = _antiderivative(px, 1)
+    double = pxy.eval_exact(b, d) - pxy.eval_exact(a, d) - pxy.eval_exact(b, c) + pxy.eval_exact(a, c)
+    horizontal = sum(px.eval_exact(b, y) - px.eval_exact(a, y) for y in (c, d)) / (b - a)
+    vertical = sum(py.eval_exact(x, d) - py.eval_exact(x, c) for x in (a, b)) / (d - c)
+    return corner, double / ((b - a) * (d - c)), (horizontal + vertical) / 2
+
+
 _UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
 

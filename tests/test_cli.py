@@ -153,6 +153,29 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys, command, below):
     assert taken.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # the exact deviation of a cubic over [0, 1e200] x [0, 1] overflows a float
+        ({"rect": [0, 1e200, 0, 1], "hunt": {"count": 1, "degree": 3}}, "hunt-000 deviation over"),
+        # |d2f|^1000 overflows, and a zero corner weight times inf is a nan margin
+        (
+            {"param_grid": {"q": [1000]}, "checks": ["holder", "power-mean"], "hunt": {"count": 1, "degree": 3}},
+            "|d2f[hunt-000]|^1000 margin",
+        ),
+    ],
+)
+def test_non_finite_value_exits_two(tmp_path, capsys, config, message):
+    """A value that is not a finite number ends the run in exit code 2 and an
+    error line, not a traceback and not exit 1, the code for a finding."""
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps({**config, "output_dir": str(tmp_path / "o")}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["hunt", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value") and message in err, err
+
+
 def test_plan_may_ask_for_max_samples():
     """The default grid of 9 per axis takes (4 + 81) * 17**2 samples before
     the random trials."""

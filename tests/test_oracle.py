@@ -4,15 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import deviation_exact, identity_residual_exact, random_poly
+from support import deviation_exact, deviation_parts_reference, identity_residual_exact, random_poly
 
 from hhverify import (
-    RationalPoly1,
     RationalPoly2,
     Rect,
     integrate_2d,
     poly_integral_2d_exact,
 )
+from hhverify.oracle import deviation_parts
 
 X2Y2 = RationalPoly2({(2, 2): 1})
 XY = RationalPoly2({(1, 1): 1})
@@ -32,24 +32,29 @@ def test_integral_2d_area():
     assert poly_integral_2d_exact(one, Rect(0, 2, 0, 3)) == 6
 
 
+def _integral_1d(coeffs, lo, hi):
+    """The integral over [lo, hi] of a polynomial in t given as {exponent: coeff},
+    taken as a polynomial in x alone over Rect(lo, hi, 0, 1)."""
+    p = RationalPoly2({(i, 0): c for i, c in coeffs.items()})
+    return poly_integral_2d_exact(p, Rect(lo, hi, 0, 1))
+
+
 def test_integral_1d_square():
-    assert RationalPoly1({2: 1}).integral(0, 1) == Fraction(1, 3)
+    assert _integral_1d({2: 1}, 0, 1) == Fraction(1, 3)
 
 
 def test_integral_1d_shifted_product():
     # (1-2t)(1-t) = 1 - 3t + 2t^2
-    p = RationalPoly1({0: 1, 1: -3, 2: 2})
-    assert p.integral(0, 1) == Fraction(1, 6)
+    assert _integral_1d({0: 1, 1: -3, 2: 2}, 0, 1) == Fraction(1, 6)
 
 
 def test_integral_1d_tent_weight_via_split():
     # |1-2t|*t splits into polynomial pieces at t = 1/2
-    left = RationalPoly1({1: 1, 2: -2})  # (1-2t)t
-    right = RationalPoly1({1: -1, 2: 2})  # (2t-1)t
-    assert left.integral(0, Fraction(1, 2)) == Fraction(1, 24)
-    assert right.integral(Fraction(1, 2), 1) == Fraction(5, 24)
-    total = left.integral(0, Fraction(1, 2)) + right.integral(Fraction(1, 2), 1)
-    assert total == Fraction(1, 4)
+    left = _integral_1d({1: 1, 2: -2}, 0, 0.5)  # (1-2t)t
+    right = _integral_1d({1: -1, 2: 2}, 0.5, 1)  # (2t-1)t
+    assert left == Fraction(1, 24)
+    assert right == Fraction(5, 24)
+    assert left + right == Fraction(1, 4)
 
 
 def test_mixed_partial_rules():
@@ -98,6 +103,20 @@ def test_identity_residual_exact_randomized():
         poly = random_poly(rng)
         rect = _random_rect(rng)
         assert identity_residual_exact(poly, rect) == 0
+
+
+def test_deviation_parts_match_antiderivative_reference():
+    """The per-axis moment form equals antiderivatives evaluated at the
+    corners, exactly, on 50 random polynomials over random rectangles with
+    negative and fractional ends, and on one sparse polynomial of high degree."""
+    rng = np.random.default_rng(2026)
+    for _ in range(50):
+        poly = random_poly(rng)
+        rect = _random_rect(rng)
+        assert deviation_parts(poly, rect) == deviation_parts_reference(poly, rect)
+    sparse = RationalPoly2({(300, 1): 1})  # x^300 y
+    expected = (Fraction(1, 4), Fraction(1, 602), (Fraction(1, 301) + Fraction(1, 2)) / 2)
+    assert deviation_parts(sparse, RECT01) == deviation_parts_reference(sparse, RECT01) == expected
 
 
 def test_float_quadrature_agrees_with_oracle():
