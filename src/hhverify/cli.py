@@ -32,7 +32,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,7 +66,7 @@ from .convexity import (
     MembershipSweep,
     SamplingPlan,
 )
-from .errors import ConfigError, ConvergenceError, NonFiniteError, OutOfDomainError, ParameterError
+from .errors import ConfigError, ConvergenceError, NonFiniteError, OutOfDomainError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_edges
 from .oracle import RationalPoly2
 from .surfaces import corpus, poly_surface
@@ -75,10 +75,7 @@ ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membe
 SKIPPED = "skipped"
 
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
-PLAN_KEYS = {"grid_per_axis": int, "random_trials": int, "seed": int, "tolerance": float}
-CONFIG_KEYS = (
-    "surfaces", "rect", "param_grid", "variants", "checks", "plan", "output_dir", "seed", "hunt",
-)
+MAX_HUNT_COUNT, MAX_HUNT_DEGREE = 1000, 64  # caps on a hunt's work (README §Config schema)
 
 # CSV columns of each report file, which is also the order its rows sort in.
 HEADERS = {
@@ -117,124 +114,114 @@ class RunConfig:
     hunt_degree: int
 
 
-def _as_list(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{name} must be a non-empty list")
-    return _distinct(value, name)
+class Text(str):
+    """A JSON string rule, whose text ends the error for any other value."""
 
 
-def _distinct(values: list, name) -> list:
-    """values, unless one of them is listed twice (1 and 1.0 are one value)."""
-    for i, v in enumerate(values):
-        if v in values[:i]:
-            raise ConfigError(f"{name} lists {v!r} twice")
-    return values
+# The config schema: key -> (rule, default).  A rule is int or float (a
+# number of that kind), a slice(low, high) (a whole number in [low, high],
+# high None for no bound), a Text, a tuple of allowed values, a dict (a
+# nested object), a one-rule list [rule] (a non-empty list of distinct
+# values) or a list of several rules (one value each).  A default of None
+# leaves a key the file leaves out unset: a plan key then takes SamplingPlan's
+# default, and variants its command's.  Ranges that Rect, GenParams or
+# SamplingPlan enforce are left to them.
+SCHEMA = {
+    "surfaces": ([Text("list surface names")], ["all"]),
+    "rect": ([float] * 4, [0.0, 1.0, 0.0, 1.0]),
+    "param_grid": ({key: ([float], [1.0]) for key in PARAM_KEYS}, {}),
+    "variants": ([VARIANTS], None),
+    "checks": ([ALL_CHECKS], list(ALL_CHECKS)),
+    "plan": ({f.name: (type(f.default), None) for f in fields(SamplingPlan)}, {}),
+    "output_dir": (Text("be a path string"), "out"),
+    "seed": (slice(0, None), 0),
+    "hunt": ({"count": (slice(0, MAX_HUNT_COUNT), 20), "degree": (slice(0, MAX_HUNT_DEGREE), 4)}, {}),
+}
 
 
-def _object(value, name, known) -> dict:
-    """value as a config object: a JSON object with no key outside known."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    unknown = set(value) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return value
-
-
-def _number(kind, value, name, minimum=None):
-    """value as a kind (int or float), from a JSON number that is not a
-    boolean and, for an int, is whole."""
+def _check(rule, value, name: str):
+    """value checked against rule (see SCHEMA): a number as its kind, an object with its defaults."""
+    if isinstance(rule, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        if unknown := set(value) - set(rule):
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        return {
+            key: _check(sub, value.get(key, default), key if name == "config" else f"{name}.{key}")
+            for key, (sub, default) in rule.items()
+            if key in value or default is not None
+        }
+    if isinstance(rule, list) and len(rule) > 1:
+        if not (isinstance(value, list) and len(value) == len(rule)):
+            raise ConfigError(f"{name} must be a list of {len(rule)} values, not {value!r}")
+        return [_check(sub, v, name) for sub, v in zip(rule, value)]
+    if isinstance(rule, list):
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"no parameters to sweep: {name} must be a non-empty list, not {value!r}")
+        values = [_check(rule[0], v, name) for v in value]
+        if twice := [v for i, v in enumerate(values) if v in values[:i]]:  # 1 and 1.0 are one value
+            raise ConfigError(f"{name} lists {twice[0]!r} twice")
+        return values
+    if isinstance(rule, tuple):
+        if value not in rule:
+            raise ConfigError(f"unknown {name} value {value!r}; expected one of {rule}")
+        return value
+    if isinstance(rule, Text):
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must {rule}, not {value!r}")
+        return value
+    if isinstance(rule, slice):
+        number = _check(int, value, name)
+        if number < rule.start:
+            raise ConfigError(f"{name} must be >= {rule.start}, not {number!r}")
+        if rule.stop is not None and number > rule.stop:
+            raise ConfigError(f"{name} must be <= {rule.stop}, not {number!r}")
+        return number
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, not {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
+    if rule is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name} must be a whole number, not {value!r}")
     try:
-        number = kind(value)
+        return rule(value)
     except OverflowError as exc:
         raise ConfigError(f"{name} must be a finite number, not {value!r}") from exc
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, not {number!r}")
-    return number
+
+
+def _build(what: str, make):
+    """make(), a ValueError of the range checks it runs raised as ConfigError "what: ..."."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConfig:
-    """Validate a parsed config mapping for ``command`` and apply CLI
-    overrides.  Only ``verify`` reads the corpus surfaces, so only it needs
-    the rectangle inside their domains."""
-    _object(raw, "config", CONFIG_KEYS)
-
+    """Check a parsed config against SCHEMA and apply the CLI overrides.  Only
+    ``verify`` reads the corpus surfaces, so only it needs the rect inside their domains."""
+    cfg = _check(SCHEMA, raw, "config")
+    for key, value in (("seed", seed), ("output_dir", out)):
+        if value is not None:
+            cfg[key] = _check(SCHEMA[key][0], value, key)
+    rect = _build("bad rect", lambda: Rect(*cfg["rect"]))
     registry = corpus()
-    names = raw.get("surfaces", ["all"])
-    names = _as_list(names, "surfaces")
-    if names == ["all"]:
-        names = list(registry)
+    names = list(registry) if cfg["surfaces"] == ["all"] else cfg["surfaces"]
     for n in names:
-        if not isinstance(n, str):
-            raise ConfigError(f"surfaces must list surface names, not {n!r}")
         if n not in registry:
-            raise ConfigError(
-                f"unknown surface {n!r}; registered: {', '.join(registry)}"
-            )
-
-    rect_raw = raw.get("rect", [0.0, 1.0, 0.0, 1.0])
-    if not (isinstance(rect_raw, list) and len(rect_raw) == 4):
-        raise ConfigError("rect must be a list [a, b, c, d]")
-    try:
-        rect = Rect(*(_number(float, v, "rect") for v in rect_raw))
-    except ParameterError as exc:
-        raise ConfigError(f"bad rect: {exc}") from exc
-    if command == "verify":
-        for n in names:
-            domain = registry[n].surface.domain
-            if not domain.contains_rect(rect):
-                raise ConfigError(f"rect {rect} leaves the domain {domain} of surface {n!r}")
-
-    grid_raw = _object(raw.get("param_grid", {}), "param_grid", PARAM_KEYS)
-    grid: dict[str, list[float]] = {}
-    for key in PARAM_KEYS:
-        values = grid_raw.get(key, [1.0])
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"no parameters to sweep: param_grid.{key} is empty")
-        grid[key] = _distinct([_number(float, v, f"param_grid.{key}") for v in values], f"param_grid.{key}")
-
-    variants = raw.get("variants", [PROOF_FORM] if command == "verify" else list(VARIANTS))
-    variants = _as_list(variants, "variants")
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}; expected subset of {VARIANTS}")
-
-    checks = raw.get("checks", list(ALL_CHECKS))
-    checks = _as_list(checks, "checks")
-    for c in checks:
-        if c not in ALL_CHECKS:
-            raise ConfigError(f"unknown check {c!r}; expected subset of {ALL_CHECKS}")
-
-    run_seed = _number(int, raw.get("seed", 0) if seed is None else seed, "seed", minimum=0)
-
-    plan_raw = _object(raw.get("plan", {}), "plan", PLAN_KEYS)
-    plan_args = {k: _number(kind, plan_raw[k], f"plan.{k}") for k, kind in PLAN_KEYS.items() if k in plan_raw}
-    try:
-        plan = SamplingPlan(**{"seed": run_seed, **plan_args})  # a key left out takes the plan's default
-    except ValueError as exc:
-        raise ConfigError(f"bad plan: {exc}") from exc
-
-    out_dir = raw.get("output_dir", "out") if out is None else out
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"output_dir must be a path string, not {out_dir!r}")
-
-    hunt_raw = _object(raw.get("hunt", {}), "hunt", ("count", "degree"))
-
+            raise ConfigError(f"unknown surface {n!r}; registered: {', '.join(registry)}")
+        domain = registry[n].surface.domain
+        if command == "verify" and not domain.contains_rect(rect):
+            raise ConfigError(f"rect {rect} leaves the domain {domain} of surface {n!r}")
+    cells = itertools.product(*(cfg["param_grid"][key] for key in PARAM_KEYS))
     return RunConfig(
-        surfaces=list(names),
+        surfaces=names,
         rect=rect,
-        combos=param_combos(grid),
-        variants=list(variants),
-        checks=list(checks),
-        plan=plan,
-        output_dir=Path(out_dir),
-        seed=run_seed,
-        hunt_count=_number(int, hunt_raw.get("count", 20), "hunt.count", minimum=0),
-        hunt_degree=_number(int, hunt_raw.get("degree", 4), "hunt.degree", minimum=0),
+        combos=_build("bad param grid cell", lambda: [GenParams(**dict(zip(PARAM_KEYS, c))) for c in cells]),
+        variants=cfg.get("variants", [PROOF_FORM] if command == "verify" else list(VARIANTS)),
+        checks=cfg["checks"],
+        plan=_build("bad plan", lambda: SamplingPlan(**{"seed": cfg["seed"], **cfg["plan"]})),
+        output_dir=Path(cfg["output_dir"]),
+        seed=cfg["seed"],
+        hunt_count=cfg["hunt"]["count"], hunt_degree=cfg["hunt"]["degree"],
     )
 
 
@@ -244,24 +231,9 @@ def load_config(path, **overrides) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, a bad UTF-8 byte, an int of more than 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return build_config(raw, **overrides)
-
-
-def param_combos(grid: dict[str, list[float]]) -> list[GenParams]:
-    """Cartesian product of the parameter grid, in deterministic key order."""
-    values = [grid[k] for k in PARAM_KEYS]
-    combos = []
-    for combo in itertools.product(*values):
-        kwargs = dict(zip(PARAM_KEYS, combo))
-        try:
-            combos.append(GenParams(**kwargs))
-        except ParameterError as exc:
-            raise ConfigError(f"bad param grid cell {kwargs}: {exc}") from exc
-    if not combos:
-        raise ConfigError("no parameters to sweep")
-    return combos
 
 
 # --------------------------------------------------------------------------
@@ -508,10 +480,8 @@ def _hunt_domain(rect: Rect, combos) -> Rect:
     ConfigError when no Rect is: an edge or the area overflows."""
     a, b, c, d = zip(*(scaled_eval_edges(rect, p) for p in combos))
     pad = 1.0
-    try:
-        return Rect(min(a) - pad, max(b) + pad, min(c) - pad, max(d) + pad)
-    except ParameterError as exc:
-        raise ConfigError(f"bad rect: {rect} scaled by 1/m1, 1/m2 gives no hunt domain: {exc}") from exc
+    what = f"bad rect: {rect} scaled by 1/m1, 1/m2 gives no hunt domain"
+    return _build(what, lambda: Rect(min(a) - pad, max(b) + pad, min(c) - pad, max(d) + pad))
 
 
 def run_hunt(cfg: RunConfig) -> int:

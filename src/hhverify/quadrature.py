@@ -24,7 +24,9 @@ inner sum one node at a time, the outer sum over its results), and a refined
 cell sums its children's results in order from 0.0, so every value, error
 estimate and panel count is the one the depth-first recursion over single
 panels gives, bit for bit.  A non-finite value raises at the first node that
-recursion reaches.  Float sums are left folds from 0.0 (``left_sum``), not
+recursion reaches.  An integral that reaches ``MAX_PANELS`` refines no
+further, so from there on its result depends on the batched order.  Float
+sums are left folds from 0.0 (``left_sum``), not
 ``sum()``, which compensates its float sums from Python 3.12 on.
 
 Error estimates are the accumulated coarse-vs-refined differences, floored at
@@ -159,11 +161,18 @@ def _total(results) -> tuple:
 # 32 panels, 4 608 nodes, in 2D.  The chunk bounds what a bisection level
 # holds; a whole level at once grows fourfold per level.
 CHUNK = 8
+# One integral evaluates at most about this many panels (0.4 s in 2D on 2
+# cores); past them no cell is refined, so an integrand whose rounding noise
+# exceeds its budget raises ConvergenceError instead of bisecting on towards
+# max_depth, 4^20 panels in 2D.  No integral of the tests or benchmarks
+# takes more than 1 602.
+MAX_PANELS = 2**16
 
 
-def _adapt(g, rule, bisect, cells, wholes, budgets, depth, tol) -> list:
+def _adapt(g, rule, bisect, cells, wholes, budgets, depth, tol, spent) -> list:
     """One (value, error, panels) per cell, each refined to its budget;
-    ``wholes`` holds each cell's panel.
+    ``wholes`` holds each cell's panel, and ``spent[0]`` counts the panels
+    the integral has evaluated.
 
     Chunk by chunk, the children of the chunk's cells are evaluated in one
     call of the rule, then the children of the cells that miss their budget
@@ -178,13 +187,14 @@ def _adapt(g, rule, bisect, cells, wholes, budgets, depth, tol) -> list:
         chunk = slice(start, start + CHUNK)
         kids = [bisect(*cell) for cell in cells[chunk]]
         rows = [kid for ks in kids for kid in ks]
+        spent[0] += len(rows)
         try:
             values = rule(g, np.array(rows)).tolist() if rows else []
         except NonFiniteError:
             if len(kids) > 1:
                 for i in range(start, start + len(kids)):
                     one = slice(i, i + 1)
-                    _adapt(g, rule, bisect, cells[one], wholes[one], budgets[one], depth, tol)
+                    _adapt(g, rule, bisect, cells[one], wholes[one], budgets[one], depth, tol, spent)
             raise
         next_cells, next_wholes, next_budgets = [], [], []
         refined = []  # (index in results, number of children) of each refined cell
@@ -197,14 +207,14 @@ def _adapt(g, rule, bisect, cells, wholes, budgets, depth, tol) -> list:
             children, at = values[at:at + n], at + n
             v = left_sum(children)
             e = abs(v - whole)
-            if e > budget and depth < tol.max_depth:
+            if e > budget and depth < tol.max_depth and spent[0] < MAX_PANELS:
                 refined.append((len(results), n))
                 next_cells.extend(ks)
                 next_wholes.extend(children)
                 next_budgets.extend([budget / n] * n)
             results.append((v, e, n))
         if refined:
-            sub = _adapt(g, rule, bisect, next_cells, next_wholes, next_budgets, depth + 1, tol)
+            sub = _adapt(g, rule, bisect, next_cells, next_wholes, next_budgets, depth + 1, tol, spent)
             at = 0
             for i, n in refined:
                 results[i], at = _total(sub[at:at + n]), at + n
@@ -222,12 +232,12 @@ def _integrate(g: Callable, rule, bisect, axes: tuple, tol: Tolerance | None) ->
     budget = max(tol.abs_floor, tol.rel * abs(left_sum(wholes)))
     measure = _measure(tuple(x for lo, hi, _ in axes for x in (lo, hi)))
     budgets = [budget * (_measure(cell) / measure) for cell in cells]
-    value, err, panels = _total(_adapt(g, rule, bisect, cells, wholes, budgets, 0, tol))
+    value, err, panels = _total(_adapt(g, rule, bisect, cells, wholes, budgets, 0, tol, [len(cells)]))
     result = QuadratureResult(value, max(err, 2.0**-50 * (1.0 + abs(value))), panels)
     if err > budget:
         raise ConvergenceError(
             f"{len(axes)}d integral did not converge to {budget:.3e} within depth "
-            f"{tol.max_depth} (error estimate {err:.3e})",
+            f"{tol.max_depth} and {MAX_PANELS} panels (error estimate {err:.3e})",
             result,
         )
     return result
@@ -248,7 +258,7 @@ def integrate_1d(
     1/2 coming from |1 - 2t| factors); each subsegment is refined separately.
     Raises NonFiniteError at the first non-finite value, and ConvergenceError
     (carrying the best-effort result) if the total error estimate still
-    exceeds the budget after max_depth bisections.
+    exceeds the budget after max_depth bisections or MAX_PANELS panels.
     """
     if not lo < hi:
         raise ParameterError(f"empty interval [{lo}, {hi}]")

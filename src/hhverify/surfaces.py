@@ -52,13 +52,14 @@ class Surface:
         return f"{self.name} on {self.domain}"
 
 
-def fd_mixed_partial(f: Callable, x, y):
-    """4-point cross stencil for d^2 f / dx dy with per-coordinate steps.
+def _fd_steps(x, y):
+    """The stencil steps h, k = eps^(1/4) * (1 + |coordinate|), on scalars or arrays."""
+    return _FD_STEP * (1.0 + np.abs(x)), _FD_STEP * (1.0 + np.abs(y))
 
-    h = k = eps^(1/4) * (1 + |coordinate|); works on scalars and arrays.
-    """
-    h = _FD_STEP * (1.0 + np.abs(x))
-    k = _FD_STEP * (1.0 + np.abs(y))
+
+def fd_mixed_partial(f: Callable, x, y):
+    """4-point cross stencil for d^2 f / dx dy with the per-coordinate steps of ``_fd_steps``."""
+    h, k = _fd_steps(x, y)
     return (f(x + h, y + k) - f(x + h, y - k) - f(x - h, y + k) + f(x - h, y - k)) / (
         4.0 * h * k
     )
@@ -70,8 +71,7 @@ def eval_mixed_partial(s: Surface, x: float, y: float) -> float:
         require_inside(s.domain, ((x, y),), s.name)
         value = float(s.d2f(x, y))
     else:
-        h = _FD_STEP * (1.0 + abs(x))
-        k = _FD_STEP * (1.0 + abs(y))
+        h, k = _fd_steps(x, y)
         stencil = ((x + h, y + k), (x + h, y - k), (x - h, y + k), (x - h, y - k))
         require_inside(s.domain, stencil, f"{s.name} stencil")
         value = float(fd_mixed_partial(s.f, x, y))

@@ -5,6 +5,8 @@ package's Gauss-Legendre machinery (different rule family), so agreement is
 meaningful evidence rather than a tautology.
 """
 
+import contextlib
+import signal
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +16,28 @@ from hhverify import MembershipSweep, RationalPoly2, Rect, Surface, poly_integra
 from hhverify.convexity import DEFAULT_PLAN
 from hhverify.oracle import deviation_parts
 from hhverify.surfaces import _FD_STEP, _WIDE, fd_mixed_partial, require_hull_inside
+
+
+class TimeLimitExceeded(Exception):
+    """Not an OSError, as TimeoutError is, which the code under test catches
+    around its file operations."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    """Raise TimeLimitExceeded in the block once it has run for ``seconds``:
+    a SIGALRM of this process, so no thread or process is started."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"ran over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def check_cell(s, r, sense, p, plan=DEFAULT_PLAN):

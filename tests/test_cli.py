@@ -18,9 +18,10 @@ from hhverify import (
     corpus,
     deviation_terms,
 )
-from hhverify import bounds, cli
+from hhverify import bounds, cli, quadrature
 from hhverify.convexity import MAX_SAMPLES, MembershipSweep
 from hhverify.errors import ConfigError
+from support import time_limit
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -113,6 +114,16 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
         # a sample table above MAX_SAMPLES is refused before it is built
         ("verify", {"plan": {"grid_per_axis": 100}}, [], "bad plan: 396178404 samples; at most"),
         ("hunt", {"plan": {"random_trials": 10**12}}, [], f"at most {MAX_SAMPLES} are allowed"),
+        # the exact oracle's cost grows with the square of the degree
+        ("hunt", {"hunt": {"degree": cli.MAX_HUNT_DEGREE + 1}}, [], f"hunt.degree must be <= {cli.MAX_HUNT_DEGREE}, not"),
+        # a hunt's work and memory grow with the count; 10**400 ran without end
+        ("hunt", {"hunt": {"count": 10**400}}, [], f"hunt.count must be <= {cli.MAX_HUNT_COUNT}, not"),
+        # variants and checks share one message for a value outside their set
+        ("verify", {"variants": ["mystery"]}, [], "unknown variants value 'mystery'; expected one of ("),
+        ("verify", {"checks": ["chain", "mystery"]}, [], "unknown checks value 'mystery'; expected one of ("),
+        ("verify", {"rect": [0.0, 1.0, 0.0]}, [], "rect must be a list of 4 values, not [0.0, 1.0, 0.0]"),
+        # the file's own seed is checked where --seed replaces it
+        ("verify", {"seed": "seven"}, ["--seed", "3"], "seed must be a number, not 'seven'"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):
@@ -174,6 +185,65 @@ def test_non_finite_value_exits_two(tmp_path, capsys, config, message):
         assert cli.main(["hunt", "--config", str(cfgfile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: non-finite value") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'{"seed": ' + b"1" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"output_dir": "\xff"}', "can't decode byte 0xff"),
+    ],
+    ids=["int-of-5000-digits", "not-utf-8"],
+)
+def test_unreadable_json_exits_two(tmp_path, capsys, text, message):
+    """A config that json.load rejects with a ValueError other than a
+    JSONDecodeError is a config error too, not a traceback."""
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_bytes(text)
+    assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfgfile} is not valid JSON: ") and message in err, err
+
+
+def test_hunt_at_the_degree_cap_ends_in_seconds(tmp_path):
+    """One surface of the capped degree on [0.1, 0.9]^2 takes about 0.03 s
+    (2 cores); without the cap, degree 20 000 ran for over 90 s."""
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps({
+        "rect": [0.1, 0.9, 0.1, 0.9], "hunt": {"count": 1, "degree": cli.MAX_HUNT_DEGREE},
+        "checks": ["direct"], "param_grid": {"q": [1.0]},
+    }))
+    with time_limit(5):
+        assert cli.main(["hunt", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_convergence_error_exits_two(tmp_path, capsys, monkeypatch):
+    """An integral that cannot meet its tolerance ends the run in exit code
+    2 and an error line, and no report is written."""
+    monkeypatch.setattr(quadrature, "DEFAULT_TOL", quadrature.Tolerance(rel=0.0, abs_floor=0.0, max_depth=1))
+    out = tmp_path / "o"
+    cfgfile = write_config(tmp_path, surfaces=["exp_sum"], checks=["identity"], output_dir=str(out))
+    assert cli.main(["verify", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1d integral did not converge"), err
+    assert not list(out.glob("*"))
+
+
+def test_integral_rounding_noise_keeps_from_converging_exits_two(tmp_path, capsys):
+    """exp_sum's identity integrand on this thin rectangle has rounding noise
+    above its budget; it bisected towards 4^20 panels and ran without end.
+    quadrature.MAX_PANELS stops it in about 0.3 s (2 cores)."""
+    rect = [5.384408819235972, 6.91935645954056, 5.384408819235972, 5.384408819236972]
+    out = tmp_path / "o"
+    cfgfile = write_config(
+        tmp_path, surfaces=["exp_sum"], rect=rect, checks=["identity"], output_dir=str(out)
+    )
+    with time_limit(5):
+        assert cli.main(["verify", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2d integral did not converge"), err
+    assert f"and {quadrature.MAX_PANELS} panels" in err, err
+    assert not list(out.glob("*.csv"))
 
 
 def test_plan_may_ask_for_max_samples():

@@ -14,7 +14,7 @@ from hhverify import (
     integrate_1d,
     integrate_2d,
 )
-from hhverify.quadrature import QuadratureResult, _panels_1d, _panels_2d, left_sum
+from hhverify.quadrature import MAX_PANELS, QuadratureResult, _panels_1d, _panels_2d, left_sum
 from hhverify.surfaces import fd_mixed_partial
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
@@ -105,6 +105,16 @@ def test_one_stack_frame_per_bisection_level():
     g = lambda x: np.where(np.floor(np.log2(x)) % 2 == 0, 1.0, 0.0)
     res = integrate_1d(g, 0.0, 1.0, Tolerance(rel=1e-10, abs_floor=0.0, max_depth=800))
     assert res.value == 1.0 / 3.0 and res.panels == 2 * 800 + 2
+
+
+def test_panel_cap_ends_an_integral_that_cannot_converge():
+    """At the default max_depth 20 the finite-difference identity integrand
+    of exp(x + y) bisects towards 4^20 panels, its stencil error above the
+    budget at every level; MAX_PANELS ends it with a ConvergenceError."""
+    with pytest.raises(ConvergenceError, match=f"within depth 20 and {MAX_PANELS} panels") as exc_info:
+        integrate_2d(_fd_identity_integrand(), RECT01)
+    best = exc_info.value.result
+    assert MAX_PANELS // 2 < best.panels <= MAX_PANELS
 
 
 def test_left_sum_keeps_the_rounding_of_every_step():

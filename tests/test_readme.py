@@ -1,9 +1,14 @@
-"""The README's library example runs as printed."""
+"""The README's library example runs as printed, and its config schema is cli.SCHEMA's."""
 
 import contextlib
+import dataclasses
 import io
+import json
 import re
 from pathlib import Path
+
+from hhverify import cli
+from hhverify.convexity import SamplingPlan
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +25,23 @@ def test_library_use_example_runs():
     rhs, verdict = holder.split()
     assert abs(float(rhs) - 1.0 / 6.0) <= 1e-12
     assert verdict == "holds"
+
+
+def _key_tree(schema: dict) -> dict:
+    """key -> the key tree of its nested object, or None, at every level of a schema table."""
+    return {key: _key_tree(rule) if isinstance(rule, dict) else None for key, (rule, _) in schema.items()}
+
+
+def _block_tree(block: dict) -> dict:
+    return {key: _block_tree(value) if isinstance(value, dict) else None for key, value in block.items()}
+
+
+def test_config_schema_block_matches_the_table():
+    text = README.read_text()
+    section = text[text.index("### Config schema"):]
+    jsonc = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
+    block = json.loads(re.sub(r"//.*", "", jsonc))
+    assert _block_tree(block) == _key_tree(cli.SCHEMA)
+    assert block["plan"] == dataclasses.asdict(SamplingPlan())
+    hunt_rules = cli.SCHEMA["hunt"][0]
+    assert block["hunt"] == {key: default for key, (_, default) in hunt_rules.items()}
