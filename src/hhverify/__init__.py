@@ -27,8 +27,6 @@ from .convexity import (
     VIOLATED,
     MembershipSweep,
     SamplingPlan,
-    margin_class_first,
-    margin_class_second,
 )
 from .errors import (
     ConvergenceError,

@@ -198,12 +198,15 @@ def identity_report(
     )
 
 
-def _verdict(slack: float, budget: float, rhs: float) -> str:
+def _verdict(lhs: float, rhs: float, slack: float, budget: float) -> str:
+    """holds, violated or inconclusive for slack = rhs - lhs.  Past the
+    error budget a violation needs a band of 1e-9 times the larger side, so
+    scaling f scales the band with it."""
     if not math.isfinite(rhs):  # a right side that is not a number bounds nothing
         return INCONCLUSIVE
     if slack >= -budget:
         return HOLDS
-    if slack < -(budget + 1e-9 * (1.0 + abs(rhs))):
+    if slack < -(budget + 1e-9 * max(abs(lhs), abs(rhs))):
         return BOUND_VIOLATED
     return INCONCLUSIVE
 
@@ -330,7 +333,7 @@ def bound(
         rhs = math.nan
     lhs, budget = dev.abs_deviation, dev.error_budget
     slack = rhs - lhs
-    return BoundReport(kind, variant, lhs, rhs, slack, budget, _verdict(slack, budget, rhs))
+    return BoundReport(kind, variant, lhs, rhs, slack, budget, _verdict(lhs, rhs, slack, budget))
 
 
 def hh_chain_2d(

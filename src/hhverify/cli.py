@@ -29,6 +29,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -76,6 +77,7 @@ SKIPPED = "skipped"
 
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
 MAX_HUNT_COUNT, MAX_HUNT_DEGREE = 1000, 64  # caps on a hunt's work (README §Config schema)
+MAX_GRID_CELLS = 4096  # the most cells a param_grid may span (README §Config schema)
 
 # CSV columns of each report file, which is also the order its rows sort in.
 HEADERS = {
@@ -211,7 +213,10 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
         domain = registry[n].surface.domain
         if command == "verify" and not domain.contains_rect(rect):
             raise ConfigError(f"rect {rect} leaves the domain {domain} of surface {n!r}")
-    cells = itertools.product(*(cfg["param_grid"][key] for key in PARAM_KEYS))
+    grid = [cfg["param_grid"][key] for key in PARAM_KEYS]
+    if (count := math.prod(map(len, grid))) > MAX_GRID_CELLS:  # checked before any cell is built
+        raise ConfigError(f"param_grid spans {count} cells; at most {MAX_GRID_CELLS} are allowed")
+    cells = itertools.product(*grid)
     return RunConfig(
         surfaces=names,
         rect=rect,

@@ -72,16 +72,6 @@ class MembershipReport:
     samples_checked: int
 
 
-def margin_class_first(f, p: GenParams, x, y, z, w, lam, mu):
-    """RHS - LHS of the first-sense inequality (weights 1 - lam^(alpha*s))."""
-    return _combine(_weights_first(p, _power_of(lam, mu)), _points(f, p.m1, p.m2, x, y, z, w, lam, mu))
-
-
-def margin_class_second(f, p: GenParams, x, y, z, w, lam, mu):
-    """RHS - LHS of the second-sense inequality (weights (1 - lam^alpha)^s)."""
-    return _combine(_weights_second(p, _power_of(lam, mu)), _points(f, p.m1, p.m2, x, y, z, w, lam, mu))
-
-
 def _points(f, m1, m2, x, y, z, w, lam, mu):
     """f at the four m-scaled corner points and at the convex combination.
 
@@ -97,15 +87,9 @@ def _points(f, m1, m2, x, y, z, w, lam, mu):
     )
 
 
-def _power_of(lam, mu):
-    """power(axis, e): lam^e on axis 0, mu^e on axis 1."""
-    # lam^0 with lam = 0 must evaluate to 1 (limit convention); np.power does.
-    return lambda axis, e: np.power((lam, mu)[axis], e)
-
-
 def _weights_first(p: GenParams, power):
-    """The four corner weights of the first-sense inequality; ``power`` is
-    as _power_of returns it."""
+    """The four corner weights of the first-sense inequality; ``power(axis,
+    e)`` is lam^e on axis 0 and mu^e on axis 1."""
     wl = power(0, p.theta1)
     wm = power(1, p.theta2)
     return (
@@ -137,11 +121,10 @@ def _combine(weights, points):
     return rhs - lhs
 
 
-# Per sense: its weights, the parameters besides m that they depend on, and
-# its margin at one sample.
+# Per sense: its weights and the parameters besides m that they depend on.
 _SENSES = {
-    FIRST: (_weights_first, lambda p: (p.theta1, p.theta2), margin_class_first),
-    SECOND: (_weights_second, lambda p: (p.s1, p.s2, p.alpha1, p.alpha2), margin_class_second),
+    FIRST: (_weights_first, lambda p: (p.theta1, p.theta2)),
+    SECOND: (_weights_second, lambda p: (p.s1, p.s2, p.alpha1, p.alpha2)),
 }
 
 
@@ -217,9 +200,10 @@ class MembershipSweep:
     five point arrays once (for hypotheses raw d2f once, then |d2f|^q once
     per q), per (sense, weight parameters) it computes the corner weights
     once, and per q it judges once for every cell alike in sense, weight
-    parameters, m and q: their margins are bitwise equal.  ``reports``
-    scans the whole table as one block, ``verdicts`` the doubling blocks of
-    _blocks.
+    parameters, m and q: their margins are bitwise equal.  A report's margin
+    is the sweep's own margin at its witness, which the written-out
+    inequality on one-element arrays reproduces.  ``reports`` scans the
+    whole table as one block, ``verdicts`` the doubling blocks of _blocks.
     """
 
     def __init__(self, rect: Rect, plan: SamplingPlan = DEFAULT_PLAN):
@@ -230,7 +214,8 @@ class MembershipSweep:
         self.work = Counter()  # membership_reports, batched_evaluations, sample_margins
 
     def _sample_power(self, axis: int, e: float):
-        """lam^e (axis 0) or mu^e (axis 1) over the samples, once per sweep."""
+        """lam^e (axis 0) or mu^e (axis 1) over the samples, once per sweep.
+        lam^0 with lam = 0 is 1 (the limit convention), as np.power gives."""
         key = (axis, e)
         if key not in self._powers:
             self._powers[key] = np.power(self.samples[4 + axis], e)
@@ -257,27 +242,25 @@ class MembershipSweep:
                 by_q.setdefault(p.q, []).append((sense, p))
             yield m, members, units
 
-    def _judge(self, key, target: Surface, margins, cols):
+    def _judge(self, name: str, margins, cols):
         """The witness of ``margins`` over the sample columns ``cols``, its
-        margin re-evaluated through the scalar path, and that margin's
-        verdict.  The witness is the lexicographically least (x, y, z, w,
-        lam, mu) among the least margins; a non-finite margin raises the
-        NonFiniteError of its first sample instead."""
+        margin and that margin's verdict.  The witness is the
+        lexicographically least (x, y, z, w, lam, mu) among the least
+        margins; a non-finite margin raises the NonFiniteError of its first
+        sample instead, naming the target surface ``name``."""
         self.work["sample_margins"] += margins.size
         bad = ~np.isfinite(margins)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise NonFiniteError(
-                f"{target.name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
+                f"{name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
                 float(margins[i]),
             )
         ties = np.flatnonzero(margins == margins.min())
         # lexsort is stable, so equal tuples keep the first index.
         i = ties[np.lexsort([c[ties] for c in reversed(cols)])[0]]
         witness = tuple(float(c[i]) for c in cols)
-        # The scalar path makes the margin reproducible from the witness alone.
-        sense, p = key
-        margin = float(_SENSES[sense][2](target.f, p, *witness))
+        margin = float(margins[i])
         return witness, margin, VIOLATED if margin < -self.plan.tolerance else NO_VIOLATION
 
     def _scan(self, s: Surface, keys, hypothesis: bool, blocks) -> list:
@@ -294,8 +277,6 @@ class MembershipSweep:
         batched = lambda xs, ys: _batch_eval(fn, xs, ys)
         results: dict = {}
         for (m1, m2), members, units in self._groups(s, keys, results):
-            qs = dict.fromkeys(p.q for _, p in members)
-            targets = {q: abs_mixed_surface(s, q) if hypothesis else s for q in qs}
             for block in blocks:
                 live = {q for _, by_q in units.values() for q in by_q}  # q of the pending cells
                 if not live:
@@ -314,8 +295,9 @@ class MembershipSweep:
                     weights = _SENSES[sense][0](p, power)
                     for q, same in list(by_q.items()):
                         margins = _combine(weights, points[q])
+                        name = abs_mixed_surface(s, q).name if hypothesis else s.name
                         try:
-                            witness, margin, verdict = self._judge(same[0], targets[q], margins, cols)
+                            witness, margin, verdict = self._judge(name, margins, cols)
                         except NonFiniteError as exc:
                             errors.append((same[0], exc))
                             continue
@@ -347,12 +329,10 @@ class MembershipSweep:
         of params, None where the evaluation hull leaves the domain: the
         verdicts of ``reports(s, [(FIRST, p) for p in params],
         hypothesis=True)``, with less work, from the doubling blocks of
-        _blocks.  (They can part only where the vector and scalar margins
-        both lie within rounding of -tolerance; then this says violated, with
-        a violating witness behind it.)  A cell no block violates is clean:
-        the whole table's witness is the witness of the block that holds it,
-        so its scalar margin was found clean.  A non-finite margin raises
-        only in the blocks scanned.
+        _blocks.  Every block margin is bitwise the whole-table one, so a
+        cell is violated here exactly when its whole-table least margin is
+        below -tolerance.  A non-finite margin raises only in the blocks
+        scanned.
         """
         reports = self._scan(s, [(FIRST, p) for p in params], True, list(_blocks(len(self.samples[0]))))
         return [rep and rep.verdict for rep in reports]

@@ -8,11 +8,12 @@ meaningful evidence rather than a tautology.
 import contextlib
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from hhverify import MembershipSweep, RationalPoly2, Rect, Surface, poly_integral_2d_exact
+from hhverify import MembershipSweep, RationalPoly2, Rect, Surface, cli, poly_integral_2d_exact, poly_surface
 from hhverify.convexity import DEFAULT_PLAN
 from hhverify.oracle import deviation_parts
 from hhverify.surfaces import _FD_STEP, _WIDE, fd_mixed_partial, require_hull_inside
@@ -40,6 +41,17 @@ def time_limit(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
+HUNT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hunt.json"
+
+
+def hunt_surfaces(count: int):
+    """configs/hunt.json's RunConfig and the first ``count`` surfaces its hunt generates."""
+    cfg = cli.load_config(HUNT_CONFIG)
+    domain = cli._hunt_domain(cfg.rect, cfg.combos)
+    rng = np.random.default_rng(cfg.seed)
+    return cfg, [poly_surface(f"hunt-{k:03d}", cli._random_nonneg_poly(rng, cfg.hunt_degree), domain) for k in range(count)]
+
+
 def check_cell(s, r, sense, p, plan=DEFAULT_PLAN):
     """The MembershipReport of one (sense, p) cell of s over r.  Raises
     OutOfDomainError where a sweep reports None."""
@@ -55,6 +67,41 @@ def constant_surface(value: float, domain: Rect = _WIDE) -> Surface:
         f=lambda x, y: value + 0.0 * (x + y),
         d2f=lambda x, y: 0.0 * (x + y),
     )
+
+
+def written_first(f, p, x, y, z, w, lam, mu):
+    """The first-sense margin RHS - LHS written out in full, independent of
+    how the package factors it."""
+    wl = np.power(lam, p.theta1)
+    wm = np.power(mu, p.theta2)
+    rhs = (
+        wl * wm * f(x, y)
+        + p.m2 * wl * (1.0 - wm) * f(x, w / p.m2)
+        + p.m1 * wm * (1.0 - wl) * f(z / p.m1, y)
+        + p.m1 * p.m2 * (1.0 - wl) * (1.0 - wm) * f(z / p.m1, w / p.m2)
+    )
+    return rhs - f(lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w)
+
+
+def written_second(f, p, x, y, z, w, lam, mu):
+    """The second-sense margin written out in full."""
+    wl = np.power(lam, p.theta1)
+    wm = np.power(mu, p.theta2)
+    cl = np.power(1.0 - np.power(lam, p.alpha1), p.s1)
+    cm = np.power(1.0 - np.power(mu, p.alpha2), p.s2)
+    rhs = (
+        wl * wm * f(x, y)
+        + p.m2 * wl * cm * f(x, w / p.m2)
+        + p.m1 * wm * cl * f(z / p.m1, y)
+        + p.m1 * p.m2 * cl * cm * f(z / p.m1, w / p.m2)
+    )
+    return rhs - f(lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w)
+
+
+def witness_margin(written, f, p, witness) -> float:
+    """The margin ``written`` gives at one witness (x, y, z, w, lam, mu),
+    evaluated on one-element arrays as a sweep evaluates its columns."""
+    return float(written(f, p, *(np.array([v]) for v in witness))[0])
 
 
 def crosscheck_mixed_partial(

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from support import check_cell, constant_surface, identity_residual_exact
+from support import check_cell, constant_surface, identity_residual_exact, witness_margin, written_first
 
 from hhverify import (
     AS_WRITTEN,
@@ -34,7 +34,6 @@ from hhverify import (
     identity_report,
     integrate_1d,
     kink_moment,
-    margin_class_first,
 )
 from hhverify import cli
 from hhverify.convexity import FIRST, abs_mixed_surface
@@ -249,11 +248,7 @@ def test_criterion_10_refuter_soundness():
     one = constant_surface(1.0)
     p = GenParams(m2=0.5)
     rep = check_cell(one, RECT01, FIRST, p, PLAN)
-    witness_margin = float(margin_class_first(one.f, p, *rep.witness))
-    const_ok = (
-        rep.verdict == VIOLATED
-        and abs(witness_margin - rep.worst_margin) <= 1e-12
-    )
+    const_ok = rep.verdict == VIOLATED and witness_margin(written_first, one.f, p, rep.witness) == rep.worst_margin
     bilinear_ok = True
     for surface in (corpus()["xy"].surface,):
         d1 = check_cell(surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)

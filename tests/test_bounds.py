@@ -300,6 +300,17 @@ def test_non_finite_rhs_is_inconclusive():
     assert math.isnan(rep.rhs) and rep.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("k", [-40, -30, -20, 0, 40])
+def test_bump_holder_verdict_is_scale_free(k):
+    """The bump (x - x^2)(y - y^2) times 2^k: as-written holder at q = 4 has
+    lhs/rhs 1.1201 at every scale, so it reads violated at every scale."""
+    c = Fraction(2) ** k
+    bump = poly_surface("bump", RationalPoly2({(1, 1): c, (2, 1): -c, (1, 2): -c, (2, 2): c}), Rect(-8, 8, -8, 8))
+    rep = bound(HOLDER, bump, RECT01, GenParams(q=4.0), variant=AS_WRITTEN)
+    assert rel_close(rep.lhs / rep.rhs, 1.1201280219, 1e-9)
+    assert rep.verdict == "violated"
+
+
 def test_unknown_variant_rejected():
     with pytest.raises(ParameterError):
         bound(DIRECT, corpus()["xy"].surface, RECT01, CLASSICAL_P, variant="mystery")

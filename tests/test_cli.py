@@ -217,6 +217,21 @@ def test_hunt_at_the_degree_cap_ends_in_seconds(tmp_path):
         assert cli.main(["hunt", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_param_grid_above_the_cell_cap_exits_two(tmp_path, capsys, monkeypatch):
+    """20 values for each of the 7 keys, a 1 KB config, span 1.28e9 cells;
+    the cap refuses them from the list lengths, before any cell is built."""
+    built = []
+    monkeypatch.setattr(cli, "GenParams", lambda **cell: built.append(cell))
+    grid = {key: [1.0 + i / 64 for i in range(20)] for key in cli.PARAM_KEYS}
+    out = tmp_path / "o"
+    cfgfile = write_config(tmp_path, param_grid=grid, output_dir=str(out))
+    with time_limit(5):
+        assert cli.main(["hunt", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: param_grid spans {20**7} cells; at most {cli.MAX_GRID_CELLS} are allowed\n"
+    assert not built and not out.exists()
+
+
 def test_convergence_error_exits_two(tmp_path, capsys, monkeypatch):
     """An integral that cannot meet its tolerance ends the run in exit code
     2 and an error line, and no report is written."""

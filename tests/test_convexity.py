@@ -1,10 +1,9 @@
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from support import check_cell, constant_surface
+from support import check_cell, constant_surface, hunt_surfaces, witness_margin, written_first, written_second
 
 from hhverify import (
     NO_VIOLATION,
@@ -16,12 +15,10 @@ from hhverify import (
     SamplingPlan,
     Surface,
     corpus,
-    margin_class_first,
-    margin_class_second,
     poly_surface,
     RationalPoly2,
 )
-from hhverify import cli, convexity
+from hhverify import convexity
 from hhverify.geometry import CLASSICAL_PARAMS
 from hhverify.convexity import (
     FIRST,
@@ -37,14 +34,6 @@ RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 PLAN = SamplingPlan(grid_per_axis=5, random_trials=2000, seed=0)
 
 
-def margin_fn_for(notion):
-    return {
-        "coordinated": lambda f, p, *args: margin_class_first(f, GenParams(), *args),
-        "first": margin_class_first,
-        "second": margin_class_second,
-    }[notion]
-
-
 def test_bilinear_is_coordinated_convex():
     rep = check_cell(corpus()["xy"].surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
     assert rep.verdict == NO_VIOLATION
@@ -56,9 +45,7 @@ def test_concave_surface_violates_def1():
     rep = check_cell(corpus()["neg_squares"].surface, RECT01, FIRST, CLASSICAL_PARAMS, PLAN)
     assert rep.verdict == VIOLATED
     assert rep.worst_margin <= -0.1
-    x, y, z, w, lam, mu = rep.witness
-    re_eval = margin_class_first(corpus()["neg_squares"].surface.f, GenParams(), x, y, z, w, lam, mu)
-    assert abs(re_eval - rep.worst_margin) <= 1e-12
+    assert witness_margin(written_first, corpus()["neg_squares"].surface.f, GenParams(), rep.witness) == rep.worst_margin
 
 
 def test_x2y2_is_coordinated_convex():
@@ -130,8 +117,7 @@ def test_witness_reproduces_margin_across_corpus():
     for name, entry in corpus().items():
         for notion, p in (("coordinated", GenParams()), ("first", GenParams(s1=0.75, s2=0.75))):
             rep = check_cell(entry.surface, RECT01, FIRST, p, PLAN)
-            re_eval = float(margin_class_first(entry.surface.f, p, *rep.witness))
-            assert abs(re_eval - rep.worst_margin) <= 1e-12, (name, notion)
+            assert witness_margin(written_first, entry.surface.f, p, rep.witness) == rep.worst_margin, (name, notion)
 
 
 def test_def1_matches_first_sense_at_trivial_params():
@@ -228,11 +214,10 @@ def test_samples_match_column_by_column_reference(grid_per_axis, random_trials):
 
 def test_zero_power_convention():
     # lam^(alpha*s) with lam = 0 and alpha = 0 must evaluate to 1
-    val = margin_class_first(
-        lambda x, y: 1.0, GenParams(alpha1=0.0, alpha2=0.0), 0.0, 0.0, 1.0, 1.0, 0.0, 0.0
-    )
-    # all weight lands on g(x, y): RHS = 1 = LHS
-    assert val == 0.0
+    sweep = MembershipSweep(RECT01, PLAN)
+    for axis in (0, 1):
+        assert (sweep.samples[4 + axis] == 0.0).any()
+        assert (sweep._sample_power(axis, 0.0) == 1.0).all()
 
 
 # ------------------------------------------------------------ the sweep core
@@ -258,45 +243,17 @@ def out_of_domain(name, p):
     return name == "narrow" and min(p.m1, p.m2) < 1.0
 
 
-def written_first(f, p, x, y, z, w, lam, mu):
-    """The first-sense margin written out in full, independent of how the
-    package factors it."""
-    wl = np.power(lam, p.theta1)
-    wm = np.power(mu, p.theta2)
-    rhs = (
-        wl * wm * f(x, y)
-        + p.m2 * wl * (1.0 - wm) * f(x, w / p.m2)
-        + p.m1 * wm * (1.0 - wl) * f(z / p.m1, y)
-        + p.m1 * p.m2 * (1.0 - wl) * (1.0 - wm) * f(z / p.m1, w / p.m2)
-    )
-    return rhs - f(lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w)
-
-
-def written_second(f, p, x, y, z, w, lam, mu):
-    wl = np.power(lam, p.theta1)
-    wm = np.power(mu, p.theta2)
-    cl = np.power(1.0 - np.power(lam, p.alpha1), p.s1)
-    cm = np.power(1.0 - np.power(mu, p.alpha2), p.s2)
-    rhs = (
-        wl * wm * f(x, y)
-        + p.m2 * wl * cm * f(x, w / p.m2)
-        + p.m1 * wm * cl * f(z / p.m1, y)
-        + p.m1 * p.m2 * cl * cm * f(z / p.m1, w / p.m2)
-    )
-    return rhs - f(lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w)
-
-
 def reference_report(f, margin_fn, p, plan):
     """The refuter written out for one cell: every margin from margin_fn,
-    the witness as the least tuple among the ties."""
+    the least of them reported, the witness as the least tuple among the
+    ties."""
     cols = _samples(RECT01, plan)
     margins = margin_fn(f, p, *cols)
     worst = float(margins.min())
     ties = np.flatnonzero(margins == worst)
     witness = min(tuple(float(c[i]) for c in cols) for i in ties)
-    worst_margin = float(margin_fn(f, p, *witness))
-    verdict = VIOLATED if worst_margin < -plan.tolerance else NO_VIOLATION
-    return MembershipReport(verdict, worst_margin, witness, int(margins.size))
+    verdict = VIOLATED if worst < -plan.tolerance else NO_VIOLATION
+    return MembershipReport(verdict, worst, witness, int(margins.size))
 
 
 def assert_same_report(got, want):
@@ -344,14 +301,9 @@ def test_sweep_matches_one_cell_checks_on_hypotheses(name):
 )
 def test_sweep_matches_reference_refuter(name, p):
     s = SWEEP_SURFACES[name]
-    for sense, written, public in (
-        (FIRST, written_first, margin_class_first),
-        (SECOND, written_second, margin_class_second),
-    ):
+    for sense, written in ((FIRST, written_first), (SECOND, written_second)):
         rep = MembershipSweep(RECT01, PLAN).reports(s, [(sense, p)])[0]
         assert_same_report(rep, reference_report(s.f, written, p, PLAN))
-        cols = _samples(RECT01, PLAN)
-        assert np.array_equal(public(s.f, p, *cols), written(s.f, p, *cols))
 
 
 def test_tie_break_picks_least_witness():
@@ -466,8 +418,8 @@ def counting_scalars(fn, calls):
 
 @pytest.mark.parametrize("hypothesis", [False, True])
 def test_sweep_reports_once_per_distinct_margin(hypothesis):
-    # Each report re-evaluates its witness at five scalar points; nothing
-    # else in the sweep evaluates a scalar.
+    # Each distinct margin is judged once, over the whole table; the sweep
+    # evaluates no scalar.
     calls = []
     base = corpus()["x2y2"].surface
     s = Surface("counted", base.domain, f=counting_scalars(base.f, calls), d2f=counting_scalars(base.d2f, calls))
@@ -475,7 +427,8 @@ def test_sweep_reports_once_per_distinct_margin(hypothesis):
     sweep = MembershipSweep(RECT01, SMALL_PLAN)
     sweep.reports(s, cells, hypothesis=hypothesis)
     distinct = distinct_margins(cells, hypothesis)
-    assert len(calls) == 5 * len(distinct)
+    assert not calls
+    assert sweep.work["sample_margins"] == len(distinct) * len(sweep.samples[0])
     # first-sense cells collide in theta; f cells also across q
     assert len(distinct) < len({(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells})
     assert sweep.work["membership_reports"] == len(cells) // (1 if hypothesis else 3)
@@ -579,18 +532,49 @@ def test_verdicts_match_reference_refuter(name):
 def test_verdicts_match_reports_on_hunt_surfaces():
     # The first 3 surfaces of configs/hunt.json's hunt, with the parameter
     # cells whose hypotheses the hunt refutes.
-    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "configs" / "hunt.json")
-    domain = cli._hunt_domain(cfg.rect, cfg.combos)
-    rng = np.random.default_rng(cfg.seed)
-    params = list(cfg.combos)
+    cfg, surfaces = hunt_surfaces(3)
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     seen = set()
-    for k in range(3):
-        s = poly_surface(f"hunt-{k:03d}", cli._random_nonneg_poly(rng, cfg.hunt_degree), domain)
-        verdicts = sweep.verdicts(s, params)
-        assert verdicts == verdicts_of_reports(sweep, s, params)
+    for s in surfaces:
+        verdicts = sweep.verdicts(s, cfg.combos)
+        assert verdicts == verdicts_of_reports(sweep, s, cfg.combos)
         seen.update(verdicts)
     assert seen == {VIOLATED, NO_VIOLATION}
+
+
+def memoized(g):
+    """g, each value kept per distinct pair of argument arrays."""
+    values = {}
+
+    def cached(x, y):
+        key = (x.tobytes(), y.tobytes())
+        if key not in values:
+            values[key] = g(x, y)
+        return values[key]
+
+    return cached
+
+
+def test_hypothesis_reports_take_the_least_whole_table_margin():
+    # Every hypothesis report of those surfaces: its margin is bitwise the
+    # least written-out margin over the whole table, and the written-out
+    # margin at its witness, on one-element arrays, is that same margin.
+    cfg, surfaces = hunt_surfaces(3)
+    sweep = MembershipSweep(cfg.rect, cfg.plan)
+    checked = 0
+    for s in surfaces:
+        reports = sweep.reports(s, [(FIRST, p) for p in cfg.combos], hypothesis=True)
+        cached = replace(s, d2f=memoized(s.d2f))  # the same d2f values, each point array evaluated once
+        least = {}
+        for p, rep in zip(cfg.combos, reports):
+            f = abs_mixed_surface(cached, p.q).f
+            key = (p.theta1, p.theta2, p.m1, p.m2, p.q)
+            if key not in least:
+                least[key] = float(written_first(f, p, *sweep.samples).min())
+            assert repr(rep.worst_margin) == repr(least[key]), (s.name, p)
+            assert repr(witness_margin(written_first, f, p, rep.witness)) == repr(rep.worst_margin), (s.name, p)
+            checked += 1
+    assert checked == 3 * len(cfg.combos) == 1296
 
 
 def test_verdicts_scan_only_the_blocks_a_group_needs():

@@ -1,12 +1,16 @@
-"""The README's library example runs as printed, and its config schema is cli.SCHEMA's."""
+"""The README's library example runs as printed, its config schema is
+cli.SCHEMA's, and the package names it cites exist."""
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
+import pkgutil
 import re
 from pathlib import Path
 
+import hhverify
 from hhverify import cli
 from hhverify.convexity import SamplingPlan
 
@@ -45,3 +49,18 @@ def test_config_schema_block_matches_the_table():
     assert block["plan"] == dataclasses.asdict(SamplingPlan())
     hunt_rules = cli.SCHEMA["hunt"][0]
     assert block["hunt"] == {key: default for key, (_, default) in hunt_rules.items()}
+
+
+def test_cited_module_names_resolve():
+    """Every backticked `module.Name` whose module is an hhverify module,
+    such as `convexity.BLOCK`, names an attribute of that module; a report
+    file such as `bounds.csv` is not a name."""
+    modules = {m.name for m in pkgutil.iter_modules(hhverify.__path__)}
+    cited = [
+        (module, name)
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", README.read_text())
+        if module in modules and name not in ("csv", "json")
+    ]
+    assert len(cited) >= 10
+    missing = [(m, name) for m, name in cited if not hasattr(importlib.import_module(f"hhverify.{m}"), name)]
+    assert missing == []
