@@ -17,6 +17,7 @@ from .bounds import (
     PROOF_FORM,
     BoundReport,
     bound,
+    bound_table,
     deviation_terms,
     hh_chain_2d,
     identity_report,

@@ -22,8 +22,8 @@ kept so the discrepancy can be measured and hunted.
 Each theorem is written once, as its entry in ``THEOREMS``: its q range
 and its right side.  Every theorem assumes one hypothesis, |d2f|^q
 first-sense s-(alpha, m)-convex on the co-ordinates at its own parameters
-(the classical bound takes only the classical ones).  ``bound`` and the
-CLI's bound sweep read them from there.
+(the classical bound takes only the classical ones).  ``bound_table`` reads
+them from there for every bound of a surface, and ``bound`` is one cell of it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .errors import NonFiniteError, ParameterError
+from .errors import NonFiniteError, OutOfDomainError, ParameterError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, require_inside
 from .oracle import deviation_parts
 from .quadrature import Tolerance, integrate_1d, integrate_2d, left_sum
@@ -214,10 +214,8 @@ def _verdict(lhs: float, rhs: float, slack: float, budget: float) -> str:
 def _corner_mags(s: Surface, r: Rect, p: GenParams):
     """|d2f| at the four m-scaled evaluation corners (a,c), (a,d/m2),
     (b/m1,c), (b/m1,d/m2); raises OutOfDomainError naming any corner that
-    leaves the surface's declared domain.
-
-    They depend on p only through (m1, m2): a caller sweeping many cells
-    passes them to ``bound`` as ``mags``, like ``dev``."""
+    leaves the surface's declared domain.  They depend on p only through
+    (m1, m2)."""
     return (
         abs(eval_mixed_partial(s, r.a, r.c)),
         abs(eval_mixed_partial(s, r.a, r.d / p.m2)),
@@ -302,38 +300,71 @@ THEOREMS = {
 }
 
 
-def bound(
-    kind: str, s: Surface, r: Rect, p: GenParams = CLASSICAL_PARAMS, variant: str = PROOF_FORM,
-    dev: DeviationTerms | None = None, mags: tuple | None = None,
-) -> BoundReport:
-    """The ``kind`` bound (one of BOUND_KINDS) of s over r at p, the one path
-    of every bound: check kind, variant and q, compute ``dev`` and ``mags``
-    (_corner_mags) where the caller passes None, and report.  The classical
-    bound takes only the classical parameters and the proof-form variant.
-    A right side whose power |d2f|^q overflows is NaN, so inconclusive."""
-    if kind not in THEOREMS:
-        raise ParameterError(f"unknown bound kind {kind!r}; expected one of {BOUND_KINDS}")
-    theorem = THEOREMS[kind]
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if kind == CLASSICAL and (p != CLASSICAL_PARAMS or variant != PROOF_FORM):
-        raise ParameterError(
-            f"{kind} bound takes only the classical parameters and the {PROOF_FORM} variant, "
-            f"got {p} and {variant}"
-        )
-    if not theorem.applies(p.q):
-        raise ParameterError(f"{kind} bound requires {theorem.q_range}, got q = {p.q}")
-    if dev is None:
-        dev = deviation_terms(s, r)
-    if mags is None:
-        mags = _corner_mags(s, r, p)
+def _require_known(kinds, variants) -> None:
+    for what, names, known in (("bound kind", kinds, BOUND_KINDS), ("variant", variants, VARIANTS)):
+        if unknown := [name for name in names if name not in known]:
+            raise ParameterError(f"unknown {what} {unknown[0]!r}; expected one of {known}")
+
+
+def _report(kind: str, r: Rect, p: GenParams, variant: str, dev: DeviationTerms, mags) -> BoundReport:
+    """The ``kind`` bound at p against the deviation ``dev``, from the corner
+    magnitudes ``mags`` (_corner_mags): the one call of a right side.  A
+    right side whose power |d2f|^q overflows is NaN, so inconclusive."""
     try:
-        rhs = theorem.rhs(r, p, variant, mags)
+        rhs = THEOREMS[kind].rhs(r, p, variant, mags)
     except OverflowError:
         rhs = math.nan
     lhs, budget = dev.abs_deviation, dev.error_budget
     slack = rhs - lhs
     return BoundReport(kind, variant, lhs, rhs, slack, budget, _verdict(lhs, rhs, slack, budget))
+
+
+def bound_table(s: Surface, r: Rect, cells, kinds, variants, dev: DeviationTerms) -> list:
+    """(kind, p, variant, report) for every bound of s over r that ``kinds``
+    and ``variants`` select: the classical bound first, at the classical
+    parameters and proof-form, then each p of ``cells`` x each kind that
+    applies at p.q x each variant.  ``dev`` is deviation_terms(s, r).
+
+    |d2f| at the m-scaled corners is evaluated once per (m1, m2) and read by
+    every bound of that pair; the report is None where those corners leave
+    the domain.  An unknown kind or variant raises ParameterError."""
+    _require_known(kinds, variants)
+    mags: dict = {}  # (m1, m2) -> _corner_mags, None off the domain
+
+    def row(kind, p, variant):
+        if (p.m1, p.m2) not in mags:
+            try:
+                mags[p.m1, p.m2] = _corner_mags(s, r, p)
+            except OutOfDomainError:
+                mags[p.m1, p.m2] = None
+        m = mags[p.m1, p.m2]
+        return kind, p, variant, None if m is None else _report(kind, r, p, variant, dev, m)
+
+    table = [row(CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM)] if CLASSICAL in kinds else []
+    grid = [kind for kind in BOUND_KINDS if kind != CLASSICAL and kind in kinds]
+    return table + [row(k, p, v) for p in cells for k in grid if THEOREMS[k].applies(p.q) for v in variants]
+
+
+def bound(
+    kind: str, s: Surface, r: Rect, p: GenParams = CLASSICAL_PARAMS, variant: str = PROOF_FORM,
+    dev: DeviationTerms | None = None,
+) -> BoundReport:
+    """The ``kind`` bound (one of BOUND_KINDS) of s over r at p: one cell of
+    ``bound_table``, checked.  The classical bound takes only the classical
+    parameters and the proof-form variant, and each kind only its q range;
+    ``dev`` is deviation_terms(s, r) when the caller already has it.  Corners
+    off the domain raise OutOfDomainError."""
+    _require_known([kind], [variant])
+    if kind == CLASSICAL and (p != CLASSICAL_PARAMS or variant != PROOF_FORM):
+        raise ParameterError(
+            f"{kind} bound takes only the classical parameters and the {PROOF_FORM} variant, "
+            f"got {p} and {variant}"
+        )
+    if not THEOREMS[kind].applies(p.q):
+        raise ParameterError(f"{kind} bound requires {THEOREMS[kind].q_range}, got q = {p.q}")
+    if dev is None:
+        dev = deviation_terms(s, r)
+    return _report(kind, r, p, variant, dev, _corner_mags(s, r, p))
 
 
 def hh_chain_2d(

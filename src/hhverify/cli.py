@@ -42,18 +42,11 @@ import numpy as np
 from .bounds import (
     AS_WRITTEN,
     BOUND_KINDS,
-    CLASSICAL,
-    DIRECT,
-    HOLDER,
-    POWER_MEAN,
     PROOF_FORM,
-    THEOREMS,
     VARIANTS,
     BOUND_VIOLATED,
     BoundReport,
-    DeviationTerms,
-    _corner_mags,
-    bound,
+    bound_table,
     deviation_terms,
     hh_chain_2d,
     identity_report,
@@ -67,12 +60,12 @@ from .convexity import (
     MembershipSweep,
     SamplingPlan,
 )
-from .errors import ConfigError, ConvergenceError, NonFiniteError, OutOfDomainError
+from .errors import ConfigError, ConvergenceError, NonFiniteError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_edges
 from .oracle import RationalPoly2
 from .surfaces import corpus, poly_surface
 
-ALL_CHECKS = ("identity", "chain", CLASSICAL, DIRECT, HOLDER, POWER_MEAN, "membership")
+ALL_CHECKS = ("identity", "chain", *BOUND_KINDS, "membership")
 SKIPPED = "skipped"
 
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
@@ -309,41 +302,6 @@ def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) 
 
 
 # --------------------------------------------------------------------------
-# the bound sweep
-
-
-def _bound_sweep(s, rect: Rect, combos, kinds, variants, dev: DeviationTerms):
-    """Yield (kind, params, variant, report) for every bound row of s: the
-    classical bound first, then each grid cell x applicable kind x variant.
-    |d2f| at the m-scaled corners is evaluated once per (m1, m2) and handed
-    to every bound of that pair; the report is None where those corners
-    leave the domain."""
-    mags = {}  # (m1, m2) -> _corner_mags, None off the domain
-
-    def corner_mags(p):
-        if (p.m1, p.m2) not in mags:
-            try:
-                mags[p.m1, p.m2] = _corner_mags(s, rect, p)
-            except OutOfDomainError:
-                mags[p.m1, p.m2] = None
-        return mags[p.m1, p.m2]
-
-    if CLASSICAL in kinds:
-        m = corner_mags(CLASSICAL_PARAMS)
-        rep = None if m is None else bound(CLASSICAL, s, rect, dev=dev, mags=m)
-        yield CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM, rep
-    grid_kinds = [kind for kind in (DIRECT, HOLDER, POWER_MEAN) if kind in kinds]
-    for p in combos:
-        for kind in grid_kinds:
-            if not THEOREMS[kind].applies(p.q):
-                continue
-            m = corner_mags(p)
-            for variant in variants:
-                rep = None if m is None else bound(kind, s, rect, p, variant, dev=dev, mags=m)
-                yield kind, p, variant, rep
-
-
-# --------------------------------------------------------------------------
 # one run: a surface source, one routine per surface, one report
 
 
@@ -372,7 +330,7 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file) -> list:
         for (_, p), notion, rep in zip(cells, notions, sweep.reports(s, cells)):
             files["membership"].append(_membership_row(name, "f", notion, param_cols[p], rep))
 
-    swept = list(_bound_sweep(s, rect, combos, checks, cfg.variants, dev))
+    swept = bound_table(s, rect, combos, [c for c in checks if c in BOUND_KINDS], cfg.variants, dev)
     every = "hypothesis" in HEADERS[bound_file]
     keys = [  # the row's own cell, where its hypothesis is refuted; None where it is not
         p

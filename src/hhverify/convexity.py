@@ -242,16 +242,18 @@ class MembershipSweep:
                 by_q.setdefault(p.q, []).append((sense, p))
             yield m, members, units
 
-    def _judge(self, name: str, margins, cols):
+    def _judge(self, margins, cols, s: Surface, q):
         """The witness of ``margins`` over the sample columns ``cols``, its
         margin and that margin's verdict.  The witness is the
         lexicographically least (x, y, z, w, lam, mu) among the least
         margins; a non-finite margin raises the NonFiniteError of its first
-        sample instead, naming the target surface ``name``."""
+        sample instead, naming the target surface: s, or |d2f|^q
+        (abs_mixed_surface) where q is not None."""
         self.work["sample_margins"] += margins.size
         bad = ~np.isfinite(margins)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
+            name = s.name if q is None else abs_mixed_surface(s, q).name
             raise NonFiniteError(
                 f"{name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
                 float(margins[i]),
@@ -295,9 +297,8 @@ class MembershipSweep:
                     weights = _SENSES[sense][0](p, power)
                     for q, same in list(by_q.items()):
                         margins = _combine(weights, points[q])
-                        name = abs_mixed_surface(s, q).name if hypothesis else s.name
                         try:
-                            witness, margin, verdict = self._judge(name, margins, cols)
+                            witness, margin, verdict = self._judge(margins, cols, s, q if hypothesis else None)
                         except NonFiniteError as exc:
                             errors.append((same[0], exc))
                             continue

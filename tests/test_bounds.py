@@ -31,6 +31,7 @@ from hhverify import (
     Surface,
     Tolerance,
     bound,
+    bound_table,
     corpus,
     deviation_terms,
     hh_chain_2d,
@@ -293,8 +294,10 @@ def test_power_mean_as_written_dominates_proof_form():
 
 def test_non_finite_rhs_is_inconclusive():
     """A right side that is not a finite number bounds nothing: the corner sum
-    of the classical bound overflowing to inf must not read as holding."""
-    rep = bound(CLASSICAL, corpus()["x2y2"].surface, RECT01, mags=(1e308,) * 4)
+    of the classical bound overflowing to inf must not read as holding.
+    f = 1e308 xy has |d2f| = 1e308 at every corner."""
+    huge = poly_surface("huge_xy", RationalPoly2({(1, 1): Fraction(10) ** 308}), Rect(-1, 2, -1, 2))
+    rep = bound(CLASSICAL, huge, RECT01)
     assert rep.rhs == math.inf and rep.verdict == "inconclusive"
     rep = bound(HOLDER, corpus()["x2y2"].surface, RECT01, GenParams(q=1e308))
     assert math.isnan(rep.rhs) and rep.verdict == "inconclusive"
@@ -330,6 +333,59 @@ def test_classical_takes_only_classical_params_and_proof_form(p, variant):
     silently average |d2f| at the m-scaled corners."""
     with pytest.raises(ParameterError, match="classical"):
         bound(CLASSICAL, corpus()["xy"].surface, RECT01, p, variant)
+
+
+BOUND_GRID = [
+    GenParams(s1=s, alpha2=a, m1=m1, m2=m2, q=q)
+    for s in (0.5, 1.0)
+    for a in (0.5, 1.0)
+    for m1 in (0.5, 1.0)
+    for m2 in (0.5, 1.0)
+    for q in (1.0, 2.0, 4.0)
+]
+# The m = 0.5 corners b / m1 = d / m2 = 2 leave this domain.
+NARROW = Surface(
+    "narrow", Rect(-1.0, 1.5, -1.0, 1.5), f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y
+)
+# A finite-difference d2f: the stencil around every corner of RECT01 leaves
+# the domain, the classical cell's corners included.
+FD_ON_RECT = Surface("fd", RECT01, f=lambda x, y: np.exp(x + y))
+
+
+def _bound_or_none(make):
+    try:
+        return make()
+    except OutOfDomainError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "s", [corpus()["exp_sum"].surface, NARROW, FD_ON_RECT], ids=["exp_sum", "narrow", "fd"]
+)
+def test_bound_table_matches_bound_functions(s):
+    dev = deviation_terms(s, RECT01)
+    rows = bound_table(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev)
+    classical = _bound_or_none(lambda: bound("classical", s, RECT01, dev=dev))
+    assert rows[0] == ("classical", GenParams(), PROOF_FORM, classical)
+    # per cell: direct or holder, and power-mean, each in two variants
+    assert len(rows) == 1 + 4 * len(BOUND_GRID)
+    for kind, p, variant, rep in rows[1:]:
+        want = _bound_or_none(lambda: bound(kind, s, RECT01, p, variant=variant, dev=dev))
+        assert rep == want, (kind, p, variant)
+    skipped = {p for _, p, _, rep in rows if rep is None}
+    if s is NARROW:
+        assert skipped == {p for p in BOUND_GRID if min(p.m1, p.m2) < 1.0}
+    elif s is FD_ON_RECT:
+        assert skipped == {GenParams(), *BOUND_GRID}
+    else:
+        assert not skipped
+
+
+@pytest.mark.parametrize("kinds, variants", [(["mystery"], [PROOF_FORM]), ([DIRECT], ["mystery"])])
+def test_bound_table_rejects_unknown_names(kinds, variants):
+    dev = deviation_terms(corpus()["xy"].surface, RECT01)
+    with pytest.raises(ParameterError, match="mystery"):
+        bound_table(corpus()["xy"].surface, RECT01, BOUND_GRID, kinds, variants, dev)
 
 
 # ----------------------------------------------------------------- reductions

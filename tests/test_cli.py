@@ -10,10 +10,7 @@ import pytest
 from hhverify import (
     BoundReport,
     GenParams,
-    OutOfDomainError,
-    PROOF_FORM,
     Rect,
-    Surface,
     bound,
     corpus,
     deviation_terms,
@@ -413,51 +410,7 @@ def test_report_rows_have_header_shape_and_sorted_order(tmp_path):
         assert any(r["verdict"] == "skipped" for r in read_rows(verify_out / f"{name}.csv"))
 
 
-BOUND_GRID = [
-    GenParams(s1=s, alpha2=a, m1=m1, m2=m2, q=q)
-    for s in (0.5, 1.0)
-    for a in (0.5, 1.0)
-    for m1 in (0.5, 1.0)
-    for m2 in (0.5, 1.0)
-    for q in (1.0, 2.0, 4.0)
-]
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
-# The m = 0.5 corners b / m1 = d / m2 = 2 leave this domain.
-NARROW = Surface(
-    "narrow", Rect(-1.0, 1.5, -1.0, 1.5), f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y
-)
-# A finite-difference d2f: the stencil around every corner of RECT01 leaves
-# the domain, the classical cell's corners included.
-FD_ON_RECT = Surface("fd", RECT01, f=lambda x, y: np.exp(x + y))
-
-
-def _bound_or_none(make):
-    try:
-        return make()
-    except OutOfDomainError:
-        return None
-
-
-@pytest.mark.parametrize(
-    "s", [corpus()["exp_sum"].surface, NARROW, FD_ON_RECT], ids=["exp_sum", "narrow", "fd"]
-)
-def test_bound_sweep_matches_bound_functions(s):
-    dev = deviation_terms(s, RECT01)
-    rows = list(cli._bound_sweep(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev))
-    classical = _bound_or_none(lambda: bound("classical", s, RECT01, dev=dev))
-    assert rows[0] == ("classical", GenParams(), PROOF_FORM, classical)
-    # per cell: direct or holder, and power-mean, each in two variants
-    assert len(rows) == 1 + 4 * len(BOUND_GRID)
-    for kind, p, variant, rep in rows[1:]:
-        want = _bound_or_none(lambda: bound(kind, s, RECT01, p, variant=variant, dev=dev))
-        assert rep == want, (kind, p, variant)
-    skipped = {p for _, p, _, rep in rows if rep is None}
-    if s is NARROW:
-        assert skipped == {p for p in BOUND_GRID if min(p.m1, p.m2) < 1.0}
-    elif s is FD_ON_RECT:
-        assert skipped == {GenParams(), *BOUND_GRID}
-    else:
-        assert not skipped
 
 
 @pytest.mark.parametrize("command", ["verify", "hunt"])
@@ -509,11 +462,9 @@ def test_verify_integrates_at_most_six_times_per_surface(tmp_path, monkeypatch):
         assert sum(calls.values()) == expected, (surface, calls)
 
 
-def _rigged_direct(kind, s, r, p=GenParams(), variant=PROOF_FORM, dev=None, mags=None):
-    """bounds.bound, except that the direct bound is violated on every input."""
-    if kind != "direct":
-        return bounds.bound(kind, s, r, p, variant, dev, mags)
-    return BoundReport(
+def _rigged_direct(*args):
+    """bounds.bound_table, except that the direct bound is violated on every input."""
+    violated = lambda variant: BoundReport(
         theorem="direct",
         variant=variant,
         lhs=1.0,
@@ -522,6 +473,10 @@ def _rigged_direct(kind, s, r, p=GenParams(), variant=PROOF_FORM, dev=None, mags
         error_budget=0.0,
         verdict="violated",
     )
+    return [
+        (kind, p, variant, violated(variant) if kind == "direct" and rep is not None else rep)
+        for kind, p, variant, rep in bounds.bound_table(*args)
+    ]
 
 
 def test_exit_one_when_proof_form_fails_on_member(tmp_path, monkeypatch):
@@ -529,7 +484,7 @@ def test_exit_one_when_proof_form_fails_on_member(tmp_path, monkeypatch):
     exit code to 1 (simulated by rigging the direct bound).  verify refutes
     only the hypotheses of violated proof-form rows, and lists a failure in
     the same record as a hunt finding."""
-    monkeypatch.setattr(cli, "bound", _rigged_direct)
+    monkeypatch.setattr(cli, "bound_table", _rigged_direct)
     out = tmp_path / "out"
     cfgfile = write_config(
         tmp_path,
@@ -673,7 +628,7 @@ def test_hunt_reports_violations_under_clean_hypothesis(tmp_path, monkeypatch):
     """A violated bound whose |d2f|^q hypothesis found no violation is a
     finding: a proof-form one fails the run, an as-written one is listed.
     At s1 = 0.5 the hypothesis is refuted, and those rows are no finding."""
-    monkeypatch.setattr(cli, "bound", _rigged_direct)
+    monkeypatch.setattr(cli, "bound_table", _rigged_direct)
     out = tmp_path / "out"
     cfgfile = write_config(
         tmp_path,

@@ -38,6 +38,29 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def private_imports(source: str) -> list:
+    """(line, module, name) of each private name the source imports from a
+    package module: ``from .mod import _name``."""
+    return sorted(
+        (node.lineno, node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("hhverify"))
+        for alias in node.names
+        if _private(alias.name)
+    )
+
+
+def test_private_import_is_found():
+    source = "from .a import _x, y\nfrom hhverify.b import _z\nfrom . import c\nfrom os import _exit\n"
+    assert private_imports(source) == [(1, "a", "_x"), (2, "hhverify.b", "_z")]
+
+
+def test_no_private_cross_module_imports():
+    """A module reads another's private names only through its public ones."""
+    found = {p.name: private_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def private_definitions(tree) -> list:
     """(name, node) for each private module-level function, class or
     constant of a module, and each private method of its classes."""
