@@ -325,11 +325,14 @@ def bound_table(s: Surface, r: Rect, cells, kinds, variants, dev: DeviationTerms
     parameters and proof-form, then each p of ``cells`` x each kind that
     applies at p.q x each variant.  ``dev`` is deviation_terms(s, r).
 
-    |d2f| at the m-scaled corners is evaluated once per (m1, m2) and read by
-    every bound of that pair; the report is None where those corners leave
-    the domain.  An unknown kind or variant raises ParameterError."""
+    A right side depends on its cell only through (theta1, theta2, m1, m2,
+    q), so the rows with equal (kind, variant, theta1, theta2, m1, m2, q)
+    share one report.  |d2f| at the m-scaled corners is evaluated once per
+    (m1, m2); the report is None where those corners leave the domain.  An
+    unknown kind or variant raises ParameterError."""
     _require_known(kinds, variants)
     mags: dict = {}  # (m1, m2) -> _corner_mags, None off the domain
+    shared: dict = {}  # (theta1, theta2, m1, m2, q) -> the rows of its first cell
 
     def row(kind, p, variant):
         if (p.m1, p.m2) not in mags:
@@ -342,7 +345,12 @@ def bound_table(s: Surface, r: Rect, cells, kinds, variants, dev: DeviationTerms
 
     table = [row(CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM)] if CLASSICAL in kinds else []
     grid = [kind for kind in BOUND_KINDS if kind != CLASSICAL and kind in kinds]
-    return table + [row(k, p, v) for p in cells for k in grid if THEOREMS[k].applies(p.q) for v in variants]
+    for p in cells:
+        key = (p.theta1, p.theta2, p.m1, p.m2, p.q)
+        if key not in shared:
+            shared[key] = [row(k, p, v) for k in grid if THEOREMS[k].applies(p.q) for v in variants]
+        table += [(k, p, v, rep) for k, _, v, rep in shared[key]]
+    return table
 
 
 def bound(

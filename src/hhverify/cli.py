@@ -45,7 +45,6 @@ from .bounds import (
     PROOF_FORM,
     VARIANTS,
     BOUND_VIOLATED,
-    BoundReport,
     bound_table,
     deviation_terms,
     hh_chain_2d,
@@ -250,23 +249,11 @@ def _fmt(v):
 
 def _param_cols(combos) -> dict:
     """The formatted parameter columns of the classical cell and of each
-    grid cell, keyed by GenParams; a run formats each cell once."""
-    return {
-        p: tuple(_fmt(float(getattr(p, k))) for k in PARAM_KEYS)
-        for p in (CLASSICAL_PARAMS, *combos)
-    }
-
-
-def _bound_row(
-    surface, kind, variant, cols: tuple, rep: BoundReport | None, lhs: str, budget: str
-) -> tuple:
-    """One bounds row with parameter columns ``cols``; ``rep`` None is a
-    cell skipped for leaving the domain.  ``lhs`` and ``budget`` are the
-    surface's formatted lhs and error_budget, which every report of one
-    surface shares."""
-    if rep is None:
-        return (surface, kind, variant, *cols, "", "", "", "", SKIPPED)
-    return (surface, kind, variant, *cols, lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
+    grid cell, keyed by GenParams.  A run formats each distinct value of a
+    column once: a column lists 0.0 or -0.0, not both (build_config)."""
+    cells = (CLASSICAL_PARAMS, *combos)
+    text = [{v: _fmt(float(v)) for v in dict.fromkeys(getattr(p, k) for p in cells)} for k in PARAM_KEYS]
+    return {p: tuple(col[getattr(p, k)] for col, k in zip(text, PARAM_KEYS)) for p in cells}
 
 
 def _membership_row(surface, target, notion, cols: tuple, rep: MembershipReport | None) -> tuple:
@@ -340,12 +327,17 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file) -> list:
     ]
     params = [p for p in dict.fromkeys(keys) if p is not None]
     hyps = dict(zip(params, sweep.verdicts(s, params)))
-    # every bound report of the surface has dev's lhs and error_budget
+    # Each distinct report's columns, formatted once: bound_table shares a
+    # report among rows, and every report has dev's lhs and error_budget.
+    # None is a cell skipped for leaving the domain.
     lhs, budget = (_fmt(dev.abs_deviation), _fmt(dev.error_budget)) if swept else ("", "")
+    text = {id(None): ("", "", "", "", SKIPPED)}
     findings = []
     for (kind, p, variant, rep), key in zip(swept, keys):
         hypothesis = hyps.get(key) or SKIPPED
-        row = _bound_row(name, kind, variant, param_cols[p], rep, lhs, budget)
+        if id(rep) not in text:
+            text[id(rep)] = (lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
+        row = (name, kind, variant, *param_cols[p], *text[id(rep)])
         files[bound_file].append(row + (hypothesis,) if every else row)
         if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
             finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
@@ -358,7 +350,7 @@ def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys)
     report: the rows, and a summary of the shared keys plus those
     ``own_keys(files, findings)`` returns.  Returns the exit code, 1 when a
     proof-form row is a finding."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -382,7 +374,7 @@ def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys)
             "sample_margins": sweep.work["sample_margins"],
             "samples_per_report": len(sweep.samples[0]),
         },
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
         "exit_code": exit_code,
     }
     _write_report(cfg.output_dir, files, summary_name, summary)

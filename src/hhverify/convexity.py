@@ -17,6 +17,7 @@ actually consume), grid_per_axis^2 random pairs, each crossed with a
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -242,31 +243,36 @@ class MembershipSweep:
                 by_q.setdefault(p.q, []).append((sense, p))
             yield m, members, units
 
-    def _judge(self, margins, cols, s: Surface, q):
+    def _judge(self, margins, cols, s: Surface, q, witness: bool):
         """The witness of ``margins`` over the sample columns ``cols``, its
         margin and that margin's verdict.  The witness is the
         lexicographically least (x, y, z, w, lam, mu) among the least
         margins; a non-finite margin raises the NonFiniteError of its first
         sample instead, naming the target surface: s, or |d2f|^q
-        (abs_mixed_surface) where q is not None."""
+        (abs_mixed_surface) where q is not None.  Without ``witness`` the
+        least and the largest margin alone judge and the witness is None;
+        only where one of the two is not finite is the first bad sample
+        looked for."""
         self.work["sample_margins"] += margins.size
-        bad = ~np.isfinite(margins)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            name = s.name if q is None else abs_mixed_surface(s, q).name
-            raise NonFiniteError(
-                f"{name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
-                float(margins[i]),
-            )
-        ties = np.flatnonzero(margins == margins.min())
-        # lexsort is stable, so equal tuples keep the first index.
-        i = ties[np.lexsort([c[ties] for c in reversed(cols)])[0]]
-        witness = tuple(float(c[i]) for c in cols)
-        margin = float(margins[i])
-        return witness, margin, VIOLATED if margin < -self.plan.tolerance else NO_VIOLATION
+        found, margin = None, float(margins.min())
+        if witness or not (math.isfinite(margin) and math.isfinite(margins.max())):
+            bad = ~np.isfinite(margins)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                name = s.name if q is None else abs_mixed_surface(s, q).name
+                raise NonFiniteError(
+                    f"{name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
+                    float(margins[i]),
+                )
+            ties = np.flatnonzero(margins == margin)
+            # lexsort is stable, so equal tuples keep the first index.
+            i = ties[np.lexsort([c[ties] for c in reversed(cols)])[0]]
+            found, margin = tuple(float(c[i]) for c in cols), float(margins[i])
+        return found, margin, VIOLATED if margin < -self.plan.tolerance else NO_VIOLATION
 
-    def _scan(self, s: Surface, keys, hypothesis: bool, blocks) -> list:
-        """The MembershipReport of each key, None off the domain.  Per (m1,
+    def _scan(self, s: Surface, keys, hypothesis: bool, blocks, witness: bool) -> list:
+        """The MembershipReport of each key, None off the domain; without
+        ``witness`` a report's witness is None (see _judge).  Per (m1,
         m2) group the sample blocks are scanned in order, evaluating the
         five point arrays of a block only while some cell of the group is
         pending.  A pending cell judges each block; its report is that of
@@ -298,11 +304,13 @@ class MembershipSweep:
                     for q, same in list(by_q.items()):
                         margins = _combine(weights, points[q])
                         try:
-                            witness, margin, verdict = self._judge(margins, cols, s, q if hypothesis else None)
+                            found, margin, verdict = self._judge(
+                                margins, cols, s, q if hypothesis else None, witness
+                            )
                         except NonFiniteError as exc:
                             errors.append((same[0], exc))
                             continue
-                        rep = MembershipReport(verdict, margin, witness, block.stop)
+                        rep = MembershipReport(verdict, margin, found, block.stop)
                         results.update(dict.fromkeys(same, rep))
                         if verdict == VIOLATED:
                             del by_q[q]
@@ -323,17 +331,19 @@ class MembershipSweep:
         order of first appearance.
         """
         keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
-        return self._scan(s, keys, hypothesis, [slice(0, len(self.samples[0]))])
+        return self._scan(s, keys, hypothesis, [slice(0, len(self.samples[0]))], witness=True)
 
     def verdicts(self, s: Surface, params) -> list:
         """The first-sense verdict on the hypothesis |d2f|^(p.q) for each p
         of params, None where the evaluation hull leaves the domain: the
         verdicts of ``reports(s, [(FIRST, p) for p in params],
         hypothesis=True)``, with less work, from the doubling blocks of
-        _blocks.  Every block margin is bitwise the whole-table one, so a
+        _blocks, each judged by its least and largest margin alone, with no
+        witness.  Every block margin is bitwise the whole-table one, so a
         cell is violated here exactly when its whole-table least margin is
         below -tolerance.  A non-finite margin raises only in the blocks
         scanned.
         """
-        reports = self._scan(s, [(FIRST, p) for p in params], True, list(_blocks(len(self.samples[0]))))
+        blocks = list(_blocks(len(self.samples[0])))
+        reports = self._scan(s, [(FIRST, p) for p in params], True, blocks, witness=False)
         return [rep and rep.verdict for rep in reports]

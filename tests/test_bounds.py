@@ -381,6 +381,32 @@ def test_bound_table_matches_bound_functions(s):
         assert not skipped
 
 
+# theta1 = alpha1 * s1 is 0.5 at both (s1, alpha1) = (1, 0.5) and (0.5, 1),
+# so each right side of this grid belongs to two cells.
+COLLIDING_GRID = [
+    GenParams(s1=s, alpha1=a, m1=m1, m2=m2, q=q)
+    for s, a in ((1.0, 0.5), (0.5, 1.0))
+    for m1 in (0.5, 1.0)
+    for m2 in (0.5, 1.0)
+    for q in (1.0, 2.0, 4.0)
+]
+
+
+def test_bound_table_shares_one_report_per_right_side():
+    s = corpus()["exp_sum"].surface
+    dev = deviation_terms(s, RECT01)
+    rows = bound_table(s, RECT01, COLLIDING_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev)
+    by_key = {}
+    for kind, p, variant, rep in rows:
+        assert rep == bound(kind, s, RECT01, p, variant, dev), (kind, p, variant)
+        by_key.setdefault((kind, variant, p.theta1, p.theta2, p.m1, p.m2, p.q), []).append(rep)
+    del by_key[CLASSICAL, PROOF_FORM, 1.0, 1.0, 1.0, 1.0, 1.0]  # the classical row has its own
+    assert len(rows) == 1 + 4 * len(COLLIDING_GRID) == 1 + 2 * len(by_key)
+    for reps in by_key.values():
+        assert len({rep.rhs.hex() for rep in reps}) == 1
+        assert reps[0] is reps[1]
+
+
 @pytest.mark.parametrize("kinds, variants", [(["mystery"], [PROOF_FORM]), ([DIRECT], ["mystery"])])
 def test_bound_table_rejects_unknown_names(kinds, variants):
     dev = deviation_terms(corpus()["xy"].surface, RECT01)

@@ -480,6 +480,35 @@ def test_verdicts_raise_the_first_non_finite_cell_as_reports_do():
     assert str(judged.value) == str(swept.value) == str(one.value)
 
 
+@pytest.mark.parametrize(
+    "value, at_corner, margin",
+    [(np.nan, True, np.nan), (np.inf, True, np.inf), (np.inf, False, -np.inf)],
+    ids=["nan", "+inf", "-inf"],
+)
+def test_verdicts_raise_a_non_finite_margin_past_the_first_block(value, at_corner, margin):
+    # |d2f| = 1 everywhere but at one point of the last sample, which lies
+    # in the second block: its corner (x, y), whose weight lam * mu is
+    # positive, or its convex combination, the left side.  That sample's
+    # margin is NaN, +inf (rhs infinite) or -inf (lhs infinite), every other
+    # margin finite, so the cell is pending after the first block.  Only a
+    # judge that looks past the least margin sees the +inf.
+    sweep = MembershipSweep(RECT01, SMALL_PLAN)
+    x, y, z, w, lam, mu = sweep.samples
+    i = len(x) - 1
+    assert i >= convexity.BLOCK
+    px, py = (x, y) if at_corner else (lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w)
+    spot = lambda xs, ys: np.where((xs == px[i]) & (ys == py[i]), value, 1.0)
+    s = Surface("spot", Rect(-8, 8, -8, 8), f=lambda xs, ys: np.zeros(np.shape(xs)), d2f=spot)
+    params = [GenParams(), GenParams(q=2.0)]
+    with pytest.raises(NonFiniteError) as swept:
+        sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True)
+    with pytest.raises(NonFiniteError) as judged:
+        sweep.verdicts(s, params)
+    assert str(judged.value) == str(swept.value)
+    assert f"|^1 margin at sample ({', '.join(str(c[i]) for c in sweep.samples)})" in str(swept.value)
+    assert repr(swept.value.value) == repr(margin)
+
+
 def verdicts_of_reports(sweep, s, params):
     reports = sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True)
     return [None if rep is None else rep.verdict for rep in reports]
