@@ -9,9 +9,13 @@ hunt       sweep the bounds of random nonneg-coefficient polynomial surfaces,
 corpus     list registered surfaces.
 constants  print the kink-moment table over a theta grid.
 
-verify and hunt are one driver, ``_run``, fed by a surface source (the
-corpus names, or seeded random polynomials); each surface goes through one
-routine, ``_sweep_surface``, and both summaries list findings in one shape.
+verify and hunt are one driver, ``_run``, keyed by the command.
+``build_config`` states each command's rules once: which surfaces (the
+corpus names, or seeded random polynomials), variants and checks it runs.
+Each surface goes through one routine, ``_sweep_surface``: hunt refutes the
+hypothesis of every evaluated cell, verify only of the violated proof-form
+cells.  ``_run`` writes the command's files, and both summaries list
+findings in one shape.
 
 Exit codes: 0 clean; 1 a proof-form row is a finding: violated while the
 refuter finds its hypothesis clean (an acceptance failure); 2 usage or
@@ -33,7 +37,7 @@ import math
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,14 +59,13 @@ from .convexity import (
     FIRST,
     NO_VIOLATION,
     SECOND,
-    MembershipReport,
     MembershipSweep,
     SamplingPlan,
 )
 from .errors import ConfigError, ConvergenceError, NonFiniteError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_edges
 from .oracle import RationalPoly2
-from .surfaces import corpus, poly_surface
+from .surfaces import Surface, corpus, poly_surface
 
 ALL_CHECKS = ("identity", "chain", *BOUND_KINDS, "membership")
 SKIPPED = "skipped"
@@ -96,7 +99,8 @@ HEADERS["hunt"] = HEADERS["bounds"] + ["hypothesis"]
 
 @dataclass
 class RunConfig:
-    surfaces: list[str]
+    command: str  # "verify" or "hunt"
+    surfaces: dict[str, Surface]  # the surfaces to sweep, by name, in sweep order
     rect: Rect
     combos: list[GenParams]  # the validated parameter grid cells, in sweep order
     variants: list[str]
@@ -104,7 +108,6 @@ class RunConfig:
     plan: SamplingPlan
     output_dir: Path
     seed: int
-    hunt_count: int
     hunt_degree: int
 
 
@@ -189,228 +192,6 @@ def _build(what: str, make):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConfig:
-    """Check a parsed config against SCHEMA and apply the CLI overrides.  Only
-    ``verify`` reads the corpus surfaces, so only it needs the rect inside their domains."""
-    cfg = _check(SCHEMA, raw, "config")
-    for key, value in (("seed", seed), ("output_dir", out)):
-        if value is not None:
-            cfg[key] = _check(SCHEMA[key][0], value, key)
-    rect = _build("bad rect", lambda: Rect(*cfg["rect"]))
-    registry = corpus()
-    names = list(registry) if cfg["surfaces"] == ["all"] else cfg["surfaces"]
-    for n in names:
-        if n not in registry:
-            raise ConfigError(f"unknown surface {n!r}; registered: {', '.join(registry)}")
-        domain = registry[n].surface.domain
-        if command == "verify" and not domain.contains_rect(rect):
-            raise ConfigError(f"rect {rect} leaves the domain {domain} of surface {n!r}")
-    grid = [cfg["param_grid"][key] for key in PARAM_KEYS]
-    if (count := math.prod(map(len, grid))) > MAX_GRID_CELLS:  # checked before any cell is built
-        raise ConfigError(f"param_grid spans {count} cells; at most {MAX_GRID_CELLS} are allowed")
-    cells = itertools.product(*grid)
-    return RunConfig(
-        surfaces=names,
-        rect=rect,
-        combos=_build("bad param grid cell", lambda: [GenParams(**dict(zip(PARAM_KEYS, c))) for c in cells]),
-        variants=cfg.get("variants", [PROOF_FORM] if command == "verify" else list(VARIANTS)),
-        checks=cfg["checks"],
-        plan=_build("bad plan", lambda: SamplingPlan(**{"seed": cfg["seed"], **cfg["plan"]})),
-        output_dir=Path(cfg["output_dir"]),
-        seed=cfg["seed"],
-        hunt_count=cfg["hunt"]["count"], hunt_degree=cfg["hunt"]["degree"],
-    )
-
-
-def load_config(path, **overrides) -> RunConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, a bad UTF-8 byte, an int of more than 4300 digits
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return build_config(raw, **overrides)
-
-
-# --------------------------------------------------------------------------
-# row formatting
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _param_cols(combos) -> dict:
-    """The formatted parameter columns of the classical cell and of each
-    grid cell, keyed by GenParams.  A run formats each distinct value of a
-    column once: a column lists 0.0 or -0.0, not both (build_config)."""
-    cells = (CLASSICAL_PARAMS, *combos)
-    text = [{v: _fmt(float(v)) for v in dict.fromkeys(getattr(p, k) for p in cells)} for k in PARAM_KEYS]
-    return {p: tuple(col[getattr(p, k)] for col, k in zip(text, PARAM_KEYS)) for p in cells}
-
-
-def _membership_row(surface, target, notion, cols: tuple, rep: MembershipReport | None) -> tuple:
-    if rep is None:
-        # worst_margin, the six witness coordinates and samples_checked
-        return (surface, target, notion, *cols, SKIPPED, *[""] * 8)
-    return (
-        surface, target, notion, *cols,
-        rep.verdict, _fmt(rep.worst_margin), *map(_fmt, rep.witness), str(rep.samples_checked),
-    )
-
-
-def _column(files: dict, key: str, col: str) -> list:
-    """Column ``col`` of every row in ``files[key]``."""
-    i = HEADERS[key].index(col)
-    return [row[i] for row in files[key]]
-
-
-def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) -> None:
-    """Write each non-empty row list, sorted, as ``<key>.csv`` under its
-    header, then the summary as JSON."""
-    for key, rows in files.items():
-        if not rows:
-            continue
-        rows.sort()
-        with open(out_dir / f"{key}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(HEADERS[key])
-            writer.writerows(rows)
-    with open(out_dir / summary_name, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-# --------------------------------------------------------------------------
-# one run: a surface source, one routine per surface, one report
-
-
-NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
-
-
-def _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file) -> list:
-    """Append the rows of one surface to ``files`` and return its findings:
-    the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
-    A ``bound_file`` with a ``hypothesis`` column refutes every evaluated
-    cell, any other only the violated proof-form cells, in one batched call."""
-    rect, checks, combos = cfg.rect, cfg.checks, cfg.combos
-    needs_dev = any(c in checks for c in (*BOUND_KINDS, "identity", "chain"))
-    dev = deviation_terms(s, rect) if needs_dev else None
-    if "identity" in checks:
-        rep = identity_report(s, rect, dev=dev)
-        within = abs(rep.residual) <= rep.error_budget
-        files["identity"].append((name, _fmt(rep.residual), _fmt(rep.error_budget), _fmt(within)))
-    if "chain" in checks:
-        chain = hh_chain_2d(s, rect, dev=dev)
-        cols = (*chain.values, chain.monotone, chain.worst_gap, chain.error_budget)
-        files["chains"].append((name, *map(_fmt, cols)))
-    if "membership" in checks:
-        cells = [(FIRST, CLASSICAL_PARAMS)] + [(sense, p) for p in combos for sense in NOTIONS]
-        notions = ["coordinated"] + [NOTIONS[sense] for sense, _ in cells[1:]]
-        for (_, p), notion, rep in zip(cells, notions, sweep.reports(s, cells)):
-            files["membership"].append(_membership_row(name, "f", notion, param_cols[p], rep))
-
-    swept = bound_table(s, rect, combos, [c for c in checks if c in BOUND_KINDS], cfg.variants, dev)
-    every = "hypothesis" in HEADERS[bound_file]
-    keys = [  # the row's own cell, where its hypothesis is refuted; None where it is not
-        p
-        if rep is not None and (every or (variant == PROOF_FORM and rep.verdict == BOUND_VIOLATED))
-        else None
-        for _, p, variant, rep in swept
-    ]
-    params = [p for p in dict.fromkeys(keys) if p is not None]
-    hyps = dict(zip(params, sweep.verdicts(s, params)))
-    # Each distinct report's columns, formatted once: bound_table shares a
-    # report among rows, and every report has dev's lhs and error_budget.
-    # None is a cell skipped for leaving the domain.
-    lhs, budget = (_fmt(dev.abs_deviation), _fmt(dev.error_budget)) if swept else ("", "")
-    text = {id(None): ("", "", "", "", SKIPPED)}
-    findings = []
-    for (kind, p, variant, rep), key in zip(swept, keys):
-        hypothesis = hyps.get(key) or SKIPPED
-        if id(rep) not in text:
-            text[id(rep)] = (lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
-        row = (name, kind, variant, *param_cols[p], *text[id(rep)])
-        files[bound_file].append(row + (hypothesis,) if every else row)
-        if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
-            finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
-            findings.append(finding | {k: getattr(p, k) for k in PARAM_KEYS})
-    return findings
-
-
-def _run(cfg: RunConfig, surfaces, bound_file: str, summary_name: str, own_keys) -> int:
-    """Sweep every (name, surface) of the source ``surfaces`` and write the
-    report: the rows, and a summary of the shared keys plus those
-    ``own_keys(files, findings)`` returns.  Returns the exit code, 1 when a
-    proof-form row is a finding."""
-    t0 = time.perf_counter()
-    try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
-    sweep = MembershipSweep(cfg.rect, cfg.plan)
-    files = {bound_file: [], "membership": [], "chains": [], "identity": []}
-    param_cols = _param_cols(cfg.combos)
-    findings = []
-    for name, s in surfaces:
-        findings += _sweep_surface(name, s, cfg, param_cols, sweep, files, bound_file)
-
-    failing = [f for f in findings if f["variant"] == PROOF_FORM]
-    exit_code = 1 if failing else 0
-    summary = {
-        **own_keys(files, findings),
-        "proof_form_failures": failing,
-        "rows": sum(len(v) for v in files.values()),
-        "work": {  # deterministic counts of the refuter work, no timings
-            "membership_reports": sweep.work["membership_reports"],
-            "batched_evaluations": sweep.work["batched_evaluations"],
-            "sample_margins": sweep.work["sample_margins"],
-            "samples_per_report": len(sweep.samples[0]),
-        },
-        "wall_time_s": round(time.perf_counter() - t0, 3),
-        "exit_code": exit_code,
-    }
-    _write_report(cfg.output_dir, files, summary_name, summary)
-    return exit_code
-
-
-def run_verify(cfg: RunConfig) -> int:
-    """Run the configured checks on the corpus surfaces; returns the exit code."""
-
-    def own_keys(files, findings):
-        # "" on skipped rows, "nan" where the right side is not a number
-        slacks = [float(v) for v in _column(files, "bounds", "slack") if v not in ("", "nan")]
-        chain_counts = Counter(_column(files, "chains", "monotone"))
-        identity_counts = Counter(_column(files, "identity", "within_budget"))
-        return {
-            "counts": {
-                "bounds": Counter(_column(files, "bounds", "verdict")),
-                "membership": Counter(_column(files, "membership", "verdict")),
-                "chains": {"monotone": chain_counts["true"], "non-monotone": chain_counts["false"]},
-                "identity": {
-                    "within-budget": identity_counts["true"],
-                    "out-of-budget": identity_counts["false"],
-                },
-            },
-            "worst_slack": min(slacks) if slacks else None,
-        }
-
-    registry = corpus()
-    surfaces = ((name, registry[name].surface) for name in cfg.surfaces)
-    return _run(cfg, surfaces, "bounds", "summary.json", own_keys)
-
-
-# --------------------------------------------------------------------------
-# hunt
-
-
 def _random_nonneg_poly(rng, degree: int) -> RationalPoly2:
     """Random polynomial with nonnegative rational coefficients and at least
     one genuinely mixed term, so the mixed partial is nonzero and |d2f| is
@@ -439,30 +220,210 @@ def _hunt_domain(rect: Rect, combos) -> Rect:
     return _build(what, lambda: Rect(min(a) - pad, max(b) + pad, min(c) - pad, max(d) + pad))
 
 
-def run_hunt(cfg: RunConfig) -> int:
-    """Sweep the bounds of random polynomial surfaces, hunting for
-    as-written bound failures under a clean hypothesis."""
-    if AS_WRITTEN not in cfg.variants:
-        raise ConfigError("hunt requires the as-written variant to be enabled")
-    kinds = [c for c in cfg.checks if c in BOUND_KINDS] or list(BOUND_KINDS)
-    cfg = replace(cfg, checks=kinds)
+def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConfig:
+    """Check a parsed config against SCHEMA, apply the CLI overrides and the
+    command's rules.  ``verify`` sweeps the named corpus surfaces, so the rect
+    must lie in their domains, and defaults to the proof-form variant.
+    ``hunt`` sweeps seeded random polynomials on a domain around every scaled
+    evaluation hull, needs the as-written variant and runs the listed bound
+    checks, or all of them when none is listed."""
+    cfg = _check(SCHEMA, raw, "config")
+    for key, value in (("seed", seed), ("output_dir", out)):
+        if value is not None:
+            cfg[key] = _check(SCHEMA[key][0], value, key)
+    rect = _build("bad rect", lambda: Rect(*cfg["rect"]))
+    registry = corpus()
+    names = list(registry) if cfg["surfaces"] == ["all"] else cfg["surfaces"]
+    for n in names:
+        if n not in registry:
+            raise ConfigError(f"unknown surface {n!r}; registered: {', '.join(registry)}")
+        domain = registry[n].surface.domain
+        if command == "verify" and not domain.contains_rect(rect):
+            raise ConfigError(f"rect {rect} leaves the domain {domain} of surface {n!r}")
+    grid = [cfg["param_grid"][key] for key in PARAM_KEYS]
+    if (count := math.prod(map(len, grid))) > MAX_GRID_CELLS:  # checked before any cell is built
+        raise ConfigError(f"param_grid spans {count} cells; at most {MAX_GRID_CELLS} are allowed")
+    cells = itertools.product(*grid)
+    combos = _build("bad param grid cell", lambda: [GenParams(**dict(zip(PARAM_KEYS, c))) for c in cells])
+    plan = _build("bad plan", lambda: SamplingPlan(**{"seed": cfg["seed"], **cfg["plan"]}))
+    variants = cfg.get("variants", [PROOF_FORM] if command == "verify" else list(VARIANTS))
+    surfaces, checks, degree = {n: registry[n].surface for n in names}, cfg["checks"], cfg["hunt"]["degree"]
+    if command == "hunt":
+        if AS_WRITTEN not in variants:
+            raise ConfigError("hunt requires the as-written variant to be enabled")
+        checks = [c for c in checks if c in BOUND_KINDS] or list(BOUND_KINDS)
+        domain, rng = _hunt_domain(rect, combos), np.random.default_rng(cfg["seed"])
+        names = [f"hunt-{k:03d}" for k in range(cfg["hunt"]["count"])]
+        surfaces = {n: poly_surface(n, _random_nonneg_poly(rng, degree), domain) for n in names}
+    return RunConfig(
+        command=command, surfaces=surfaces, rect=rect, combos=combos, variants=variants, checks=checks,
+        plan=plan, output_dir=Path(cfg["output_dir"]), seed=cfg["seed"], hunt_degree=degree,
+    )
 
-    domain = _hunt_domain(cfg.rect, cfg.combos)
 
-    def surfaces():
-        rng = np.random.default_rng(cfg.seed)
-        for k in range(cfg.hunt_count):
-            name = f"hunt-{k:03d}"
-            yield name, poly_surface(name, _random_nonneg_poly(rng, cfg.hunt_degree), domain)
+def load_config(path, **overrides) -> RunConfig:
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, a bad UTF-8 byte, an int of more than 4300 digits
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    return build_config(raw, **overrides)
 
-    def own_keys(files, findings):
-        return {
-            "surfaces_generated": cfg.hunt_count,
+
+# --------------------------------------------------------------------------
+# row formatting
+
+
+def _fmt(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _param_cols(combos) -> dict:
+    """The formatted parameter columns of the classical cell and of each
+    grid cell, keyed by GenParams.  A run formats each distinct value of a
+    column once: a column lists 0.0 or -0.0, not both (build_config)."""
+    cells = (CLASSICAL_PARAMS, *combos)
+    text = [{v: _fmt(float(v)) for v in dict.fromkeys(getattr(p, k) for p in cells)} for k in PARAM_KEYS]
+    return {p: tuple(col[getattr(p, k)] for col, k in zip(text, PARAM_KEYS)) for p in cells}
+
+
+def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) -> None:
+    """Write each non-empty row list, sorted, as ``<key>.csv`` under its
+    header, then the summary as JSON."""
+    for key, rows in files.items():
+        if not rows:
+            continue
+        rows.sort()
+        with open(out_dir / f"{key}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(HEADERS[key])
+            writer.writerows(rows)
+    with open(out_dir / summary_name, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# --------------------------------------------------------------------------
+# one run: one routine per surface, one report keyed by the command
+
+
+NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
+
+
+def _sweep_surface(name, s, cfg, param_cols, sweep, files) -> list:
+    """Append the rows of one surface to ``files`` and return its findings:
+    the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
+    hunt refutes the hypothesis of every evaluated cell, verify only of the
+    violated proof-form cells, in one batched call."""
+    rect, checks, combos, hunt = cfg.rect, cfg.checks, cfg.combos, cfg.command == "hunt"
+    needs_dev = any(c in checks for c in (*BOUND_KINDS, "identity", "chain"))
+    dev = deviation_terms(s, rect) if needs_dev else None
+    if "identity" in checks:
+        rep = identity_report(s, rect, dev=dev)
+        within = abs(rep.residual) <= rep.error_budget
+        files["identity"].append((name, _fmt(rep.residual), _fmt(rep.error_budget), _fmt(within)))
+    if "chain" in checks:
+        chain = hh_chain_2d(s, rect, dev=dev)
+        cols = (*chain.values, chain.monotone, chain.worst_gap, chain.error_budget)
+        files["chains"].append((name, *map(_fmt, cols)))
+    if "membership" in checks:
+        cells = [(FIRST, CLASSICAL_PARAMS)] + [(sense, p) for p in combos for sense in NOTIONS]
+        notions = ["coordinated"] + [NOTIONS[sense] for sense, _ in cells[1:]]
+        for (_, p), notion, rep in zip(cells, notions, sweep.reports(s, cells)):
+            # a skipped cell has no worst_margin, witness coordinates or samples_checked
+            cols = (SKIPPED, *[""] * 8) if rep is None else (
+                rep.verdict, *map(_fmt, (rep.worst_margin, *rep.witness)), str(rep.samples_checked)
+            )
+            files["membership"].append((name, "f", notion, *param_cols[p], *cols))
+
+    swept = bound_table(s, rect, combos, [c for c in checks if c in BOUND_KINDS], cfg.variants, dev)
+    keys = [  # the row's own cell, where its hypothesis is refuted; None where it is not
+        p
+        if rep is not None and (hunt or (variant == PROOF_FORM and rep.verdict == BOUND_VIOLATED))
+        else None
+        for _, p, variant, rep in swept
+    ]
+    params = [p for p in dict.fromkeys(keys) if p is not None]
+    hyps = dict(zip(params, sweep.verdicts(s, params)))
+    # Each distinct report's columns, formatted once: bound_table shares a
+    # report among rows, and every report has dev's lhs and error_budget.
+    # None is a cell skipped for leaving the domain.
+    lhs, budget = (_fmt(dev.abs_deviation), _fmt(dev.error_budget)) if swept else ("", "")
+    text = {id(None): ("", "", "", "", SKIPPED)}
+    findings, rows = [], files["hunt" if hunt else "bounds"]
+    for (kind, p, variant, rep), key in zip(swept, keys):
+        hypothesis = hyps.get(key) or SKIPPED
+        if id(rep) not in text:
+            text[id(rep)] = (lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
+        row = (name, kind, variant, *param_cols[p], *text[id(rep)])
+        rows.append(row + (hypothesis,) if hunt else row)
+        if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
+            finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
+            findings.append(finding | {k: getattr(p, k) for k in PARAM_KEYS})
+    return findings
+
+
+def _run(cfg: RunConfig) -> int:
+    """Sweep every surface of ``cfg`` and write its command's report: the
+    rows, and a summary of the shared keys plus the command's own.  Returns
+    the exit code, 1 when a proof-form row is a finding."""
+    t0 = time.perf_counter()
+    try:
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
+    hunt = cfg.command == "hunt"
+    sweep = MembershipSweep(cfg.rect, cfg.plan)
+    files = {"hunt" if hunt else "bounds": [], "membership": [], "chains": [], "identity": []}
+    param_cols = _param_cols(cfg.combos)
+    findings = []
+    for name, s in cfg.surfaces.items():
+        findings += _sweep_surface(name, s, cfg, param_cols, sweep, files)
+
+    def tally(key, col):  # each value of the column, with its number of rows
+        return Counter(row[HEADERS[key].index(col)] for row in files[key])
+
+    if hunt:
+        own = {
+            "surfaces_generated": len(cfg.surfaces),
             "degree": cfg.hunt_degree,
             "as_written_findings": [f for f in findings if f["variant"] == AS_WRITTEN],
         }
-
-    return _run(cfg, surfaces(), "hunt", "hunt_summary.json", own_keys)
+    else:
+        # "" on skipped rows, "nan" where the right side is not a number
+        slacks = [float(v) for v in tally("bounds", "slack") if v not in ("", "nan")]
+        chains, identity = tally("chains", "monotone"), tally("identity", "within_budget")
+        own = {
+            "counts": {
+                "bounds": tally("bounds", "verdict"),
+                "membership": tally("membership", "verdict"),
+                "chains": {"monotone": chains["true"], "non-monotone": chains["false"]},
+                "identity": {"within-budget": identity["true"], "out-of-budget": identity["false"]},
+            },
+            "worst_slack": min(slacks, default=None),
+        }
+    failing = [f for f in findings if f["variant"] == PROOF_FORM]
+    summary = {
+        **own,
+        "proof_form_failures": failing,
+        "rows": sum(len(v) for v in files.values()),
+        "work": {  # deterministic counts of the refuter work, no timings
+            "membership_reports": sweep.work["membership_reports"],
+            "batched_evaluations": sweep.work["batched_evaluations"],
+            "sample_margins": sweep.work["sample_margins"],
+            "samples_per_report": len(sweep.samples[0]),
+        },
+        "wall_time_s": round(time.perf_counter() - t0, 3),
+        "exit_code": 1 if failing else 0,
+    }
+    _write_report(cfg.output_dir, files, "hunt_summary.json" if hunt else "summary.json", summary)
+    return summary["exit_code"]
 
 
 # --------------------------------------------------------------------------
@@ -515,10 +476,7 @@ def main(argv=None) -> int:
                 raise ConfigError("--points must be >= 1")
             print_constants(args.points)
             return 0
-        cfg = load_config(args.config, seed=args.seed, out=args.out, command=args.command)
-        if args.command == "verify":
-            return run_verify(cfg)
-        return run_hunt(cfg)
+        return _run(load_config(args.config, seed=args.seed, out=args.out, command=args.command))
     except (ConfigError, ConvergenceError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -593,11 +593,13 @@ def test_seed_flag_changes_membership_sampling(tmp_path):
     assert not all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
-def test_hunt_requires_as_written(tmp_path):
-    cfgfile = write_config(
-        tmp_path, variants=["proof-form"], output_dir=str(tmp_path / "o")
-    )
+def test_hunt_requires_as_written(tmp_path, capsys):
+    """The hunt-only rule is a config error, raised before anything is written."""
+    out = tmp_path / "o"
+    cfgfile = write_config(tmp_path, variants=["proof-form"], output_dir=str(out))
     assert cli.main(["hunt", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == "error: hunt requires the as-written variant to be enabled\n"
+    assert not out.exists()
 
 
 def test_hunt_classical_grid_finds_nothing(tmp_path):

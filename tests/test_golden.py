@@ -2,10 +2,11 @@
 
 The sha256 of each CSV that ``verify --config configs/quick.json`` writes,
 and of ``hunt.csv`` from ``configs/hunt.json`` cut to two surfaces, and the
-two runs' JSON summaries without ``wall_time_s``.  The reports are
-deterministic for a config and seed (README §Reports), so a digest or a
-summary moves only when the output does.  Any deliberate output change
-updates it here and is listed, with the rows it changes, in CHANGES.md.
+two runs' JSON summaries without ``wall_time_s``, compared as canonical
+JSON text.  The reports are deterministic for a config and seed (README
+§Reports), so a digest or a summary moves only when the output does.  Any
+deliberate output change updates it here and is listed, with the rows it
+changes, in CHANGES.md.
 """
 
 import hashlib
@@ -57,17 +58,23 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _summary(path: Path) -> dict:
-    """The summary at ``path`` without its one non-deterministic key."""
+def _canonical(summary: dict) -> str:
+    """``summary`` as canonical JSON text.  Text, unlike dict equality, tells
+    -0.0 from 0.0 and 1.0 from 1."""
+    return json.dumps(summary, sort_keys=True)
+
+
+def _summary(path: Path) -> str:
+    """The summary at ``path`` without its one non-deterministic key, as canonical text."""
     summary = json.loads(path.read_text())
     del summary["wall_time_s"]
-    return summary
+    return _canonical(summary)
 
 
 def test_quick_verify_digests(tmp_path):
     assert cli.main(["verify", "--config", str(CONFIGS / "quick.json"), "--out", str(tmp_path)]) == 0
     assert {path.name: _digest(path) for path in sorted(tmp_path.glob("*.csv"))} == QUICK
-    assert _summary(tmp_path / "summary.json") == QUICK_SUMMARY
+    assert _summary(tmp_path / "summary.json") == _canonical(QUICK_SUMMARY)
 
 
 def test_two_surface_hunt_digest(tmp_path):
@@ -79,4 +86,4 @@ def test_two_surface_hunt_digest(tmp_path):
     assert cli.main(["hunt", "--config", str(config), "--out", str(out)]) == 0
     assert [path.name for path in out.glob("*.csv")] == ["hunt.csv"]
     assert _digest(out / "hunt.csv") == HUNT_TWO_SURFACES
-    assert _summary(out / "hunt_summary.json") == HUNT_TWO_SURFACES_SUMMARY
+    assert _summary(out / "hunt_summary.json") == _canonical(HUNT_TWO_SURFACES_SUMMARY)

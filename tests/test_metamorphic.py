@@ -2,13 +2,16 @@
 
 Each law compares the package with itself, so it needs no reference value
 and catches an error that a formula and its test share.  The laws run on the
-first 3 surfaces of configs/hunt.json's hunt, the ordering law on all 25.
+first 3 surfaces of configs/hunt.json's hunt, the ordering law on all 25,
+and the separable law also on random signed polynomials.
 """
 
 import dataclasses
 import sys
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import hunt_surfaces
 
 from hhverify import (
@@ -18,9 +21,11 @@ from hhverify import (
     NO_VIOLATION,
     POWER_MEAN,
     PROOF_FORM,
+    GenParams,
     MembershipSweep,
     RationalPoly2,
     Rect,
+    SamplingPlan,
     bound_table,
     deviation_terms,
     poly_surface,
@@ -70,6 +75,38 @@ def test_separable_terms_change_no_verdict_and_no_deviation():
         assert sweep.verdicts(shifted, cfg.combos) == sweep.verdicts(s, cfg.combos)
         dev, shifted_dev = deviation_terms(s, cfg.rect), deviation_terms(shifted, cfg.rect)
         assert repr(shifted_dev.abs_deviation) == repr(dev.abs_deviation), s.name
+
+
+# Signed exact polynomials with exponents up to 4 in each variable (hunt's
+# ``degree``), and the separable ones: terms in x alone or in y alone.
+_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_EXPONENTS = st.integers(0, 4)
+SIGNED_POLYS = st.dictionaries(st.tuples(_EXPONENTS, _EXPONENTS), _COEFFS, max_size=8).map(RationalPoly2)
+SEPARABLE_POLYS = st.dictionaries(
+    st.tuples(_EXPONENTS, st.just(0)) | st.tuples(st.just(0), _EXPONENTS), _COEFFS, min_size=1, max_size=4
+).map(RationalPoly2)
+UNIT, WIDE = Rect(0.0, 1.0, 0.0, 1.0), Rect(-8.0, 8.0, -8.0, 8.0)
+SMALL_SWEEP = MembershipSweep(UNIT, SamplingPlan(grid_per_axis=3, random_trials=200))
+FEW_CELLS = [
+    GenParams(),
+    GenParams(s1=0.5, m1=0.5, q=2.0),
+    GenParams(s2=0.75, alpha2=0.5, m2=0.5, q=4.0),
+    GenParams(alpha1=0.0, m1=0.5, m2=0.5, q=1.5),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(poly=SIGNED_POLYS, separable=SEPARABLE_POLYS)
+def test_separable_terms_change_nothing_on_signed_polynomials(poly, separable):
+    """The separable law over signed coefficients, where d2f may change sign
+    or vanish: the terms in x alone or y alone drop out of d2f's polynomial
+    and of the exact deviation, so the hypothesis verdicts and the absolute
+    deviation are bitwise the same."""
+    s = poly_surface("signed", poly, WIDE)
+    shifted = poly_surface("signed+separable", poly + separable, WIDE)
+    assert SMALL_SWEEP.verdicts(shifted, FEW_CELLS) == SMALL_SWEEP.verdicts(s, FEW_CELLS)
+    dev, shifted_dev = deviation_terms(s, UNIT), deviation_terms(shifted, UNIT)
+    assert repr(shifted_dev.abs_deviation) == repr(dev.abs_deviation)
 
 
 def _right_sides(s, rect, cells, kinds):
