@@ -432,8 +432,7 @@ def _run(cfg: RunConfig) -> int:
 
 def print_corpus():
     for name, entry in corpus().items():
-        s = entry.surface
-        print(f"{name:12s} f = {entry.formula:12s} domain {s.domain}  d2f {s.d2f_kind}")
+        print(f"{name:12s} f = {entry.formula:12s} domain {entry.surface.domain}")
 
 
 def print_constants(points: int):

@@ -2,7 +2,7 @@
 
 
 class OutOfDomainError(ValueError):
-    """A point (or a stencil/hull corner) lies outside a surface's declared domain."""
+    """A point (or a hull corner) lies outside a surface's declared domain."""
 
     def __init__(self, point, domain, context=""):
         self.point = tuple(float(v) for v in point)

@@ -9,21 +9,14 @@ Surfaces are immutable; evaluation is pure.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import NonFiniteError, ParameterError
 from .geometry import GenParams, Rect, require_inside, scaled_eval_edges
 from .oracle import RationalPoly2
-
-# Optimal step exponent for a second-order cross difference.
-_FD_STEP = sys.float_info.epsilon ** 0.25
-
-ANALYTIC = "analytic"
-FINITE_DIFFERENCE = "finite-difference"
 
 
 @dataclass(frozen=True)
@@ -33,9 +26,10 @@ class Surface:
     ``f`` maps (x, y) -> value and must accept numpy arrays as well as
     scalars (all the built-in corpus entries do): quadrature and the
     membership refuters evaluate it on whole arrays of points.  ``d2f`` is
-    the analytic mixed partial d^2 f / dx dy, or None to fall back to a
-    finite-difference stencil.  ``poly`` is set only by poly_surface: the
-    exact polynomial, of which ``f`` and ``d2f`` are the float evaluators.
+    the analytic mixed partial d^2 f / dx dy, or None for an f-only surface,
+    on which the bounds, the identity and the hypothesis refuters raise
+    ParameterError.  ``poly`` is set only by poly_surface: the exact
+    polynomial, of which ``f`` and ``d2f`` are the float evaluators.
     """
 
     name: str
@@ -44,51 +38,30 @@ class Surface:
     d2f: Callable | None = None
     poly: RationalPoly2 | None = None
 
-    @property
-    def d2f_kind(self) -> str:
-        return ANALYTIC if self.d2f is not None else FINITE_DIFFERENCE
-
     def __str__(self):
         return f"{self.name} on {self.domain}"
 
 
-def _fd_steps(x, y):
-    """The stencil steps h, k = eps^(1/4) * (1 + |coordinate|), on scalars or arrays."""
-    return _FD_STEP * (1.0 + np.abs(x)), _FD_STEP * (1.0 + np.abs(y))
-
-
-def fd_mixed_partial(f: Callable, x, y):
-    """4-point cross stencil for d^2 f / dx dy with the per-coordinate steps of ``_fd_steps``."""
-    h, k = _fd_steps(x, y)
-    return (f(x + h, y + k) - f(x + h, y - k) - f(x - h, y + k) + f(x - h, y - k)) / (
-        4.0 * h * k
-    )
-
-
-def eval_mixed_partial(s: Surface, x: float, y: float) -> float:
-    """Evaluate d^2 f / dx dy at (x, y), analytically or by finite differences."""
-    if s.d2f is not None:
-        require_inside(s.domain, ((x, y),), s.name)
-        value = float(s.d2f(x, y))
-    else:
-        h, k = _fd_steps(x, y)
-        stencil = ((x + h, y + k), (x + h, y - k), (x - h, y + k), (x - h, y - k))
-        require_inside(s.domain, stencil, f"{s.name} stencil")
-        value = float(fd_mixed_partial(s.f, x, y))
-    if not np.isfinite(value):
-        raise NonFiniteError(f"{s.name} mixed partial at ({x}, {y})", value)
-    return value
-
-
 def mixed_partial_func(s: Surface) -> Callable:
-    """Unchecked mixed-partial callable (scalars or arrays).
+    """The analytic mixed partial of s, unchecked (scalars or arrays);
+    ParameterError for an f-only surface.
 
     Callers are expected to have verified domain coverage up front; this is
     the fast path used by quadrature and the membership refuters.
     """
-    if s.d2f is not None:
-        return s.d2f
-    return lambda x, y: fd_mixed_partial(s.f, x, y)
+    if s.d2f is None:
+        raise ParameterError(f"{s.name} has no analytic mixed partial d2f")
+    return s.d2f
+
+
+def eval_mixed_partial(s: Surface, x: float, y: float) -> float:
+    """Evaluate the analytic d^2 f / dx dy at (x, y), inside the domain."""
+    d2f = mixed_partial_func(s)
+    require_inside(s.domain, ((x, y),), s.name)
+    value = float(d2f(x, y))
+    if not np.isfinite(value):
+        raise NonFiniteError(f"{s.name} mixed partial at ({x}, {y})", value)
+    return value
 
 
 def require_hull_inside(s: Surface, rect: Rect, params: GenParams) -> None:

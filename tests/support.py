@@ -7,16 +7,17 @@ meaningful evidence rather than a tautology.
 
 import contextlib
 import signal
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from hhverify import MembershipSweep, RationalPoly2, Rect, Surface, cli, poly_integral_2d_exact, poly_surface
+from hhverify import MembershipSweep, RationalPoly2, Rect, Surface, cli, poly_integral_2d_exact
 from hhverify.convexity import DEFAULT_PLAN
 from hhverify.oracle import deviation_parts
-from hhverify.surfaces import _FD_STEP, _WIDE, fd_mixed_partial, require_hull_inside
+from hhverify.surfaces import _WIDE, require_hull_inside
 
 
 class TimeLimitExceeded(Exception):
@@ -45,11 +46,9 @@ HUNT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "hunt.json"
 
 
 def hunt_surfaces(count: int):
-    """configs/hunt.json's RunConfig and the first ``count`` surfaces its hunt generates."""
-    cfg = cli.load_config(HUNT_CONFIG)
-    domain = cli._hunt_domain(cfg.rect, cfg.combos)
-    rng = np.random.default_rng(cfg.seed)
-    return cfg, [poly_surface(f"hunt-{k:03d}", cli._random_nonneg_poly(rng, cfg.hunt_degree), domain) for k in range(count)]
+    """configs/hunt.json's hunt RunConfig and the first ``count`` of the surfaces it sweeps."""
+    cfg = cli.load_config(HUNT_CONFIG, command="hunt")
+    return cfg, list(cfg.surfaces.values())[:count]
 
 
 def check_cell(s, r, sense, p, plan=DEFAULT_PLAN):
@@ -102,6 +101,21 @@ def witness_margin(written, f, p, witness) -> float:
     """The margin ``written`` gives at one witness (x, y, z, w, lam, mu),
     evaluated on one-element arrays as a sweep evaluates its columns."""
     return float(written(f, p, *(np.array([v]) for v in witness))[0])
+
+
+# Optimal step exponent for a second-order cross difference.
+_FD_STEP = sys.float_info.epsilon ** 0.25
+
+
+def fd_mixed_partial(f, x, y):
+    """4-point cross stencil for d^2 f / dx dy, on scalars or arrays, with the
+    steps h, k = eps^(1/4) * (1 + |coordinate|).  Its truncation error is in
+    no error budget, so it serves only as an independent check of an
+    analytic d2f, and as a noisy integrand."""
+    h, k = _FD_STEP * (1.0 + np.abs(x)), _FD_STEP * (1.0 + np.abs(y))
+    return (f(x + h, y + k) - f(x + h, y - k) - f(x - h, y + k) + f(x - h, y - k)) / (
+        4.0 * h * k
+    )
 
 
 def crosscheck_mixed_partial(

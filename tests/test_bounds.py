@@ -190,13 +190,6 @@ def test_identity_residual_exp():
     assert abs(identity_report(corpus()["exp_sum"].surface, RECT01).residual) <= 1e-9
 
 
-def test_identity_with_finite_difference_surface():
-    s = Surface("fd-x2y2", Rect(-2, 2, -2, 2), f=lambda x, y: (x * y) ** 2)
-    rep = identity_report(s, RECT01)
-    # FD derivative is only ~1e-8 accurate, so compare against a looser budget
-    assert abs(rep.residual) <= 1e-6
-
-
 # --------------------------------------------------------------------- bounds
 
 
@@ -347,9 +340,6 @@ BOUND_GRID = [
 NARROW = Surface(
     "narrow", Rect(-1.0, 1.5, -1.0, 1.5), f=lambda x, y: x * x * y * y, d2f=lambda x, y: 4.0 * x * y
 )
-# A finite-difference d2f: the stencil around every corner of RECT01 leaves
-# the domain, the classical cell's corners included.
-FD_ON_RECT = Surface("fd", RECT01, f=lambda x, y: np.exp(x + y))
 
 
 def _bound_or_none(make):
@@ -359,9 +349,7 @@ def _bound_or_none(make):
         return None
 
 
-@pytest.mark.parametrize(
-    "s", [corpus()["exp_sum"].surface, NARROW, FD_ON_RECT], ids=["exp_sum", "narrow", "fd"]
-)
+@pytest.mark.parametrize("s", [corpus()["exp_sum"].surface, NARROW], ids=["exp_sum", "narrow"])
 def test_bound_table_matches_bound_functions(s):
     dev = deviation_terms(s, RECT01)
     rows = bound_table(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev)
@@ -375,8 +363,6 @@ def test_bound_table_matches_bound_functions(s):
     skipped = {p for _, p, _, rep in rows if rep is None}
     if s is NARROW:
         assert skipped == {p for p in BOUND_GRID if min(p.m1, p.m2) < 1.0}
-    elif s is FD_ON_RECT:
-        assert skipped == {GenParams(), *BOUND_GRID}
     else:
         assert not skipped
 

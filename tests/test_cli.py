@@ -678,10 +678,18 @@ def test_hunt_determinism(tmp_path):
 
 
 def test_corpus_listing(capsys):
+    """One line per registered surface: its name, formula and domain."""
     assert cli.main(["corpus"]) == 0
-    out = capsys.readouterr().out
-    for name in corpus():
-        assert name in out
+    wide = "domain [-8.0, 8.0] x [-8.0, 8.0]"
+    assert capsys.readouterr().out.splitlines() == [
+        f"xy           f = x*y          {wide}",
+        f"x2y2         f = x^2*y^2      {wide}",
+        f"x3y3         f = x^3*y^3      {wide}",
+        f"square_sum   f = (x+y)^2      {wide}",
+        f"constant     f = 1            {wide}",
+        f"neg_squares  f = -x^2-y^2     {wide}",
+        f"exp_sum      f = exp(x+y)     {wide}",
+    ]
 
 
 def test_constants_table(capsys):

@@ -5,6 +5,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from support import fd_mixed_partial
+
 from hhverify import (
     ConvergenceError,
     NonFiniteError,
@@ -15,7 +17,6 @@ from hhverify import (
     integrate_2d,
 )
 from hhverify.quadrature import MAX_PANELS, QuadratureResult, _panels_1d, _panels_2d, left_sum
-from hhverify.surfaces import fd_mixed_partial
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 

@@ -7,18 +7,29 @@ import pytest
 from support import constant_surface, crosscheck_mixed_partial
 
 from hhverify import (
+    CLASSICAL,
     GenParams,
+    MembershipSweep,
     NonFiniteError,
     OutOfDomainError,
+    ParameterError,
     RationalPoly2,
     Rect,
+    SamplingPlan,
     Surface,
+    bound,
+    bound_table,
     corpus,
+    deviation_terms,
     eval_mixed_partial,
+    hh_chain_2d,
+    identity_report,
     poly_surface,
 )
+from hhverify.bounds import BOUND_KINDS, VARIANTS
+from hhverify.convexity import FIRST
 from hhverify.geometry import scaled_eval_edges
-from hhverify.surfaces import _FD_STEP, require_hull_inside
+from hhverify.surfaces import require_hull_inside
 
 RECT01 = Rect(0.0, 1.0, 0.0, 1.0)
 
@@ -40,23 +51,30 @@ def test_mixed_partial_analytic():
     assert eval_mixed_partial(corpus()["x2y2"].surface, 1.0, 1.0) == 4.0
 
 
-def test_mixed_partial_finite_difference_bilinear():
-    s = Surface("fd-xy", Rect(-2, 2, -2, 2), f=lambda x, y: x * y)
-    assert s.d2f_kind == "finite-difference"
-    assert abs(eval_mixed_partial(s, 0.3, 0.7) - 1.0) <= 1e-6
+def test_f_only_surface_serves_f_and_refuses_d2f():
+    """A surface without d2f: what needs only f works, and each consumer of
+    the mixed partial raises ParameterError naming the surface."""
+    s = Surface("f-only", Rect(-2, 2, -2, 2), f=lambda x, y: x * x * y * y)
+    dev = deviation_terms(s, RECT01)
+    assert abs(dev.signed_deviation - 1.0 / 36.0) <= 1e-12
+    assert hh_chain_2d(s, RECT01, dev=dev).monotone
+    sweep = MembershipSweep(RECT01, SamplingPlan(grid_per_axis=3, random_trials=100))
+    cells = [(FIRST, GenParams())]
+    assert sweep.reports(s, cells)[0] is not None
+    for needs_d2f in (
+        lambda: eval_mixed_partial(s, 0.5, 0.5),
+        lambda: bound(CLASSICAL, s, RECT01, dev=dev),
+        lambda: bound_table(s, RECT01, [GenParams()], BOUND_KINDS, VARIANTS, dev),
+        lambda: identity_report(s, RECT01, dev=dev),
+        lambda: sweep.reports(s, cells, hypothesis=True),
+        lambda: sweep.verdicts(s, [GenParams()]),
+    ):
+        with pytest.raises(ParameterError, match="f-only has no analytic mixed partial"):
+            needs_d2f()
 
 
 def test_mixed_partial_constant():
     assert eval_mixed_partial(constant_surface(5.0), 0.4, 0.9) == 0.0
-
-
-def test_fd_stencil_domain_violation():
-    s = Surface("tight", RECT01, f=lambda x, y: x * y)
-    with pytest.raises(OutOfDomainError) as exc_info:
-        eval_mixed_partial(s, 1.0, 0.5)  # stencil pokes past x = 1
-    h, k = 2.0 * _FD_STEP, 1.5 * _FD_STEP
-    assert exc_info.value.point == (1.0 + h, 0.5 + k)  # the stencil's first point
-    assert str(exc_info.value).startswith("tight stencil: point")
 
 
 def test_non_finite_mixed_partial():
