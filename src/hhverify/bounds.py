@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 from .errors import NonFiniteError, OutOfDomainError, ParameterError
@@ -211,34 +211,35 @@ def _verdict(lhs: float, rhs: float, slack: float, budget: float) -> str:
     return INCONCLUSIVE
 
 
-def _corner_mags(s: Surface, r: Rect, p: GenParams):
+def _corner_mags(s: Surface, r: Rect, m1: float, m2: float):
     """|d2f| at the four m-scaled evaluation corners (a,c), (a,d/m2),
     (b/m1,c), (b/m1,d/m2); raises OutOfDomainError naming any corner that
-    leaves the surface's declared domain.  They depend on p only through
-    (m1, m2)."""
-    return (
-        abs(eval_mixed_partial(s, r.a, r.c)),
-        abs(eval_mixed_partial(s, r.a, r.d / p.m2)),
-        abs(eval_mixed_partial(s, r.b / p.m1, r.c)),
-        abs(eval_mixed_partial(s, r.b / p.m1, r.d / p.m2)),
-    )
+    leaves the surface's declared domain."""
+    corners = ((r.a, r.c), (r.a, r.d / m2), (r.b / m1, r.c), (r.b / m1, r.d / m2))
+    return tuple(abs(eval_mixed_partial(s, x, y)) for x, y in corners)
 
 
-def _kink_rhs(as_written_weight: float, r: Rect, p: GenParams, variant: str, mags) -> float:
+def _corner_powers(mags, q: float):
+    """``mags``^q, None where a power overflows; at q = 1 ``mags`` bit for bit."""
+    try:
+        return tuple(d**q for d in mags)
+    except OverflowError:
+        return None
+
+
+def _kink_rhs(as_written_weight: float, area: float, p: GenParams, variant: str, powers, moment) -> float:
     """The power-mean right side: area / 4^((2q-1)/q) times the q-th root of
-    the kink-moment bracket over the corner values |d2f|^q (``mags``^q).
+    the kink-moment bracket over the corner values |d2f|^q (``powers``).
 
-    proof-form weighs the corners by the products of the moments mx, my and
-    their complements 1/2 - mx, 1/2 - my.  as-written weighs the second
-    corner pair by (w - mx)(w - my), w = ``as_written_weight``: 1 for
-    power-mean, which inflates the bound, 1/2 for direct.  Direct is this at
-    q = 1 bit for bit, since x**1.0 == x and 4.0**1.0 == 4.0.
+    proof-form weighs the corners by the products of the moments mx, my
+    (``moment`` is kink_moment) and their complements 1/2 - mx, 1/2 - my.
+    as-written weighs the second corner pair by (w - mx)(w - my), w =
+    ``as_written_weight``: 1 for power-mean, which inflates the bound, 1/2
+    for direct.  Direct is this at q = 1 bit for bit, since 4.0**1.0 == 4.0.
     """
     q = p.q
-    mx = kink_moment(p.theta1)
-    my = kink_moment(p.theta2)
-    d00, d01, d10, d11 = mags
-    e00, e01, e10, e11 = d00**q, d01**q, d10**q, d11**q
+    mx, my = moment(p.theta1), moment(p.theta2)
+    e00, e01, e10, e11 = powers
     if variant == PROOF_FORM:
         bracket = (
             mx * my * e00
@@ -251,10 +252,10 @@ def _kink_rhs(as_written_weight: float, r: Rect, p: GenParams, variant: str, mag
         bracket = mx * my * (e00 + p.m1 * e10) + (w - mx) * (w - my) * (
             p.m2 * e01 + p.m1 * p.m2 * e11
         )
-    return r.area / 4.0 ** ((2.0 * q - 1.0) / q) * bracket ** (1.0 / q)
+    return area / 4.0 ** ((2.0 * q - 1.0) / q) * bracket ** (1.0 / q)
 
 
-def _holder_rhs(r: Rect, p: GenParams, variant: str, mags) -> float:
+def _holder_rhs(area: float, p: GenParams, variant: str, powers, moment) -> float:
     """The Holder right side, conjugate exponent p = q/(q-1).
 
     proof-form keeps the (theta+1) factors inside the q-th root; as-written
@@ -262,16 +263,11 @@ def _holder_rhs(r: Rect, p: GenParams, variant: str, mags) -> float:
     ((theta1+1)(theta2+1))^(1-1/q).
     """
     q, conj = p.q, p.p
-    d00, d01, d10, d11 = mags
+    e00, e01, e10, e11 = powers
     # The weighted corner sum of |d2f|^q.
-    s_term = (
-        d00**q
-        + p.m2 * p.theta2 * d01**q
-        + p.m1 * p.theta1 * d10**q
-        + p.m1 * p.m2 * p.theta1 * p.theta2 * d11**q
-    )
+    s_term = e00 + p.m2 * p.theta2 * e01 + p.m1 * p.theta1 * e10 + p.m1 * p.m2 * p.theta1 * p.theta2 * e11
     denom = (p.theta1 + 1.0) * (p.theta2 + 1.0)
-    base = r.area / (4.0 * (conj + 1.0) ** (2.0 / conj))
+    base = area / (4.0 * (conj + 1.0) ** (2.0 / conj))
     if variant == PROOF_FORM:
         return base * (s_term / denom) ** (1.0 / q)
     return base / denom * s_term ** (1.0 / q)
@@ -280,7 +276,7 @@ def _holder_rhs(r: Rect, p: GenParams, variant: str, mags) -> float:
 @dataclass(frozen=True)
 class Theorem:
     """One bound: its q range (``applies``; ``q_range`` in words) and its
-    right side ``rhs(r, p, variant, mags)``."""
+    right side ``rhs(area, p, variant, powers, moment)`` (see _kink_rhs)."""
 
     q_range: str
     applies: Callable[[float], bool]
@@ -292,7 +288,7 @@ class Theorem:
 # average of |d2f|.
 THEOREMS = {
     CLASSICAL: Theorem(
-        "q = 1", lambda q: q == 1.0, lambda r, p, variant, mags: r.area / 16.0 * (left_sum(mags) / 4.0)
+        "q = 1", lambda q: q == 1.0, lambda area, p, variant, e, moment: area / 16.0 * (left_sum(e) / 4.0)
     ),
     DIRECT: Theorem("q = 1", lambda q: q == 1.0, partial(_kink_rhs, 0.5)),
     HOLDER: Theorem("q > 1", lambda q: q > 1.0, _holder_rhs),
@@ -306,14 +302,11 @@ def _require_known(kinds, variants) -> None:
             raise ParameterError(f"unknown {what} {unknown[0]!r}; expected one of {known}")
 
 
-def _report(kind: str, r: Rect, p: GenParams, variant: str, dev: DeviationTerms, mags) -> BoundReport:
+def _report(kind: str, area: float, p: GenParams, variant: str, dev, powers, moment) -> BoundReport:
     """The ``kind`` bound at p against the deviation ``dev``, from the corner
-    magnitudes ``mags`` (_corner_mags): the one call of a right side.  A
-    right side whose power |d2f|^q overflows is NaN, so inconclusive."""
-    try:
-        rhs = THEOREMS[kind].rhs(r, p, variant, mags)
-    except OverflowError:
-        rhs = math.nan
+    powers (_corner_powers): the one call of a right side.  Where a power
+    |d2f|^q overflowed (``powers`` None) the right side is NaN, so inconclusive."""
+    rhs = math.nan if powers is None else THEOREMS[kind].rhs(area, p, variant, powers, moment)
     lhs, budget = dev.abs_deviation, dev.error_budget
     slack = rhs - lhs
     return BoundReport(kind, variant, lhs, rhs, slack, budget, _verdict(lhs, rhs, slack, budget))
@@ -327,21 +320,26 @@ def bound_table(s: Surface, r: Rect, cells, kinds, variants, dev: DeviationTerms
 
     A right side depends on its cell only through (theta1, theta2, m1, m2,
     q), so the rows with equal (kind, variant, theta1, theta2, m1, m2, q)
-    share one report.  |d2f| at the m-scaled corners is evaluated once per
-    (m1, m2); the report is None where those corners leave the domain.  An
-    unknown kind or variant raises ParameterError."""
+    share one report.  The area is taken once, kink_moment once per theta
+    and the corner powers |d2f|^q once per (m1, m2, q); the report is None
+    where the corners leave the domain.  An unknown kind or variant raises
+    ParameterError."""
     _require_known(kinds, variants)
-    mags: dict = {}  # (m1, m2) -> _corner_mags, None off the domain
+    area, moment = r.area, cache(kink_moment)
     shared: dict = {}  # (theta1, theta2, m1, m2, q) -> the rows of its first cell
 
+    @cache
+    def mags(m1, m2):  # None off the domain
+        try:
+            return _corner_mags(s, r, m1, m2)
+        except OutOfDomainError:
+            return None
+
+    powers = cache(lambda m1, m2, q: _corner_powers(mags(m1, m2), q))
+
     def row(kind, p, variant):
-        if (p.m1, p.m2) not in mags:
-            try:
-                mags[p.m1, p.m2] = _corner_mags(s, r, p)
-            except OutOfDomainError:
-                mags[p.m1, p.m2] = None
-        m = mags[p.m1, p.m2]
-        return kind, p, variant, None if m is None else _report(kind, r, p, variant, dev, m)
+        rep = mags(p.m1, p.m2) and _report(kind, area, p, variant, dev, powers(p.m1, p.m2, p.q), moment)
+        return kind, p, variant, rep
 
     table = [row(CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM)] if CLASSICAL in kinds else []
     grid = [kind for kind in BOUND_KINDS if kind != CLASSICAL and kind in kinds]
@@ -372,7 +370,8 @@ def bound(
         raise ParameterError(f"{kind} bound requires {THEOREMS[kind].q_range}, got q = {p.q}")
     if dev is None:
         dev = deviation_terms(s, r)
-    return _report(kind, r, p, variant, dev, _corner_mags(s, r, p))
+    powers = _corner_powers(_corner_mags(s, r, p.m1, p.m2), p.q)
+    return _report(kind, r.area, p, variant, dev, powers, kink_moment)
 
 
 def hh_chain_2d(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NonFiniteError, OutOfDomainError
-from .geometry import GenParams, Rect
+from .geometry import Rect
 from .surfaces import Surface, mixed_partial_func, require_hull_inside
 
 NO_VIOLATION = "no-violation-found"
@@ -71,62 +71,6 @@ class MembershipReport:
     worst_margin: float
     witness: tuple  # (x, y, z, w, lam, mu)
     samples_checked: int
-
-
-def _points(f, m1, m2, x, y, z, w, lam, mu):
-    """f at the four m-scaled corner points and at the convex combination.
-
-    These are a margin's only evaluations of f; they depend on m but not on
-    s or alpha, so a sweep evaluates them once per (m1, m2).
-    """
-    return (
-        f(x, y),
-        f(x, w / m2),
-        f(z / m1, y),
-        f(z / m1, w / m2),
-        f(lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w),
-    )
-
-
-def _weights_first(p: GenParams, power):
-    """The four corner weights of the first-sense inequality; ``power(axis,
-    e)`` is lam^e on axis 0 and mu^e on axis 1."""
-    wl = power(0, p.theta1)
-    wm = power(1, p.theta2)
-    return (
-        wl * wm,
-        p.m2 * wl * (1.0 - wm),
-        p.m1 * wm * (1.0 - wl),
-        p.m1 * p.m2 * (1.0 - wl) * (1.0 - wm),
-    )
-
-
-def _weights_second(p: GenParams, power):
-    """The four corner weights of the second-sense inequality."""
-    wl = power(0, p.theta1)
-    wm = power(1, p.theta2)
-    cl = np.power(1.0 - power(0, p.alpha1), p.s1)
-    cm = np.power(1.0 - power(1, p.alpha2), p.s2)
-    return (wl * wm, p.m2 * wl * cm, p.m1 * wm * cl, p.m1 * p.m2 * cl * cm)
-
-
-def _combine(weights, points):
-    """RHS - LHS from the corner weights and the five point values.
-
-    Products and sums associate left to right, so the result is bitwise the
-    inequality written out in full (weight factors first, then the value).
-    """
-    k1, k2, k3, k4 = weights
-    fxy, fxw, fzy, fzw, lhs = points
-    rhs = k1 * fxy + k2 * fxw + k3 * fzy + k4 * fzw
-    return rhs - lhs
-
-
-# Per sense: its weights and the parameters besides m that they depend on.
-_SENSES = {
-    FIRST: (_weights_first, lambda p: (p.theta1, p.theta2)),
-    SECOND: (_weights_second, lambda p: (p.s1, p.s2, p.alpha1, p.alpha2)),
-}
 
 
 def _power(v, q: float):
@@ -185,9 +129,26 @@ def _raise_first(errors, members):
     """Raise the NonFiniteError of the first failing (cell, error) in
     ``errors``: in q order, then cell order, each by first appearance among
     the group's ``members``."""
-    if errors:
-        qs = list(dict.fromkeys(p.q for _, p in members))
-        raise min(errors, key=lambda e: (qs.index(e[0][1].q), members.index(e[0])))[1]
+    qs = list(dict.fromkeys(p.q for _, p in members))
+    raise min(errors, key=lambda e: (qs.index(e[0][1].q), members.index(e[0])))[1]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key k with make(k), once."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+# The points of the inequality: (m1, m2) is (x or z/m1, y or w/m2), None
+# marking the unscaled axis, and _LHS the convex combination.
+_XY = (None, None)
+_LHS = "lhs"
 
 
 class MembershipSweep:
@@ -197,12 +158,14 @@ class MembershipSweep:
     of the sample columns, once per distinct exponent e (theta = alpha*s,
     and alpha in the second sense); they do not depend on the surface.
     ``reports`` and ``verdicts`` run one loop, ``_scan``, over the cells of
-    one surface grouped by (m1, m2): per group and block it evaluates the
-    five point arrays once (for hypotheses raw d2f once, then |d2f|^q once
-    per q), per (sense, weight parameters) it computes the corner weights
-    once, and per q it judges once for every cell alike in sense, weight
-    parameters, m and q: their margins are bitwise equal.  A report's margin
-    is the sweep's own margin at its witness, which the written-out
+    one surface: per sample block, per unit (sense, weight parameters), per
+    q, per (m1, m2) group.  Of the right side k1 f(x, y) + k2 f(x, w/m2) +
+    k3 f(z/m1, y) + k4 f(z/m1, w/m2) only the last three terms depend on m,
+    and each on only one of m1, m2 but the last, so the work that does not
+    depend on a group is done once and shared by the groups that need it.
+    One judgement per (unit, q, group) serves every cell alike in sense,
+    weight parameters, m and q: their margins are bitwise equal.  A report's
+    margin is the sweep's own margin at its witness, which the written-out
     inequality on one-element arrays reproduces.  ``reports`` scans the
     whole table as one block, ``verdicts`` the doubling blocks of _blocks.
     """
@@ -222,99 +185,139 @@ class MembershipSweep:
             self._powers[key] = np.power(self.samples[4 + axis], e)
         return self._powers[key]
 
-    def _groups(self, s: Surface, keys, results: dict):
-        """The distinct keys grouped by (m1, m2), in order of first
-        appearance, each yielded as ((m1, m2), members, units) with units
-        (sense, weight parameters) -> (first p, q -> its cells).  The
+    def _units(self, s: Surface, keys, results: dict):
+        """The distinct keys as (groups, units): groups lists ((m1, m2),
+        members) in order of first appearance, units maps (sense, weight
+        parameters) -> (first p, q -> group index -> its cells).  The
         evaluation hull is checked once per group; a group whose hull leaves
-        the domain is not yielded, and its cells get None in ``results``."""
-        groups: dict = {}
+        the domain is left out, and its cells get None in ``results``."""
+        by_m: dict = {}
         for key in dict.fromkeys(keys):
-            groups.setdefault((key[1].m1, key[1].m2), []).append(key)
-        for m, members in groups.items():
+            by_m.setdefault((key[1].m1, key[1].m2), []).append(key)
+        groups, units = [], {}
+        for m, members in by_m.items():
             try:
                 require_hull_inside(s, self.rect, members[0][1])
             except OutOfDomainError:
                 results.update(dict.fromkeys(members))
                 continue
-            units: dict = {}
             for sense, p in members:
-                by_q = units.setdefault((sense, _SENSES[sense][1](p)), (p, {}))[1]
-                by_q.setdefault(p.q, []).append((sense, p))
-            yield m, members, units
+                unit = (sense, (p.theta1, p.theta2) if sense == FIRST else (p.s1, p.s2, p.alpha1, p.alpha2))
+                by_q = units.setdefault(unit, (p, {}))[1]
+                by_q.setdefault(p.q, {}).setdefault(len(groups), []).append((sense, p))
+            groups.append((m, members))
+        return groups, units
 
     def _judge(self, margins, cols, s: Surface, q, witness: bool):
         """The witness of ``margins`` over the sample columns ``cols``, its
         margin and that margin's verdict.  The witness is the
         lexicographically least (x, y, z, w, lam, mu) among the least
-        margins; a non-finite margin raises the NonFiniteError of its first
-        sample instead, naming the target surface: s, or |d2f|^q
-        (abs_mixed_surface) where q is not None.  Without ``witness`` the
-        least and the largest margin alone judge and the witness is None;
-        only where one of the two is not finite is the first bad sample
-        looked for."""
+        margins; without ``witness`` it is None, and the least margin alone
+        judges.  Where the least or the largest margin is not finite, the
+        NonFiniteError of the first non-finite sample is raised instead,
+        naming the target surface: s, or |d2f|^q (abs_mixed_surface) where q
+        is not None."""
         self.work["sample_margins"] += margins.size
         found, margin = None, float(margins.min())
-        if witness or not (math.isfinite(margin) and math.isfinite(margins.max())):
-            bad = ~np.isfinite(margins)
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                name = s.name if q is None else abs_mixed_surface(s, q).name
-                raise NonFiniteError(
-                    f"{name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
-                    float(margins[i]),
-                )
+        if not (math.isfinite(margin) and math.isfinite(margins.max())):
+            i = int(np.flatnonzero(~np.isfinite(margins))[0])
+            name = s.name if q is None else abs_mixed_surface(s, q).name
+            raise NonFiniteError(
+                f"{name} margin at sample ({', '.join(str(c[i]) for c in cols)})",
+                float(margins[i]),
+            )
+        if witness:
             ties = np.flatnonzero(margins == margin)
             # lexsort is stable, so equal tuples keep the first index.
             i = ties[np.lexsort([c[ties] for c in reversed(cols)])[0]]
             found, margin = tuple(float(c[i]) for c in cols), float(margins[i])
         return found, margin, VIOLATED if margin < -self.plan.tolerance else NO_VIOLATION
 
+    def _unit_margins(self, sense, p, live, groups, val, block):
+        """(q, group index, margins) over ``block`` for the unit of sense and
+        p's weight parameters, for each (q, group indices) of ``live``; P is
+        the point value ``val`` at q (see _scan).  The weights wl = lam^theta1
+        and wm = mu^theta2, their complements cl and cm (1 - wl and 1 - wm in
+        the first sense, (1 - lam^alpha1)^s1 and (1 - mu^alpha2)^s2 in the
+        second) and k1 = wl wm are computed once; per q k1 P(x, y) once,
+        k1 P(x, y) + k2 P(x, w/m2) once per m2 and k3 P(z/m1, y) once per m1,
+        with k2 = m2 wl cm, k3 = m1 wm cl and k4 = m1 m2 cl cm.  The margin
+        ((k1 P1 + k2 P2) + k3 P3) + k4 P4 - P(combination) associates as the
+        inequality is written, so it is bitwise the one a scan of each group
+        apart gives."""
+        power = lambda axis, e: self._sample_power(axis, e)[block]
+        wl, wm = power(0, p.theta1), power(1, p.theta2)
+        if sense == FIRST:
+            cl, cm = 1.0 - wl, 1.0 - wm
+        else:
+            cl = np.power(1.0 - power(0, p.alpha1), p.s1)
+            cm = np.power(1.0 - power(1, p.alpha2), p.s2)
+        k1 = wl * wm
+        for q, gs in live:
+            head = k1 * val[_XY, q]
+            upper = _Memo(lambda m2: head + m2 * wl * cm * val[(None, m2), q])
+            side = _Memo(lambda m1: m1 * wm * cl * val[(m1, None), q])
+            for g in gs:
+                m1, m2 = groups[g][0]
+                yield q, g, upper[m2] + side[m1] + m1 * m2 * cl * cm * val[(m1, m2), q] - val[_LHS, q]
+
     def _scan(self, s: Surface, keys, hypothesis: bool, blocks, witness: bool) -> list:
         """The MembershipReport of each key, None off the domain; without
-        ``witness`` a report's witness is None (see _judge).  Per (m1,
-        m2) group the sample blocks are scanned in order, evaluating the
-        five point arrays of a block only while some cell of the group is
-        pending.  A pending cell judges each block; its report is that of
-        its first violated block, or else of the last, with samples_checked
-        the end of that block.  Weights are computed outside and q inside, so
-        one unit's four weight arrays live at a time (q outside costs +17 %
-        peak memory on hunt), and the errors of a block are raised in q
-        order (see _raise_first)."""
+        ``witness`` a report's witness is None (see _judge).  The blocks are
+        scanned in order, each for the groups with a pending cell.  Per block
+        f (for hypotheses |d2f|, then its q-th power once per q) is evaluated
+        at (x, y) and at the convex combination once, at (x, w/m2) once per
+        m2, at (z/m1, y) once per m1 and at (z/m1, w/m2) once per group, each
+        only where a pending cell needs it; the units' weights and sums are
+        _unit_margins'.  A pending cell judges each block; its report is that
+        of its first violated block, or else of the last, with
+        samples_checked the end of that block.  A group stops at its first
+        block with a non-finite margin; the groups after the first failed one
+        stop with it, those before it scan on, and then the first failed
+        group raises its error of that block (see _raise_first), as a scan of
+        one group after another would."""
         fn = mixed_partial_func(s) if hypothesis else s.f
-        batched = lambda xs, ys: _batch_eval(fn, xs, ys)
         results: dict = {}
-        for (m1, m2), members, units in self._groups(s, keys, results):
-            for block in blocks:
-                live = {q for _, by_q in units.values() for q in by_q}  # q of the pending cells
+        groups, units = self._units(s, keys, results)
+        stop, failure = len(groups), None  # groups from stop on are not scanned
+        for block in blocks:
+            if not any(g < stop for _, by_q in units.values() for by_g in by_q.values() for g in by_g):
+                break
+            cols = tuple(c[block] for c in self.samples)
+            x, y, z, w, lam, mu = cols
+
+            def evaluate(point):
+                if point == _LHS:
+                    xs, ys = lam * x + (1.0 - lam) * z, mu * y + (1.0 - mu) * w
+                else:
+                    xs = x if point[0] is None else z / point[0]
+                    ys = y if point[1] is None else w / point[1]
+                self.work["batched_evaluations"] += 1
+                v = _batch_eval(fn, xs, ys)
+                return np.abs(v) if hypothesis else v
+
+            raw = _Memo(evaluate)  # point -> f, or |d2f|, there
+            val = _Memo(lambda key: _power(raw[key[0]], key[1]))  # (point, q) -> raw^q
+            errors: dict = {}  # group index -> [(cell, NonFiniteError)]
+            for (sense, _), (p, by_q) in units.items():
+                live = [(q, gs) for q, by_g in by_q.items() if (gs := [g for g in by_g if g < stop])]
                 if not live:
-                    break
-                cols = tuple(c[block] for c in self.samples)
-                raw = _points(batched, m1, m2, *cols)
-                self.work["batched_evaluations"] += len(raw)
-                if hypothesis:
-                    raw = tuple(np.abs(v) for v in raw)
-                points = {q: tuple(_power(v, q) for v in raw) for q in live}
-                power = lambda axis, e: self._sample_power(axis, e)[block]
-                errors = []
-                for (sense, _), (p, by_q) in units.items():
-                    if not by_q:
+                    continue
+                for q, g, margins in self._unit_margins(sense, p, live, groups, val, block):
+                    same = by_q[q][g]
+                    try:
+                        found, margin, verdict = self._judge(margins, cols, s, q if hypothesis else None, witness)
+                    except NonFiniteError as exc:
+                        errors.setdefault(g, []).append((same[0], exc))
                         continue
-                    weights = _SENSES[sense][0](p, power)
-                    for q, same in list(by_q.items()):
-                        margins = _combine(weights, points[q])
-                        try:
-                            found, margin, verdict = self._judge(
-                                margins, cols, s, q if hypothesis else None, witness
-                            )
-                        except NonFiniteError as exc:
-                            errors.append((same[0], exc))
-                            continue
-                        rep = MembershipReport(verdict, margin, found, block.stop)
-                        results.update(dict.fromkeys(same, rep))
-                        if verdict == VIOLATED:
-                            del by_q[q]
-                _raise_first(errors, members)
+                    results.update(dict.fromkeys(same, MembershipReport(verdict, margin, found, block.stop)))
+                    if verdict == VIOLATED:
+                        del by_q[q][g]
+            if errors:
+                stop = min(errors)
+                failure = errors[stop]
+        if failure:
+            _raise_first(failure, groups[stop][1])
         self.work["membership_reports"] += sum(rep is not None for rep in results.values())
         return [results[key] for key in keys]
 

@@ -325,24 +325,29 @@ def counting(fn, calls):
 
 
 def test_sweep_evaluates_once_per_m_pair():
+    # Per block: f at (x, y) and at the convex combination once, at
+    # (x, w/m2) once per m2, at (z/m1, y) once per m1, at (z/m1, w/m2) once
+    # per (m1, m2) pair: 2 + 2 + 2 + 4 = 10 calls for SWEEP_GRID.
     pairs = {(p.m1, p.m2) for p in SWEEP_GRID}
+    points = 2 + len({m1 for m1, _ in pairs}) + len({m2 for _, m2 in pairs}) + len(pairs)
+    assert points == 10
     f_calls, d2f_calls = [], []
     base = corpus()["x2y2"].surface
     s = Surface("counted", base.domain, f=counting(base.f, f_calls), d2f=counting(base.d2f, d2f_calls))
     sweep = MembershipSweep(RECT01, PLAN)
     cells = [(sense, p) for p in SWEEP_GRID for sense in (FIRST, SECOND)]
     sweep.reports(s, cells)
-    assert len(f_calls) == 5 * len(pairs) < len(cells)
+    assert len(f_calls) == points < len(cells)
     assert not d2f_calls
     hyp_cells = [(FIRST, p) for p in SWEEP_GRID]
     sweep.reports(s, hyp_cells, hypothesis=True)
-    assert len(d2f_calls) == 5 * len(pairs) < len(SWEEP_GRID)
-    assert len(f_calls) == 5 * len(pairs)
+    assert len(d2f_calls) == points < len(SWEEP_GRID)
+    assert len(f_calls) == points
     assert set(f_calls + d2f_calls) == {len(sweep.samples[0])}
     # f does not depend on q (its cells are shared across q); |d2f|^q does
     distinct = len(distinct_margins(cells, False)) + len(distinct_margins(hyp_cells, True))
     assert sweep.work == {
-        "batched_evaluations": 2 * 5 * len(pairs),
+        "batched_evaluations": 2 * points,
         "membership_reports": len(cells) // 3 + len(SWEEP_GRID),
         "sample_margins": distinct * len(sweep.samples[0]),
     }
@@ -510,6 +515,36 @@ def test_verdicts_raise_a_non_finite_margin_past_the_first_block(value, at_corne
     assert repr(swept.value.value) == repr(margin)
 
 
+def test_verdicts_raise_the_first_groups_error_though_a_later_group_fails_first():
+    # |d2f| = 1 on [0, 1]^2, but NaN at the (x, y) corner of the last sample,
+    # in the last block, and +inf right of x = 1, which only the points
+    # z/m1 of the m1 = 0.5 group reach.  The (1, 1) group comes first and
+    # meets its NaN in the last block; the (0.5, 1) group after it fails in
+    # the first block.  Scanned group after group, the first group's error
+    # is the one raised.
+    calls = []
+    sweep = MembershipSweep(RECT01, SMALL_PLAN)
+    x, y = sweep.samples[:2]
+    i = len(x) - 1
+    assert i >= convexity.BLOCK
+    spot = lambda xs, ys: np.where((xs == x[i]) & (ys == y[i]), np.nan, np.where(xs > 1.0, np.inf, 1.0))
+    s = Surface("spot", Rect(-8, 8, -8, 8), f=lambda xs, ys: np.zeros(np.shape(xs)), d2f=counting(spot, calls))
+    first, later = GenParams(), GenParams(m1=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as alone:
+            sweep.verdicts(s, [later])
+        assert calls == 5 * [convexity.BLOCK]
+        with pytest.raises(NonFiniteError) as own:
+            sweep.verdicts(s, [first])
+        with pytest.raises(NonFiniteError) as judged:
+            sweep.verdicts(s, [first, later])
+        with pytest.raises(NonFiniteError) as swept:
+            sweep.reports(s, [(FIRST, first), (FIRST, later)], hypothesis=True)
+    last = f"|^1 margin at sample ({', '.join(str(c[i]) for c in sweep.samples)})"
+    assert last in str(judged.value) and last not in str(alone.value)
+    assert str(judged.value) == str(own.value) == str(swept.value)
+
+
 def verdicts_of_reports(sweep, s, params):
     reports = sweep.reports(s, [(FIRST, p) for p in params], hypothesis=True)
     return [None if rep is None else rep.verdict for rep in reports]
@@ -610,7 +645,8 @@ def test_hypothesis_reports_take_the_least_whole_table_margin():
 def test_verdicts_scan_only_the_blocks_a_group_needs():
     # |d2f|^q = exp(q (x + y)): every cell of the two m < 1 groups is violated
     # in the first block, so those groups evaluate d2f on it alone; the m = 1
-    # group has clean cells, which scan both blocks.
+    # group has clean cells, which scan both blocks.  The first block takes
+    # 2 + 2 (m1) + 2 (m2) + 3 (groups) = 9 point arrays, the second 5.
     calls = []
     exp = lambda x, y: np.exp(x + y)
     s = Surface("exp", Rect(-8, 8, -8, 8), f=exp, d2f=counting(exp, calls))
@@ -622,7 +658,7 @@ def test_verdicts_scan_only_the_blocks_a_group_needs():
     for p, verdict in zip(COLLIDING_GRID, verdicts):
         by_m.setdefault((p.m1, p.m2), set()).add(verdict)
     assert by_m == {(0.5, 1.0): {VIOLATED}, (1.0, 0.5): {VIOLATED}, (1.0, 1.0): {VIOLATED, NO_VIOLATION}}
-    assert calls == 3 * 5 * [512] + 5 * [n - 512]
+    assert calls == 9 * [512] + 5 * [n - 512]
     assert sweep.work["batched_evaluations"] == len(calls)
 
 

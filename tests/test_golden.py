@@ -35,7 +35,7 @@ QUICK_SUMMARY = {
     "proof_form_failures": [],
     "rows": 1372,
     "work": {
-        "batched_evaluations": 140, "membership_reports": 224, "sample_margins": 7742560,
+        "batched_evaluations": 70, "membership_reports": 224, "sample_margins": 7742560,
         "samples_per_report": 34565,
     },
     "worst_slack": 0.0,
@@ -48,7 +48,7 @@ HUNT_TWO_SURFACES_SUMMARY = {
     "rows": 3456,
     "surfaces_generated": 2,
     "work": {
-        "batched_evaluations": 120, "membership_reports": 864, "sample_margins": 875267,
+        "batched_evaluations": 76, "membership_reports": 864, "sample_margins": 875267,
         "samples_per_report": 12957,
     },
 }
