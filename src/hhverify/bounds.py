@@ -313,16 +313,18 @@ def _report(kind: str, area: float, p: GenParams, variant: str, dev, powers, mom
 
 
 def bound_table(s: Surface, r: Rect, cells, kinds, variants, dev: DeviationTerms) -> list:
-    """(kind, p, variant, report) for every bound of s over r that ``kinds``
-    and ``variants`` select: the classical bound first, at the classical
-    parameters and proof-form, then each p of ``cells`` x each kind that
-    applies at p.q x each variant.  ``dev`` is deviation_terms(s, r).
+    """(p, rows) for each cell of s over r, rows listing (kind, variant,
+    report) for every bound that ``kinds`` and ``variants`` select: the
+    classical cell first, with the classical bound at the classical
+    parameters and proof-form, then each p of ``cells`` with each kind that
+    applies at p.q x each variant (no rows where none applies).  ``dev`` is
+    deviation_terms(s, r).
 
     A right side depends on its cell only through (theta1, theta2, m1, m2,
-    q), so the rows with equal (kind, variant, theta1, theta2, m1, m2, q)
-    share one report.  The area is taken once, kink_moment once per theta
-    and the corner powers |d2f|^q once per (m1, m2, q); the report is None
-    where the corners leave the domain.  An unknown kind or variant raises
+    q), so the cells with equal (theta1, theta2, m1, m2, q) share one rows
+    list.  The area is taken once, kink_moment once per theta and the corner
+    powers |d2f|^q once per (m1, m2, q); the report is None where the
+    corners leave the domain.  An unknown kind or variant raises
     ParameterError."""
     _require_known(kinds, variants)
     area, moment = r.area, cache(kink_moment)
@@ -339,15 +341,15 @@ def bound_table(s: Surface, r: Rect, cells, kinds, variants, dev: DeviationTerms
 
     def row(kind, p, variant):
         rep = mags(p.m1, p.m2) and _report(kind, area, p, variant, dev, powers(p.m1, p.m2, p.q), moment)
-        return kind, p, variant, rep
+        return kind, variant, rep
 
-    table = [row(CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM)] if CLASSICAL in kinds else []
+    table = [(CLASSICAL_PARAMS, [row(CLASSICAL, CLASSICAL_PARAMS, PROOF_FORM)])] if CLASSICAL in kinds else []
     grid = [kind for kind in BOUND_KINDS if kind != CLASSICAL and kind in kinds]
     for p in cells:
         key = (p.theta1, p.theta2, p.m1, p.m2, p.q)
         if key not in shared:
             shared[key] = [row(k, p, v) for k in grid if THEOREMS[k].applies(p.q) for v in variants]
-        table += [(k, p, v, rep) for k, _, v, rep in shared[key]]
+        table.append((p, shared[key]))
     return table
 
 

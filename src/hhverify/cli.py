@@ -12,10 +12,11 @@ constants  print the kink-moment table over a theta grid.
 verify and hunt are one driver, ``_run``, keyed by the command.
 ``build_config`` states each command's rules once: which surfaces (the
 corpus names, or seeded random polynomials), variants and checks it runs.
-Each surface goes through one routine, ``_sweep_surface``: hunt refutes the
-hypothesis of every evaluated cell, verify only of the violated proof-form
-cells.  ``_run`` writes the command's files, and both summaries list
-findings in one shape.
+Each surface goes through one routine, ``_sweep_surface``, which takes the
+surface's ``bound_table`` one cell at a time: hunt refutes the hypothesis of
+every cell that has a report, verify only of each cell with a violated
+proof-form row.  ``_run`` writes the command's files, and both summaries
+list findings in one shape.
 
 Exit codes: 0 clean; 1 a proof-form row is a finding: violated while the
 refuter finds its hypothesis clean (an acceptance failure); 2 usage or
@@ -107,7 +108,6 @@ class RunConfig:
     checks: list[str]
     plan: SamplingPlan
     output_dir: Path
-    seed: int
     hunt_degree: int
 
 
@@ -257,7 +257,7 @@ def build_config(raw: dict, *, seed=None, out=None, command="verify") -> RunConf
         surfaces = {n: poly_surface(n, _random_nonneg_poly(rng, degree), domain) for n in names}
     return RunConfig(
         command=command, surfaces=surfaces, rect=rect, combos=combos, variants=variants, checks=checks,
-        plan=plan, output_dir=Path(cfg["output_dir"]), seed=cfg["seed"], hunt_degree=degree,
+        plan=plan, output_dir=Path(cfg["output_dir"]), hunt_degree=degree,
     )
 
 
@@ -284,13 +284,9 @@ def _fmt(v):
     return str(v)
 
 
-def _param_cols(combos) -> dict:
-    """The formatted parameter columns of the classical cell and of each
-    grid cell, keyed by GenParams.  A run formats each distinct value of a
-    column once: a column lists 0.0 or -0.0, not both (build_config)."""
-    cells = (CLASSICAL_PARAMS, *combos)
-    text = [{v: _fmt(float(v)) for v in dict.fromkeys(getattr(p, k) for p in cells)} for k in PARAM_KEYS]
-    return {p: tuple(col[getattr(p, k)] for col, k in zip(text, PARAM_KEYS)) for p in cells}
+def _param_cols(p: GenParams) -> tuple:
+    """The seven formatted parameter columns of the cell p, in PARAM_KEYS order."""
+    return tuple(_fmt(getattr(p, k)) for k in PARAM_KEYS)
 
 
 def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) -> None:
@@ -316,11 +312,13 @@ def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) 
 NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-def _sweep_surface(name, s, cfg, param_cols, sweep, files) -> list:
+def _sweep_surface(name, s, cfg, sweep, files) -> list:
     """Append the rows of one surface to ``files`` and return its findings:
     the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
-    hunt refutes the hypothesis of every evaluated cell, verify only of the
-    violated proof-form cells, in one batched call."""
+    The bound rows come from bound_table one cell at a time.  hunt refutes
+    the hypothesis of every cell that has a report, verify only of each cell
+    with a violated proof-form row, in one batched call; each cell reads its
+    verdict and formats its parameter columns once."""
     rect, checks, combos, hunt = cfg.rect, cfg.checks, cfg.combos, cfg.command == "hunt"
     needs_dev = any(c in checks for c in (*BOUND_KINDS, "identity", "chain"))
     dev = deviation_terms(s, rect) if needs_dev else None
@@ -340,32 +338,30 @@ def _sweep_surface(name, s, cfg, param_cols, sweep, files) -> list:
             cols = (SKIPPED, *[""] * 8) if rep is None else (
                 rep.verdict, *map(_fmt, (rep.worst_margin, *rep.witness)), str(rep.samples_checked)
             )
-            files["membership"].append((name, "f", notion, *param_cols[p], *cols))
+            files["membership"].append((name, "f", notion, *_param_cols(p), *cols))
 
-    swept = bound_table(s, rect, combos, [c for c in checks if c in BOUND_KINDS], cfg.variants, dev)
-    keys = [  # the row's own cell, where its hypothesis is refuted; None where it is not
-        p
-        if rep is not None and (hunt or (variant == PROOF_FORM and rep.verdict == BOUND_VIOLATED))
-        else None
-        for _, p, variant, rep in swept
+    table = bound_table(s, rect, combos, [c for c in checks if c in BOUND_KINDS], cfg.variants, dev)
+    refuted = [  # the table index of each cell whose hypothesis is refuted
+        i for i, (_, rows) in enumerate(table)
+        if any(rep is not None and (hunt or (v == PROOF_FORM and rep.verdict == BOUND_VIOLATED)) for _, v, rep in rows)
     ]
-    params = [p for p in dict.fromkeys(keys) if p is not None]
-    hyps = dict(zip(params, sweep.verdicts(s, params)))
+    hyps = dict(zip(refuted, sweep.verdicts(s, [table[i][0] for i in refuted])))
     # Each distinct report's columns, formatted once: bound_table shares a
-    # report among rows, and every report has dev's lhs and error_budget.
+    # report among cells, and every report has dev's lhs and error_budget.
     # None is a cell skipped for leaving the domain.
-    lhs, budget = (_fmt(dev.abs_deviation), _fmt(dev.error_budget)) if swept else ("", "")
+    lhs, budget = (_fmt(dev.abs_deviation), _fmt(dev.error_budget)) if dev is not None else ("", "")
     text = {id(None): ("", "", "", "", SKIPPED)}
-    findings, rows = [], files["hunt" if hunt else "bounds"]
-    for (kind, p, variant, rep), key in zip(swept, keys):
-        hypothesis = hyps.get(key) or SKIPPED
-        if id(rep) not in text:
-            text[id(rep)] = (lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
-        row = (name, kind, variant, *param_cols[p], *text[id(rep)])
-        rows.append(row + (hypothesis,) if hunt else row)
-        if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
-            finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
-            findings.append(finding | {k: getattr(p, k) for k in PARAM_KEYS})
+    findings, out = [], files["hunt" if hunt else "bounds"]
+    for i, (p, rows) in enumerate(table):
+        hypothesis, cols = hyps.get(i) or SKIPPED, _param_cols(p)
+        for kind, variant, rep in rows:
+            if id(rep) not in text:
+                text[id(rep)] = (lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
+            row = (name, kind, variant, *cols, *text[id(rep)])
+            out.append(row + (hypothesis,) if hunt else row)
+            if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
+                finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
+                findings.append(finding | {k: getattr(p, k) for k in PARAM_KEYS})
     return findings
 
 
@@ -381,10 +377,9 @@ def _run(cfg: RunConfig) -> int:
     hunt = cfg.command == "hunt"
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     files = {"hunt" if hunt else "bounds": [], "membership": [], "chains": [], "identity": []}
-    param_cols = _param_cols(cfg.combos)
     findings = []
     for name, s in cfg.surfaces.items():
-        findings += _sweep_surface(name, s, cfg, param_cols, sweep, files)
+        findings += _sweep_surface(name, s, cfg, sweep, files)
 
     def tally(key, col):  # each value of the column, with its number of rows
         return Counter(row[HEADERS[key].index(col)] for row in files[key])

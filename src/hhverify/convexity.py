@@ -174,16 +174,14 @@ class MembershipSweep:
         self.rect = rect
         self.plan = plan
         self.samples = _samples(rect, plan)
-        self._powers: dict = {}  # (axis, e) -> lam^e or mu^e
+        # (axis, e) -> lam^e (axis 0) or mu^e (axis 1) over the samples, once
+        # per sweep.  lam^0 with lam = 0 is 1 (the limit convention), as
+        # np.power gives.  The memo holds the samples, not self: a cycle
+        # through self would keep a dropped sweep's arrays alive until the
+        # garbage collector runs.
+        samples = self.samples
+        self._powers = _Memo(lambda key: np.power(samples[4 + key[0]], key[1]))
         self.work = Counter()  # membership_reports, batched_evaluations, sample_margins
-
-    def _sample_power(self, axis: int, e: float):
-        """lam^e (axis 0) or mu^e (axis 1) over the samples, once per sweep.
-        lam^0 with lam = 0 is 1 (the limit convention), as np.power gives."""
-        key = (axis, e)
-        if key not in self._powers:
-            self._powers[key] = np.power(self.samples[4 + axis], e)
-        return self._powers[key]
 
     def _units(self, s: Surface, keys, results: dict):
         """The distinct keys as (groups, units): groups lists ((m1, m2),
@@ -245,7 +243,7 @@ class MembershipSweep:
         ((k1 P1 + k2 P2) + k3 P3) + k4 P4 - P(combination) associates as the
         inequality is written, so it is bitwise the one a scan of each group
         apart gives."""
-        power = lambda axis, e: self._sample_power(axis, e)[block]
+        power = lambda axis, e: self._powers[axis, e][block]
         wl, wm = power(0, p.theta1), power(1, p.theta2)
         if sense == FIRST:
             cl, cm = 1.0 - wl, 1.0 - wm

@@ -352,7 +352,10 @@ def _bound_or_none(make):
 @pytest.mark.parametrize("s", [corpus()["exp_sum"].surface, NARROW], ids=["exp_sum", "narrow"])
 def test_bound_table_matches_bound_functions(s):
     dev = deviation_terms(s, RECT01)
-    rows = bound_table(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev)
+    table = bound_table(s, RECT01, BOUND_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev)
+    # one entry per cell, the classical cell first
+    assert [p for p, _ in table] == [GenParams(), *BOUND_GRID]
+    rows = [(kind, p, variant, rep) for p, cell in table for kind, variant, rep in cell]
     classical = _bound_or_none(lambda: bound("classical", s, RECT01, dev=dev))
     assert rows[0] == ("classical", GenParams(), PROOF_FORM, classical)
     # per cell: direct or holder, and power-mean, each in two variants
@@ -381,7 +384,8 @@ COLLIDING_GRID = [
 def test_bound_table_shares_one_report_per_right_side():
     s = corpus()["exp_sum"].surface
     dev = deviation_terms(s, RECT01)
-    rows = bound_table(s, RECT01, COLLIDING_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev)
+    table = bound_table(s, RECT01, COLLIDING_GRID, bounds.BOUND_KINDS, bounds.VARIANTS, dev)
+    rows = [(kind, p, variant, rep) for p, cell in table for kind, variant, rep in cell]
     by_key = {}
     for kind, p, variant, rep in rows:
         assert rep == bound(kind, s, RECT01, p, variant, dev), (kind, p, variant)
@@ -391,6 +395,13 @@ def test_bound_table_shares_one_report_per_right_side():
     for reps in by_key.values():
         assert len({rep.rhs.hex() for rep in reps}) == 1
         assert reps[0] is reps[1]
+    # and the two cells of each right side share one rows list
+    by_side = {}
+    for p, cell in table[1:]:
+        by_side.setdefault((p.theta1, p.theta2, p.m1, p.m2, p.q), []).append(cell)
+    assert len(by_side) == len(COLLIDING_GRID) // 2
+    for cells in by_side.values():
+        assert cells[0] is cells[1]
 
 
 @pytest.mark.parametrize("kinds, variants", [(["mystery"], [PROOF_FORM]), ([DIRECT], ["mystery"])])

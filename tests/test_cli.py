@@ -121,6 +121,8 @@ def test_non_numeric_config_value_is_config_error(tmp_path, capsys, command, ove
         ("verify", {"rect": [0.0, 1.0, 0.0]}, [], "rect must be a list of 4 values, not [0.0, 1.0, 0.0]"),
         # the file's own seed is checked where --seed replaces it
         ("verify", {"seed": "seven"}, ["--seed", "3"], "seed must be a number, not 'seven'"),
+        # 0.0 and -0.0 are one value, as 1 and 1.0 are
+        ("verify", {"param_grid": {"alpha1": [0.0, -0.0]}}, [], "param_grid.alpha1 lists -0.0 twice"),
     ],
 )
 def test_bad_config_value_exits_two(tmp_path, capsys, command, overrides, flags, message):
@@ -342,6 +344,18 @@ def test_csv_rows_round_trip(tmp_path):
         assert abs(rep.rhs - float(row["rhs"])) <= 1e-12 * (1 + abs(rep.rhs))
 
 
+def test_signed_zero_parameter_column_is_written_as_given(tmp_path):
+    """Each cell formats its own parameter columns, so a grid value -0.0
+    reaches both bound and membership rows as -0.0, not as 0.0."""
+    out = tmp_path / "out"
+    cfgfile = write_config(tmp_path, param_grid={"alpha1": [-0.0, 0.5]}, output_dir=str(out))
+    assert cli.main(["verify", "--config", str(cfgfile)]) == 0
+    bound_rows = read_rows(out / "bounds.csv")
+    membership_rows = read_rows(out / "membership.csv")
+    assert {r["alpha1"] for r in bound_rows if r["theorem"] != "classical"} == {"-0.0", "0.5"}
+    assert {r["alpha1"] for r in membership_rows if r["notion"] != "coordinated"} == {"-0.0", "0.5"}
+
+
 def test_hull_violations_become_skipped_rows(tmp_path):
     out = tmp_path / "out"
     cfgfile = write_config(
@@ -474,8 +488,9 @@ def _rigged_direct(*args):
         verdict="violated",
     )
     return [
-        (kind, p, variant, violated(variant) if kind == "direct" and rep is not None else rep)
-        for kind, p, variant, rep in bounds.bound_table(*args)
+        (p, [(kind, variant, violated(variant) if kind == "direct" and rep is not None else rep)
+             for kind, variant, rep in rows])
+        for p, rows in bounds.bound_table(*args)
     ]
 
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -217,7 +219,7 @@ def test_zero_power_convention():
     sweep = MembershipSweep(RECT01, PLAN)
     for axis in (0, 1):
         assert (sweep.samples[4 + axis] == 0.0).any()
-        assert (sweep._sample_power(axis, 0.0) == 1.0).all()
+        assert (sweep._powers[axis, 0.0] == 1.0).all()
 
 
 # ------------------------------------------------------------ the sweep core
@@ -671,3 +673,20 @@ def test_sweep_caches_sample_powers_per_exponent():
     # powers cached for one surface serve the next
     reports = sweep.reports(corpus()["x2y2"].surface, cells, hypothesis=True)
     assert reports == MembershipSweep(RECT01, SMALL_PLAN).reports(corpus()["x2y2"].surface, cells, hypothesis=True)
+
+
+def test_dropped_sweep_is_freed_without_the_garbage_collector():
+    """No reference cycle runs through a sweep, so its sample table and
+    cached powers go as soon as the last reference does; a run that makes
+    one sweep after another holds one table, not every table since the last
+    collection."""
+    sweep = MembershipSweep(RECT01, SMALL_PLAN)
+    sweep.reports(SWEEP_SURFACES["expfd"], [(FIRST, p) for p in COLLIDING_GRID], hypothesis=True)
+    assert sweep._powers
+    ref = weakref.ref(sweep)
+    gc.disable()
+    try:
+        del sweep
+        assert ref() is None
+    finally:
+        gc.enable()

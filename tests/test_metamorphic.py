@@ -112,8 +112,9 @@ def test_separable_terms_change_nothing_on_signed_polynomials(poly, separable):
 def _right_sides(s, rect, cells, kinds):
     """(kind, variant) -> the right sides of s's bound table, one per row, in table order."""
     by_key: dict = {}
-    for kind, _, variant, rep in bound_table(s, rect, cells, kinds, VARIANTS, deviation_terms(s, rect)):
-        by_key.setdefault((kind, variant), []).append(rep.rhs)
+    for _, rows in bound_table(s, rect, cells, kinds, VARIANTS, deviation_terms(s, rect)):
+        for kind, variant, rep in rows:
+            by_key.setdefault((kind, variant), []).append(rep.rhs)
     return by_key
 
 
