@@ -12,7 +12,6 @@ from .bounds import (
     CLASSICAL,
     DIRECT,
     HOLDER,
-    HOLDS,
     POWER_MEAN,
     PROOF_FORM,
     BoundReport,
@@ -23,12 +22,7 @@ from .bounds import (
     identity_report,
     kink_moment,
 )
-from .convexity import (
-    NO_VIOLATION,
-    VIOLATED,
-    MembershipSweep,
-    SamplingPlan,
-)
+from .convexity import MembershipSweep, SamplingPlan
 from .errors import (
     ConvergenceError,
     NonFiniteError,
@@ -48,5 +42,6 @@ from .surfaces import (
     eval_mixed_partial,
     poly_surface,
 )
+from .verdicts import HOLDS, INCONCLUSIVE, NO_VIOLATION, SKIPPED, VIOLATED
 
 __version__ = "0.1.0"

@@ -38,6 +38,7 @@ from .geometry import CLASSICAL_PARAMS, GenParams, Rect, require_inside
 from .oracle import deviation_parts
 from .quadrature import Tolerance, integrate_1d, integrate_2d, left_sum
 from .surfaces import Surface, eval_mixed_partial, mixed_partial_func
+from .verdicts import HOLDS, INCONCLUSIVE, VIOLATED
 
 PROOF_FORM = "proof-form"
 AS_WRITTEN = "as-written"
@@ -48,10 +49,6 @@ DIRECT = "direct"
 HOLDER = "holder"
 POWER_MEAN = "power-mean"
 BOUND_KINDS = (CLASSICAL, DIRECT, HOLDER, POWER_MEAN)
-
-HOLDS = "holds"
-BOUND_VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
 
 _UNIT = Rect(0.0, 1.0, 0.0, 1.0)
 
@@ -207,7 +204,7 @@ def _verdict(lhs: float, rhs: float, slack: float, budget: float) -> str:
     if slack >= -budget:
         return HOLDS
     if slack < -(budget + 1e-9 * max(abs(lhs), abs(rhs))):
-        return BOUND_VIOLATED
+        return VIOLATED
     return INCONCLUSIVE
 
 

@@ -49,27 +49,20 @@ from .bounds import (
     BOUND_KINDS,
     PROOF_FORM,
     VARIANTS,
-    BOUND_VIOLATED,
     bound_table,
     deviation_terms,
     hh_chain_2d,
     identity_report,
     kink_moment,
 )
-from .convexity import (
-    FIRST,
-    NO_VIOLATION,
-    SECOND,
-    MembershipSweep,
-    SamplingPlan,
-)
+from .convexity import FIRST, SECOND, MembershipSweep, SamplingPlan
 from .errors import ConfigError, ConvergenceError, NonFiniteError
 from .geometry import CLASSICAL_PARAMS, GenParams, Rect, scaled_eval_edges
 from .oracle import RationalPoly2
 from .surfaces import Surface, corpus, poly_surface
+from .verdicts import NO_VIOLATION, SKIPPED, VIOLATED
 
 ALL_CHECKS = ("identity", "chain", *BOUND_KINDS, "membership")
-SKIPPED = "skipped"
 
 PARAM_KEYS = ("s1", "s2", "alpha1", "alpha2", "m1", "m2", "q")
 MAX_HUNT_COUNT, MAX_HUNT_DEGREE = 1000, 64  # caps on a hunt's work (README §Config schema)
@@ -284,11 +277,6 @@ def _fmt(v):
     return str(v)
 
 
-def _param_cols(p: GenParams) -> tuple:
-    """The seven formatted parameter columns of the cell p, in PARAM_KEYS order."""
-    return tuple(_fmt(getattr(p, k)) for k in PARAM_KEYS)
-
-
 def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) -> None:
     """Write each non-empty row list, sorted, as ``<key>.csv`` under its
     header, then the summary as JSON."""
@@ -312,13 +300,14 @@ def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) 
 NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-def _sweep_surface(name, s, cfg, sweep, files) -> list:
+def _sweep_surface(name, s, cfg, sweep, files, params) -> list:
     """Append the rows of one surface to ``files`` and return its findings:
     the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
     The bound rows come from bound_table one cell at a time.  hunt refutes
     the hypothesis of every cell that has a report, verify only of each cell
     with a violated proof-form row, in one batched call; each cell reads its
-    verdict and formats its parameter columns once."""
+    verdict once.  ``params`` maps each cell to its seven parameter columns,
+    formatted once per run, so every surface's rows share the strings."""
     rect, checks, combos, hunt = cfg.rect, cfg.checks, cfg.combos, cfg.command == "hunt"
     needs_dev = any(c in checks for c in (*BOUND_KINDS, "identity", "chain"))
     dev = deviation_terms(s, rect) if needs_dev else None
@@ -338,12 +327,12 @@ def _sweep_surface(name, s, cfg, sweep, files) -> list:
             cols = (SKIPPED, *[""] * 8) if rep is None else (
                 rep.verdict, *map(_fmt, (rep.worst_margin, *rep.witness)), str(rep.samples_checked)
             )
-            files["membership"].append((name, "f", notion, *_param_cols(p), *cols))
+            files["membership"].append((name, "f", notion, *params[p], *cols))
 
     table = bound_table(s, rect, combos, [c for c in checks if c in BOUND_KINDS], cfg.variants, dev)
     refuted = [  # the table index of each cell whose hypothesis is refuted
         i for i, (_, rows) in enumerate(table)
-        if any(rep is not None and (hunt or (v == PROOF_FORM and rep.verdict == BOUND_VIOLATED)) for _, v, rep in rows)
+        if any(rep is not None and (hunt or (v == PROOF_FORM and rep.verdict == VIOLATED)) for _, v, rep in rows)
     ]
     hyps = dict(zip(refuted, sweep.verdicts(s, [table[i][0] for i in refuted])))
     # Each distinct report's columns, formatted once: bound_table shares a
@@ -353,13 +342,13 @@ def _sweep_surface(name, s, cfg, sweep, files) -> list:
     text = {id(None): ("", "", "", "", SKIPPED)}
     findings, out = [], files["hunt" if hunt else "bounds"]
     for i, (p, rows) in enumerate(table):
-        hypothesis, cols = hyps.get(i) or SKIPPED, _param_cols(p)
+        hypothesis, cols = hyps.get(i) or SKIPPED, params[p]
         for kind, variant, rep in rows:
             if id(rep) not in text:
                 text[id(rep)] = (lhs, _fmt(rep.rhs), _fmt(rep.slack), budget, rep.verdict)
             row = (name, kind, variant, *cols, *text[id(rep)])
             out.append(row + (hypothesis,) if hunt else row)
-            if hypothesis == NO_VIOLATION and rep.verdict == BOUND_VIOLATED:
+            if hypothesis == NO_VIOLATION and rep.verdict == VIOLATED:
                 finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
                 findings.append(finding | {k: getattr(p, k) for k in PARAM_KEYS})
     return findings
@@ -377,9 +366,10 @@ def _run(cfg: RunConfig) -> int:
     hunt = cfg.command == "hunt"
     sweep = MembershipSweep(cfg.rect, cfg.plan)
     files = {"hunt" if hunt else "bounds": [], "membership": [], "chains": [], "identity": []}
+    params = {p: tuple(_fmt(getattr(p, k)) for k in PARAM_KEYS) for p in (CLASSICAL_PARAMS, *cfg.combos)}
     findings = []
     for name, s in cfg.surfaces.items():
-        findings += _sweep_surface(name, s, cfg, sweep, files)
+        findings += _sweep_surface(name, s, cfg, sweep, files, params)
 
     def tally(key, col):  # each value of the column, with its number of rows
         return Counter(row[HEADERS[key].index(col)] for row in files[key])

@@ -26,9 +26,8 @@ import numpy as np
 from .errors import NonFiniteError, OutOfDomainError
 from .geometry import Rect
 from .surfaces import Surface, mixed_partial_func, require_hull_inside
+from .verdicts import NO_VIOLATION, VIOLATED
 
-NO_VIOLATION = "no-violation-found"
-VIOLATED = "violated"
 # The two senses of class membership; plain co-ordinated convexity is the
 # first sense at trivial parameters.
 FIRST = "first"

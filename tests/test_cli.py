@@ -18,6 +18,7 @@ from hhverify import (
 from hhverify import bounds, cli, quadrature
 from hhverify.convexity import MAX_SAMPLES, MembershipSweep
 from hhverify.errors import ConfigError
+from hhverify.verdicts import VERDICTS
 from support import time_limit
 
 
@@ -690,6 +691,60 @@ def test_hunt_determinism(tmp_path):
     assert cli.main(["hunt", "--config", str(cfgfile), "--out", str(out1)]) == 0
     assert cli.main(["hunt", "--config", str(cfgfile), "--out", str(out2)]) == 0
     assert (out1 / "hunt.csv").read_bytes() == (out2 / "hunt.csv").read_bytes()
+
+
+def _written_verdicts(out: Path) -> set:
+    """(column, word) of each verdict written under out, a column named
+    ``<file>.<column>`` as in VERDICTS."""
+    columns = {column for allowed in VERDICTS.values() for column in allowed}
+    found = set()
+    for column in columns:
+        file, name = column.split(".")
+        if (out / f"{file}.csv").exists():
+            found |= {(column, row[name]) for row in read_rows(out / f"{file}.csv")}
+    return found
+
+
+def test_every_written_verdict_is_a_word_its_column_allows(tmp_path):
+    """quick.json's verify, a verify whose m1 = 0.1 cells are skipped (b/m1 =
+    10 leaves the corpus domain [-8, 8]^2) and a two-surface hunt write only
+    table words, each in a column the table allows it."""
+    quick = Path(__file__).resolve().parents[1] / "configs" / "quick.json"
+    runs = {
+        "quick": ("verify", quick),
+        "skipped": ("verify", write_config(tmp_path, param_grid={"m1": [0.1, 1.0], "q": [1.0]})),
+    }
+    (tmp_path / "h").mkdir()
+    runs["hunt"] = ("hunt", write_config(tmp_path / "h", param_grid={"s1": [0.5, 1.0], "q": [1.0, 2.0]},
+                                         hunt={"count": 2, "degree": 3}))
+    written = {}
+    for key, (command, cfgfile) in runs.items():
+        assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / key)]) == 0
+        written[key] = _written_verdicts(tmp_path / key)
+    allowed = {(column, word) for word, columns in VERDICTS.items() for column in columns}
+    assert set().union(*written.values()) <= allowed
+    assert {column for column, _ in written["quick"]} == {"bounds.verdict", "membership.verdict"}
+    assert {("bounds.verdict", "skipped"), ("membership.verdict", "skipped")} <= written["skipped"]
+    hypotheses = {word for column, word in written["hunt"] if column == "hunt.hypothesis"}
+    assert hypotheses == {"violated", "no-violation-found"}
+
+
+def test_hunt_surfaces_share_the_parameter_column_strings(tmp_path, monkeypatch):
+    """Each cell's seven parameter columns are formatted once per run, not
+    once per surface: the rows of two surfaces at one cell hold the very
+    same str objects, so held rows grow by the report columns alone."""
+    held = {}
+    monkeypatch.setattr(cli, "_write_report", lambda out_dir, files, *_: held.update(files))
+    cfgfile = write_config(tmp_path, output_dir=str(tmp_path / "o"), hunt={"count": 2, "degree": 3})
+    assert cli.main(["hunt", "--config", str(cfgfile)]) == 0
+    rows = held["hunt"]  # unsorted: each surface's rows in bound_table order
+    first = [row for row in rows if row[0] == "hunt-000"]
+    second = [row for row in rows if row[0] == "hunt-001"]
+    assert first and len(first) == len(second)
+    params = slice(3, 3 + len(cli.PARAM_KEYS))
+    for a, b in zip(first, second):
+        assert a[params] == b[params]
+        assert all(x is y for x, y in zip(a[params], b[params]))
 
 
 def test_corpus_listing(capsys):

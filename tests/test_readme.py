@@ -1,5 +1,6 @@
 """The README's library example runs as printed, its config schema is
-cli.SCHEMA's, and the package names it cites exist."""
+cli.SCHEMA's, its verdict list is verdicts.VERDICTS, and the package names
+it cites exist."""
 
 import contextlib
 import dataclasses
@@ -13,6 +14,7 @@ from pathlib import Path
 import hhverify
 from hhverify import cli
 from hhverify.convexity import SamplingPlan
+from hhverify.verdicts import VERDICTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,6 +51,15 @@ def test_config_schema_block_matches_the_table():
     assert block["plan"] == dataclasses.asdict(SamplingPlan())
     hunt_rules = cli.SCHEMA["hunt"][0]
     assert block["hunt"] == {key: default for key, (_, default) in hunt_rules.items()}
+
+
+def test_verdict_list_matches_the_table():
+    """§Reports lists each verdict word once, with the columns it may fill,
+    in the order of verdicts.VERDICTS."""
+    text = README.read_text()
+    section = text[text.index("#### Verdicts"):text.index("## Library use")]
+    listed = re.findall(r"^\* `([a-z-]+)` - ([a-z.,\s]+?):", section, re.M)
+    assert [(word, tuple(c.strip() for c in cols.split(","))) for word, cols in listed] == list(VERDICTS.items())
 
 
 def test_cited_module_names_resolve():

@@ -113,3 +113,27 @@ def test_dead_private_name_is_found():
 
 def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def string_literals(source: str, words) -> list:
+    """(line, word) of each string literal in the source that is one of ``words``."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in words
+    )
+
+
+def test_string_literal_is_found():
+    source = '"""violated, or not."""\nA = "violated"\nB = f"{A} violated"\nC = ("holds", "x")\n'
+    assert string_literals(source, {"violated", "holds"}) == [(2, "violated"), (4, "holds")]
+
+
+def test_each_verdict_word_is_written_once():
+    """Every verdict word is a string literal in verdicts.py, once, and in no
+    other module: the others import it by name."""
+    from hhverify.verdicts import VERDICTS
+
+    found = {p.name: string_literals(p.read_text(), set(VERDICTS)) for p in sorted(SRC.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits and name != "verdicts.py"} == {}
+    assert sorted(word for _, word in found["verdicts.py"]) == sorted(VERDICTS)
