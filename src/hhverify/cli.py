@@ -15,8 +15,7 @@ corpus names, or seeded random polynomials), variants and checks it runs.
 Each surface goes through one routine, ``_sweep_surface``, which takes the
 surface's ``bound_table`` one cell at a time: hunt refutes the hypothesis of
 every cell that has a report, verify only of each cell with a violated
-proof-form row.  ``_run`` writes the command's files, and both summaries
-list findings in one shape.
+proof-form row.  Both summaries list findings in one shape.
 
 Exit codes: 0 clean; 1 a proof-form row is a finding: violated while the
 refuter finds its hypothesis clean (an acceptance failure); 2 usage or
@@ -24,18 +23,23 @@ configuration error.
 
 Reports are deterministic for a given config and seed: each row is a tuple
 in its file's header order, rows sort by their columns in that order, and
-floats are written with shortest round-trip repr.  Wall time lives only in
-the JSON summary, never in the CSVs.
+floats are written with shortest round-trip repr.  The surface column comes
+first, so ``_run`` sweeps the surfaces in name order and spools each one's
+sorted rows when it ends: the rows held are bounded by one surface.  Only a
+run that finishes writes the CSVs, so one that exits 2 writes none.  Wall
+time lives only in the JSON summary, never in the CSVs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
 import math
 import sys
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -89,12 +93,14 @@ HEADERS = {
     "identity": ["surface", "residual", "error_budget", "within_budget"],
 }
 HEADERS["hunt"] = HEADERS["bounds"] + ["hypothesis"]
+# The column of each report file whose values the summary counts, "verdict" unless named here.
+TALLIED = {"chains": "monotone", "identity": "within_budget"}
 
 
 @dataclass
 class RunConfig:
     command: str  # "verify" or "hunt"
-    surfaces: dict[str, Surface]  # the surfaces to sweep, by name, in sweep order
+    surfaces: dict[str, Surface]  # the surfaces to sweep, by name (swept in name order)
     rect: Rect
     combos: list[GenParams]  # the validated parameter grid cells, in sweep order
     variants: list[str]
@@ -277,22 +283,6 @@ def _fmt(v):
     return str(v)
 
 
-def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) -> None:
-    """Write each non-empty row list, sorted, as ``<key>.csv`` under its
-    header, then the summary as JSON."""
-    for key, rows in files.items():
-        if not rows:
-            continue
-        rows.sort()
-        with open(out_dir / f"{key}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(HEADERS[key])
-            writer.writerows(rows)
-    with open(out_dir / summary_name, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # --------------------------------------------------------------------------
 # one run: one routine per surface, one report keyed by the command
 
@@ -300,11 +290,12 @@ def _write_report(out_dir: Path, files: dict, summary_name: str, summary: dict) 
 NOTIONS = {FIRST: "first-sense", SECOND: "second-sense"}
 
 
-def _sweep_surface(name, s, cfg, sweep, files, params) -> list:
-    """Append the rows of one surface to ``files`` and return its findings:
-    the violated bound rows whose hypothesis |d2f|^q the refuter found clean.
-    The bound rows come from bound_table one cell at a time.  hunt refutes
-    the hypothesis of every cell that has a report, verify only of each cell
+def _sweep_surface(name, s, cfg, sweep, files, params) -> tuple:
+    """Append the rows of one surface to ``files`` and return its findings,
+    the violated bound rows whose hypothesis |d2f|^q the refuter found clean,
+    and its least slack that is a number (None if there is none).  The bound
+    rows come from bound_table one cell at a time.  hunt refutes the
+    hypothesis of every cell that has a report, verify only of each cell
     with a violated proof-form row, in one batched call; each cell reads its
     verdict once.  ``params`` maps each cell to its seven parameter columns,
     formatted once per run, so every surface's rows share the strings."""
@@ -351,28 +342,42 @@ def _sweep_surface(name, s, cfg, sweep, files, params) -> list:
             if hypothesis == NO_VIOLATION and rep.verdict == VIOLATED:
                 finding = dict(surface=name, theorem=kind, variant=variant, lhs=rep.lhs, rhs=rep.rhs)
                 findings.append(finding | {k: getattr(p, k) for k in PARAM_KEYS})
-    return findings
+    slacks = (rep.slack for _, rows in table for _, _, rep in rows if rep is not None)
+    return findings, min((v for v in slacks if not math.isnan(v)), default=None)
 
 
 def _run(cfg: RunConfig) -> int:
-    """Sweep every surface of ``cfg`` and write its command's report: the
-    rows, and a summary of the shared keys plus the command's own.  Returns
-    the exit code, 1 when a proof-form row is a finding."""
-    t0 = time.perf_counter()
+    """Sweep the surfaces of ``cfg`` in name order and write its command's
+    report: the rows, and a summary of the shared keys plus the command's
+    own.  Returns the exit code, 1 when a proof-form row is a finding."""
+    t0, out = time.perf_counter(), cfg.output_dir
     try:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.output_dir}: {exc}") from exc
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     hunt = cfg.command == "hunt"
     sweep = MembershipSweep(cfg.rect, cfg.plan)
-    files = {"hunt" if hunt else "bounds": [], "membership": [], "chains": [], "identity": []}
+    counts = {key: Counter() for key in ("hunt" if hunt else "bounds", "membership", "chains", "identity")}
     params = {p: tuple(_fmt(getattr(p, k)) for k in PARAM_KEYS) for p in (CLASSICAL_PARAMS, *cfg.combos)}
-    findings = []
-    for name, s in cfg.surfaces.items():
-        findings += _sweep_surface(name, s, cfg, sweep, files, params)
-
-    def tally(key, col):  # each value of the column, with its number of rows
-        return Counter(row[HEADERS[key].index(col)] for row in files[key])
+    findings, worst = [], None
+    with contextlib.ExitStack() as stack:
+        # One unnamed file per report: a run that fails or is killed leaves no CSV.
+        spools = {key: stack.enter_context(tempfile.TemporaryFile("w+", newline="", dir=out)) for key in counts}
+        for name in sorted(cfg.surfaces):
+            files = {key: [] for key in counts}
+            found, least = _sweep_surface(name, cfg.surfaces[name], cfg, sweep, files, params)
+            findings += found
+            worst = min((v for v in (worst, least) if v is not None), default=None)
+            for key, rows in files.items():
+                rows.sort()
+                csv.writer(spools[key], lineterminator="\n").writerows(rows)
+                column = HEADERS[key].index(TALLIED.get(key, "verdict"))
+                counts[key].update(row[column] for row in rows)
+        for key in filter(counts.get, spools):  # the reports with rows
+            spools[key].seek(0)
+            with open(out / f"{key}.csv", "w", newline="") as fh:
+                fh.write(",".join(HEADERS[key]) + "\n")
+                fh.writelines(spools[key])
 
     if hunt:
         own = {
@@ -381,23 +386,21 @@ def _run(cfg: RunConfig) -> int:
             "as_written_findings": [f for f in findings if f["variant"] == AS_WRITTEN],
         }
     else:
-        # "" on skipped rows, "nan" where the right side is not a number
-        slacks = [float(v) for v in tally("bounds", "slack") if v not in ("", "nan")]
-        chains, identity = tally("chains", "monotone"), tally("identity", "within_budget")
+        chains, identity = counts["chains"], counts["identity"]
         own = {
             "counts": {
-                "bounds": tally("bounds", "verdict"),
-                "membership": tally("membership", "verdict"),
+                "bounds": counts["bounds"],
+                "membership": counts["membership"],
                 "chains": {"monotone": chains["true"], "non-monotone": chains["false"]},
                 "identity": {"within-budget": identity["true"], "out-of-budget": identity["false"]},
             },
-            "worst_slack": min(slacks, default=None),
+            "worst_slack": worst,
         }
     failing = [f for f in findings if f["variant"] == PROOF_FORM]
     summary = {
         **own,
         "proof_form_failures": failing,
-        "rows": sum(len(v) for v in files.values()),
+        "rows": sum(tally.total() for tally in counts.values()),
         "work": {  # deterministic counts of the refuter work, no timings
             "membership_reports": sweep.work["membership_reports"],
             "batched_evaluations": sweep.work["batched_evaluations"],
@@ -407,7 +410,9 @@ def _run(cfg: RunConfig) -> int:
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "exit_code": 1 if failing else 0,
     }
-    _write_report(cfg.output_dir, files, "hunt_summary.json" if hunt else "summary.json", summary)
+    with open(out / ("hunt_summary.json" if hunt else "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return summary["exit_code"]
 
 

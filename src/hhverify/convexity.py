@@ -331,7 +331,8 @@ class MembershipSweep:
         order of first appearance.
         """
         keys = [(sense, p if hypothesis else replace(p, q=1.0)) for sense, p in cells]
-        return self._scan(s, keys, hypothesis, [slice(0, len(self.samples[0]))], witness=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # _judge raises on a non-finite margin
+            return self._scan(s, keys, hypothesis, [slice(0, len(self.samples[0]))], witness=True)
 
     def verdicts(self, s: Surface, params) -> list:
         """The first-sense verdict on the hypothesis |d2f|^(p.q) for each p
@@ -345,5 +346,6 @@ class MembershipSweep:
         scanned.
         """
         blocks = list(_blocks(len(self.samples[0])))
-        reports = self._scan(s, [(FIRST, p) for p in params], True, blocks, witness=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in reports
+            reports = self._scan(s, [(FIRST, p) for p in params], True, blocks, witness=False)
         return [rep and rep.verdict for rep in reports]

@@ -1,6 +1,9 @@
 import csv
+import gc
 import io
 import json
+import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +22,7 @@ from hhverify import bounds, cli, quadrature
 from hhverify.convexity import MAX_SAMPLES, MembershipSweep
 from hhverify.errors import ConfigError
 from hhverify.verdicts import VERDICTS
-from support import time_limit
+from support import HUNT_CONFIG, time_limit
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -733,18 +736,101 @@ def test_hunt_surfaces_share_the_parameter_column_strings(tmp_path, monkeypatch)
     """Each cell's seven parameter columns are formatted once per run, not
     once per surface: the rows of two surfaces at one cell hold the very
     same str objects, so held rows grow by the report columns alone."""
-    held = {}
-    monkeypatch.setattr(cli, "_write_report", lambda out_dir, files, *_: held.update(files))
+    held, sweep_surface = {}, cli._sweep_surface
+
+    def capture(name, s, cfg, sweep, files, params):
+        found = sweep_surface(name, s, cfg, sweep, files, params)
+        held[name] = list(files["hunt"])  # unsorted: the surface's rows in bound_table order
+        return found
+
+    monkeypatch.setattr(cli, "_sweep_surface", capture)
     cfgfile = write_config(tmp_path, output_dir=str(tmp_path / "o"), hunt={"count": 2, "degree": 3})
     assert cli.main(["hunt", "--config", str(cfgfile)]) == 0
-    rows = held["hunt"]  # unsorted: each surface's rows in bound_table order
-    first = [row for row in rows if row[0] == "hunt-000"]
-    second = [row for row in rows if row[0] == "hunt-001"]
+    first, second = held["hunt-000"], held["hunt-001"]
     assert first and len(first) == len(second)
     params = slice(3, 3 + len(cli.PARAM_KEYS))
     for a, b in zip(first, second):
         assert a[params] == b[params]
         assert all(x is y for x, y in zip(a[params], b[params]))
+
+
+def test_failure_on_a_later_surface_writes_no_csv(tmp_path, capsys, monkeypatch):
+    """Surfaces are swept in name order, whatever the config's order, and
+    their rows spooled to unnamed files: a run that fails on exp_sum after
+    constant was swept writes no CSV, and leaves a previous run's reports in
+    the directory as they were."""
+    out = tmp_path / "o"
+    cfgfile = write_config(tmp_path, output_dir=str(out))
+    assert cli.main(["verify", "--config", str(cfgfile)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    swept, sweep_surface = [], cli._sweep_surface
+
+    def record(name, *rest):
+        swept.append(name)
+        return sweep_surface(name, *rest)
+
+    monkeypatch.setattr(cli, "_sweep_surface", record)
+    monkeypatch.setattr(quadrature, "DEFAULT_TOL", quadrature.Tolerance(rel=0.0, abs_floor=0.0, max_depth=1))
+    cfgfile = write_config(tmp_path, surfaces=["exp_sum", "constant"], output_dir=str(out))
+    assert cli.main(["verify", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert swept == ["constant", "exp_sum"]
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_held_rows_are_bounded_by_one_surface(tmp_path, monkeypatch):
+    """Each surface's rows leave memory when it ends, so the traced peak of a
+    hunt of 8 surfaces exceeds that of 2 by less than the rows one surface
+    holds, measured as what _sweep_surface leaves allocated.  Measured: 8
+    surfaces peak 8 KB above 2, one surface's rows take 257 KB, and holding
+    every row of the run made the gap 940 KB."""
+    held, sweep_surface = [], cli._sweep_surface
+
+    def measured(*args):
+        gc.collect()  # empties the free lists, so only live objects stay traced
+        before = tracemalloc.get_traced_memory()[0]
+        found = sweep_surface(*args)
+        held.append(tracemalloc.get_traced_memory()[0] - before)
+        return found
+
+    monkeypatch.setattr(cli, "_sweep_surface", measured)
+    raw = json.loads(HUNT_CONFIG.read_text())
+    raw["param_grid"]["q"] = [1.0]
+    raw.update(plan={"grid_per_axis": 3, "random_trials": 0}, output_dir=str(tmp_path / "o"))
+
+    def hunt(count):
+        cfgfile = tmp_path / "config.json"
+        cfgfile.write_text(json.dumps({**raw, "hunt": {"count": count, "degree": 3}}))
+        assert cli.main(["hunt", "--config", str(cfgfile)]) == 0
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            hunt(count)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    hunt(2)  # warm-up: first-call imports and caches
+    low, high = peak(2), peak(8)
+    one_surface = held[-1]  # the last: the first surface also fills the sweep's power cache
+    assert one_surface > 0 and high - low < one_surface, (low, high, one_surface)
+
+
+def test_non_finite_margins_print_only_the_error_line(tmp_path, capsys):
+    """|d2f|^1000 overflows and a zero weight times inf is nan: the run ends
+    in exit code 2 with one error line, and numpy warns of nothing on the
+    way, since the refuter turns each non-finite margin into that error."""
+    config = {"param_grid": {"q": [1000]}, "checks": ["holder", "power-mean"], "hunt": {"count": 1, "degree": 3}}
+    cfgfile = tmp_path / "config.json"
+    cfgfile.write_text(json.dumps({**config, "output_dir": str(tmp_path / "o")}))
+    with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn", invalid="warn"):
+        warnings.simplefilter("always")
+        assert cli.main(["hunt", "--config", str(cfgfile)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value") and err.count("\n") == 1, err
 
 
 def test_corpus_listing(capsys):

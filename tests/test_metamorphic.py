@@ -168,3 +168,39 @@ def test_swapping_x_and_y_leaves_the_symmetric_right_sides_unchanged():
                 else:
                     worst[kind] = max(worst[kind], gap)
     assert min(worst.values()) > 0.25, worst
+
+
+def _scale_xy(s, rect, alpha, beta):
+    """g(x, y) = f(alpha x, beta y): each coefficient of s's polynomial times
+    alpha^i beta^j, on s's domain and rect scaled by 1/alpha and 1/beta."""
+    a, b = Fraction(alpha), Fraction(beta)
+    poly = RationalPoly2({(i, j): c * a**i * b**j for (i, j), c in s.poly.terms.items()})
+    scale = lambda r: Rect(r.a / alpha, r.b / alpha, r.c / beta, r.d / beta)
+    return poly_surface(f"{s.name}(ax,by)", poly, scale(s.domain)), scale(rect)
+
+
+def test_scaling_the_axes_changes_no_verdict():
+    """g(x, y) = f(alpha x, beta y) over the rect scaled by 1/alpha and
+    1/beta has f's deviation, exactly; d2g is alpha beta d2f at matching
+    points and the area is 1/(alpha beta) times f's, so every right side,
+    lhs/rhs and every bound verdict is f's, at every cell.  The hypothesis
+    margins scale by (alpha beta)^q against an absolute tolerance, so a
+    margin near it could change its verdict; none does on these surfaces.
+    alpha and beta are powers of two, so the scaled rect and domain are
+    exact."""
+    alpha, beta = 4.0, 0.125
+    cfg, surfaces = hunt_surfaces(3)
+    rows = 0
+    for s in surfaces:
+        g, rect = _scale_xy(s, cfg.rect, alpha, beta)
+        table = bound_table(s, cfg.rect, cfg.combos, BOUND_KINDS, VARIANTS, deviation_terms(s, cfg.rect))
+        scaled = bound_table(g, rect, cfg.combos, BOUND_KINDS, VARIANTS, deviation_terms(g, rect))
+        for (p, f_rows), (_, g_rows) in zip(table, scaled, strict=True):
+            for (kind, variant, a), (_, _, b) in zip(f_rows, g_rows, strict=True):
+                assert (b.lhs, b.verdict) == (a.lhs, a.verdict), (s.name, kind, variant, p, a, b)
+                ratio, scaled_ratio = a.lhs / a.rhs, b.lhs / b.rhs
+                assert abs(scaled_ratio - ratio) <= RHS_ALLOWANCE * ratio, (s.name, kind, variant, p, a, b)
+                rows += 1
+        f_hyps = MembershipSweep(cfg.rect, cfg.plan).verdicts(s, cfg.combos)
+        assert MembershipSweep(rect, cfg.plan).verdicts(g, cfg.combos) == f_hyps, s.name
+    assert rows == len(surfaces) * (1 + 4 * len(cfg.combos))  # the classical row, 4 rows per cell
